@@ -1,7 +1,8 @@
 """Command-line harness: ``pgglmc {sample, verify, bounds}``.
 
-Exit codes: 0 success, 2 config problem (parse error, unknown key, unknown
-suite), 3 chain divergence, 4 theory-gate violation (step-size cap).
+Exit codes: 0 success, 2 config or usage problem (parse error, unknown key,
+unknown suite, bad --seed, --threads or $PGGLMC_THREADS), 3 chain
+divergence, 4 theory-gate violation (step-size cap).
 
 Reports are JSON with full config echo; final states go to CSV with the
 fixed header ``chain,coordinate_0,...`` (UTF-8, LF).  Floats are written in
@@ -163,7 +164,7 @@ def cmd_sample(args) -> int:
         metrics["empirical_w2_to_target"] = {
             "mean": w2.mean, "std": w2.std, "values": w2.values,
             "n": pts.shape[0], "resamples": cfg.report.resamples,
-            "note": "exact-assignment W2 against the known Gaussian target" + sub_note,
+            "note": "exact W2 against the known Gaussian target" + sub_note,
         }
 
     report = {
@@ -245,7 +246,29 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _env_threads() -> int:
+    """Thread default from $PGGLMC_THREADS (1 when unset); a positive integer."""
+    raw = os.environ.get("PGGLMC_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"PGGLMC_THREADS: expected a positive integer, got {raw!r}")
+    return threads
+
+
+def _check_args(args) -> None:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
+
+
+def build_parser(threads_default: int | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``threads_default`` defaults to $PGGLMC_THREADS or 1."""
+    if threads_default is None:
+        threads_default = _env_threads()
     parser = argparse.ArgumentParser(
         prog="pgglmc",
         description="Black-box Langevin Monte Carlo with p-generalized Gaussian "
@@ -261,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", default=None, help="optional config JSON (seed source)")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("PGGLMC_THREADS", "1")),
+        sp.add_argument("--threads", type=int, default=threads_default,
                         help="chain groups to run in parallel (default: "
                              "$PGGLMC_THREADS or 1)")
         sp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
@@ -284,12 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        threads_default = _env_threads()
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    parser = build_parser(threads_default)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on bad usage
         return int(exc.code or 0)
     try:
+        _check_args(args)
         return args.func(args)
     except StepSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)

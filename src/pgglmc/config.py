@@ -65,6 +65,17 @@ def _number(doc, path, key, *, integer=False, minimum=None, strict_min=None):
     return int(val) if integer else float(val)
 
 
+def _point(doc, path, key, d):
+    """A number or a list of d numbers, returned as given (the echo keeps it)."""
+    val = doc[key]
+    items = val if isinstance(val, list) else [val]
+    if ((isinstance(val, list) and len(val) != d)
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in items)):
+        raise ConfigError(f"{path}.{key}: expected a number or a list of {d} numbers, "
+                          f"got {val!r}")
+    return val
+
+
 @dataclass(frozen=True)
 class ReportConfig:
     thinning: int | str = "auto"
@@ -102,6 +113,8 @@ class ExperimentConfig:
         lam = _number(pot, "potential", "lambda", strict_min=0.0)
         params = pot.get("params", {})
         _require_mapping(params, "potential.params")
+        for key in params:
+            _number(params, "potential.params", key)
 
         sm = doc["smoothing"]
         _check_keys(sm, "smoothing", required=("mu", "n", "p"))
@@ -123,7 +136,7 @@ class ExperimentConfig:
         steps = _number(lmc, "lmc", "steps", integer=True, minimum=0)
         chains = _number(lmc, "lmc", "chains", integer=True, minimum=1)
         seed = _number(lmc, "lmc", "seed", integer=True, minimum=0)
-        init = cls._parse_init(lmc.get("init", {"kind": "point", "value": 0.0}))
+        init = cls._parse_init(lmc.get("init", {"kind": "point", "value": 0.0}), d)
 
         rep = doc.get("report", {})
         _check_keys(rep, "report", required=(), optional=("thinning", "resamples", "csv", "json"))
@@ -147,18 +160,20 @@ class ExperimentConfig:
                    seed=seed, report=report)
 
     @staticmethod
-    def _parse_init(doc) -> InitSpec:
+    def _parse_init(doc, d: int) -> InitSpec:
         _require_mapping(doc, "lmc.init")
         kind = doc.get("kind")
         if kind == "point":
             _check_keys(doc, "lmc.init", required=("kind",), optional=("value",))
-            return InitSpec(kind="point", point=doc.get("value", 0.0))
+            point = _point(doc, "lmc.init", "value", d) if "value" in doc else 0.0
+            return InitSpec(kind="point", point=point)
         if kind == "gaussian":
             _check_keys(doc, "lmc.init", required=("kind",), optional=("mean", "scale"))
             scale = doc.get("scale", 1.0)
             if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale > 0:
                 raise ConfigError(f"lmc.init.scale: expected a positive number, got {scale!r}")
-            return InitSpec(kind="gaussian", mean=doc.get("mean", 0.0), scale=float(scale))
+            mean = _point(doc, "lmc.init", "mean", d) if "mean" in doc else 0.0
+            return InitSpec(kind="gaussian", mean=mean, scale=float(scale))
         raise ConfigError(f"lmc.init.kind: expected 'point' or 'gaussian', got {kind!r}")
 
     @classmethod

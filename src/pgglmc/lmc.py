@@ -187,36 +187,39 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         x = _init_states(lcfg.init, rngs, indices, d)
         alive = np.ones(len(indices), dtype=bool)
         local_evals = 0
+        # one smoothing block, then one noise block, per chain and chunk,
+        # written into blocks that are reused across chunks
+        xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
+        noise = np.empty((len(indices), chunk, d))
         k = 0
         while k < steps:
             m = min(chunk, steps - k)
-            if exact_gradient:
-                xi = None
-            else:
-                xi = np.stack([sample_pgg(scfg.pgg, rngs[c], size=(m, n)) for c in indices])
-            noise = np.stack([rngs[c].standard_normal((m, d)) for c in indices])
-            for j in range(m):
-                # non-finite intermediates are expected on freshly diverged
-                # chains; the guard below handles them
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if exact_gradient:
+            for i, c in enumerate(indices):
+                if xi is not None:
+                    xi[i, :m] = sample_pgg(scfg.pgg, rngs[c], size=(m, n))
+                noise[i, :m] = rngs[c].standard_normal((m, d))
+            # non-finite intermediates are expected on freshly diverged
+            # chains; the guard below handles them
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(m):
+                    if xi is None:
                         g = pot.smoothed_grad(x, mu, scfg.pgg)
                     else:
                         g = grad_estimate_from_draws(pot, mu, p, x, xi[:, j])
                         local_evals += int(alive.sum()) * (n + 1)
                     cand = x - lcfg.eta * g + root2eta * noise[:, j]
-                    sq_norm = np.einsum("ij,ij->i", cand, cand)
-                bad = ~np.isfinite(cand).all(axis=1) | (sq_norm > _DIVERGE_NORM**2)
-                newly = alive & bad
-                if newly.any():
-                    div_step[indices[newly]] = k + j + 1
-                    diverged[indices[newly]] = True
-                ok = alive & ~bad
-                x = np.where(ok[:, None], cand, x)
-                alive &= ~bad
-                step_no = k + j + 1
-                if traj is not None and step_no % thin == 0:
-                    traj[indices, step_no // thin - 1] = x
+                    # a non-finite coordinate makes the squared norm NaN or
+                    # inf, so this one comparison also catches it
+                    bad = ~(np.einsum("ij,ij->i", cand, cand) <= _DIVERGE_NORM**2)
+                    newly = alive & bad
+                    step_no = k + j + 1
+                    if newly.any():
+                        div_step[indices[newly]] = step_no
+                        diverged[indices[newly]] = True
+                    alive &= ~bad
+                    x = np.where(alive[:, None], cand, x)
+                    if traj is not None and step_no % thin == 0:
+                        traj[indices, step_no // thin - 1] = x
             k += m
         final[indices] = x
         return local_evals

@@ -51,14 +51,21 @@ class PggSpec:
 def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None) -> np.ndarray:
     """Draw exact samples from N_p(0, I_d).
 
-    Per coordinate: G ~ Gamma(shape=1/p, scale=p), X = S * G^(1/p) with an
-    independent equiprobable sign S.  |X|^p is then Gamma(1/p, p) exactly,
-    which is the law implied by the density exp(-|x|^p / p); rejection-free
-    and exact for every p in [1, 2].
+    Per coordinate, by p:
+
+    - p = 2: one ``standard_normal`` block; N_2 is N(0, 1).
+    - p = 1: E1 - E2 with two ``standard_exponential`` blocks, E1 first;
+      the difference of two independent Exponential(1) draws is Laplace(1).
+    - 1 < p < 2: G ~ Gamma(shape=1 + 1/p, scale=p), then V ~ Uniform(-1, 1),
+      X = V * G^(1/p).  R = G^(1/p) has density proportional to
+      r^p exp(-r^p / p), so X has density proportional to
+      integral_{r > |x|} r^(p-1) exp(-r^p / p) dr = exp(-|x|^p / p); the
+      uniform also carries the sign.  The shape exceeds 1, so numpy takes its
+      fast Marsaglia-Tsang Gamma path.
 
     Returns shape ``size + (d,)``; a bare ``(d,)`` vector when size is None.
-    Each call consumes one Gamma block followed by one sign block from the
-    generator, so outputs are a deterministic function of (generator state,
+    Each call consumes whole blocks of ``size + (d,)`` draws in the order
+    above, so outputs are a deterministic function of (generator state,
     size); splitting one call into several interleaves the blocks differently
     and is NOT stream-equivalent.
     """
@@ -68,13 +75,17 @@ def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None) -> np.ndarray
         shape = (int(size), spec.d)
     else:
         shape = tuple(int(s) for s in size) + (spec.d,)
-    g = rng.gamma(1.0 / spec.p, spec.p, size=shape)
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    if spec.p == 1.0:
-        return sign * g
-    if spec.p == 2.0:
-        return sign * np.sqrt(g)
-    return sign * g ** (1.0 / spec.p)
+    p = spec.p
+    if p == 2.0:
+        return rng.standard_normal(shape)
+    if p == 1.0:
+        x = rng.standard_exponential(shape)
+        x -= rng.standard_exponential(shape)
+        return x
+    x = rng.gamma(1.0 + 1.0 / p, p, size=shape)
+    np.power(x, 1.0 / p, out=x)
+    x *= rng.uniform(-1.0, 1.0, size=shape)
+    return x
 
 
 def log_kappa(spec: PggSpec) -> float:

@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """||x||^2 over the last axis; einsum skips the reduction overhead of np.sum."""
+    return np.einsum("...i,...i->...", x, x)
+
+
 @dataclass(frozen=True)
 class Potential:
     """Convex potential with declared (L, alpha) weak-smoothness certificate.
@@ -88,7 +93,7 @@ class RegularizedPotential:
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self.base.value(x) + 0.5 * self.lam * np.sum(x * x, axis=-1)
+        return self.base.value(x) + 0.5 * self.lam * _sq_norm(x)
 
     def subgrad(self, x) -> np.ndarray:
         if self.base.subgrad is None:
@@ -174,7 +179,7 @@ def _quadratic(d: int, curvature: float = 1.0) -> Potential:
         d=d,
         L=c,
         alpha=1.0,
-        value=lambda x: 0.5 * c * np.sum(np.square(x), axis=-1),
+        value=lambda x: 0.5 * c * _sq_norm(np.asarray(x, dtype=float)),
         subgrad=lambda x: c * np.asarray(x, dtype=float),
         quad_curvature=c,
     )
@@ -193,12 +198,12 @@ def _power(d: int, alpha: float = 0.5) -> Potential:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        s = np.sqrt(np.sum(x * x, axis=-1))
+        s = np.sqrt(_sq_norm(x))
         return s ** (1.0 + a) / (1.0 + a)
 
     def subgrad(x):
         x = np.asarray(x, dtype=float)
-        s = np.sqrt(np.sum(x * x, axis=-1))
+        s = np.sqrt(_sq_norm(x))
         safe = np.where(s > 0, s, 1.0)
         return np.where(s[..., None] > 0, safe[..., None] ** (a - 1.0) * x, 0.0)
 

@@ -3,9 +3,10 @@
 All estimates are between empirical measures; callers should report N so
 finite-sample bias stays interpretable.  Exact mode solves the optimal
 assignment on the squared-Euclidean cost matrix (cubic time, capped at
-N = 2048); the sliced estimator is the scalable surrogate and is reported
-separately, never substituted into bound-dominance checks at sizes where
-exact assignment is feasible.
+N = 2048); at d = 1 the sorted matching is the same optimum.  The sliced
+estimator is the scalable surrogate and is reported separately, never
+substituted into bound-dominance checks at sizes where exact assignment is
+feasible.
 """
 
 from __future__ import annotations
@@ -137,11 +138,13 @@ class W2GaussianResult:
 
 def w2_to_gaussian(a, variance: float, resamples: int = 5,
                    rng: np.random.Generator | None = None) -> W2GaussianResult:
-    """Exact-assignment W2 between a sample set and N(0, variance * I_d).
+    """Exact W2 between a sample set and N(0, variance * I_d).
 
     Draws ``resamples`` equal-size reference samples from a dedicated stream
     and reports the mean and spread of the exact distances; the spread tracks
-    the finite-sample noise floor of the comparison.
+    the finite-sample noise floor of the comparison.  At d = 1 the optimum is
+    the sorted matching (``w2_exact_1d``), so the assignment solver is used
+    only for d >= 2.
     """
     a = _as_samples(a)
     if not variance > 0:
@@ -150,9 +153,10 @@ def w2_to_gaussian(a, variance: float, resamples: int = 5,
         raise ParameterError(f"resamples must be >= 1, got {resamples}")
     rng = rng if rng is not None else np.random.default_rng(0)
     scale = np.sqrt(variance)
+    exact = w2_exact_1d if a.d == 1 else w2_exact_assignment
     vals = np.empty(resamples)
     for r in range(resamples):
         ref = scale * rng.standard_normal((a.n, a.d))
-        vals[r] = w2_exact_assignment(a, SampleSet(ref))
+        vals[r] = exact(a, SampleSet(ref))
     return W2GaussianResult(mean=float(vals.mean()), std=float(vals.std(ddof=1)) if resamples > 1 else 0.0,
                             values=vals)

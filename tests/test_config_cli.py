@@ -244,3 +244,43 @@ class TestCliVerify:
         assert report["all_passed"] is True
         names = {c["name"] for s in report["suites"] for c in s["checks"]}
         assert "assignment_equals_bruteforce" in names
+
+
+class TestCliExitCodes:
+    """Malformed inputs exit 2 with one ``error:`` line, never a traceback."""
+
+    def assert_config_error(self, code, capsys, needle):
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_doc())
+        code = main(["sample", "--config", cfg_path, "--out", str(tmp_path), "--seed", "-1"])
+        self.assert_config_error(code, capsys, "--seed")
+
+    def test_init_value_wrong_length_exits_2(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["lmc"]["init"] = {"kind": "point", "value": [1.0, 2.0, 3.0]}
+        cfg_path = write_config(tmp_path, doc)
+        code = main(["sample", "--config", cfg_path, "--out", str(tmp_path)])
+        self.assert_config_error(code, capsys, "lmc.init.value")
+
+    def test_non_numeric_param_exits_2(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["potential"] = {"name": "power", "d": 2, "lambda": 0.5, "params": {"alpha": "x"}}
+        cfg_path = write_config(tmp_path, doc)
+        code = main(["sample", "--config", cfg_path, "--out", str(tmp_path)])
+        self.assert_config_error(code, capsys, "potential.params.alpha")
+
+    def test_bad_threads_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PGGLMC_THREADS", "abc")
+        cfg_path = write_config(tmp_path, base_doc())
+        code = main(["sample", "--config", cfg_path, "--out", str(tmp_path)])
+        self.assert_config_error(code, capsys, "PGGLMC_THREADS")
+
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_doc())
+        code = main(["sample", "--config", cfg_path, "--out", str(tmp_path), "--threads", "0"])
+        self.assert_config_error(code, capsys, "--threads")
+        assert not (tmp_path / "samples.csv").exists()

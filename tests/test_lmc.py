@@ -186,6 +186,43 @@ class TestRunChain:
         assert (res.divergence_step[res.diverged] >= 1).all()
         assert (res.divergence_step[~res.diverged] == -1).all()
 
+    def test_nonfinite_evaluations_mark_only_their_chains(self):
+        # A black box that returns NaN at the base point of chains 1 and 4 and
+        # +inf at the perturbed points of chain 2, on step 5 only.  Those
+        # chains must be marked diverged at step 5 and keep their step-4
+        # state; every other chain must match a run on the healthy potential.
+        d, n, steps, fault_step = 2, 3, 12, 5
+        nan_rows, inf_rows = [1, 4], [2]
+        healthy_base = get_potential("quadratic", d)
+        calls = [0]
+
+        def faulty_value(x):
+            # run_chain evaluates the base points, then the perturbed points,
+            # once per step on one thread group
+            calls[0] += 1
+            out = healthy_base.value(x)
+            if (calls[0] + 1) // 2 == fault_step:
+                if calls[0] % 2:
+                    out[nan_rows] = np.nan
+                else:
+                    out[inf_rows] = np.inf
+            return out
+
+        faulty = Potential(name="faulty", d=d, L=1.0, alpha=1.0, value=faulty_value)
+        scfg = SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(1.5, d))
+        lcfg = LmcConfig(eta=0.05, steps=steps, chains=6, seed=11)
+        ref = run_chain(regularize(healthy_base, 1.0), scfg, lcfg, store_trajectory=True, thin=1)
+        res = run_chain(regularize(faulty, 1.0), scfg, lcfg)
+
+        bad = np.zeros(6, dtype=bool)
+        bad[nan_rows + inf_rows] = True
+        assert np.array_equal(res.diverged, bad)
+        assert (res.divergence_step[bad] == fault_step).all()
+        assert (res.divergence_step[~bad] == -1).all()
+        assert np.array_equal(res.final_states[bad], ref.trajectory[bad, fault_step - 2])
+        assert np.array_equal(res.final_states[~bad], ref.final_states[~bad])
+        assert res.evals_total == (6 * fault_step + 3 * (steps - fault_step)) * (n + 1)
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             LmcConfig(eta=-0.1, steps=1, chains=1, seed=0)

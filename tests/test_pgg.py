@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc
 from scipy.stats import kstest
 
 from pgglmc import (
@@ -120,14 +121,38 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_gamma_transform_structure(self):
-        # draws replicate as sign * G^(1/p) with the documented block order:
-        # one Gamma block, then one sign block
+        # 1 < p < 2: draws replicate as V * G^(1/p) with the documented block
+        # order: one Gamma(1 + 1/p, p) block, then one Uniform(-1, 1) block
         spec = PggSpec(1.5, 2)
         got = sample_pgg(spec, np.random.default_rng(7), size=5)
         rng = np.random.default_rng(7)
-        g = rng.gamma(1 / 1.5, 1.5, size=(5, 2))
-        sign = np.where(rng.random((5, 2)) < 0.5, -1.0, 1.0)
-        assert np.array_equal(got, sign * g ** (1 / 1.5))
+        g = rng.gamma(1 + 1 / 1.5, 1.5, size=(5, 2))
+        v = rng.uniform(-1.0, 1.0, size=(5, 2))
+        assert np.array_equal(got, v * g ** (1 / 1.5))
+
+    def test_laplace_recipe_structure(self):
+        # p = 1: E1 - E2 from two standard_exponential blocks, E1 first
+        got = sample_pgg(PggSpec(1.0, 2), np.random.default_rng(7), size=5)
+        rng = np.random.default_rng(7)
+        e1 = rng.standard_exponential((5, 2))
+        e2 = rng.standard_exponential((5, 2))
+        assert np.array_equal(got, e1 - e2)
+
+    def test_gaussian_recipe_structure(self):
+        # p = 2: one standard_normal block
+        got = sample_pgg(PggSpec(2.0, 2), np.random.default_rng(7), size=5)
+        assert np.array_equal(got, np.random.default_rng(7).standard_normal((5, 2)))
+
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 2.0])
+    def test_law_matches_exact_cdf_ks(self, p):
+        # exact per-coordinate CDF of the density ~ exp(-|x|^p / p):
+        # 1/2 + 1/2 sign(x) P(1/p, |x|^p / p), P the regularized lower gamma
+        def cdf(x):
+            return 0.5 + 0.5 * np.sign(x) * gammainc(1.0 / p, np.abs(x) ** p / p)
+
+        x = sample_pgg(PggSpec(p, 3), np.random.default_rng(31), size=200_000)
+        for j in range(3):
+            assert kstest(x[:, j], cdf).pvalue > 1e-3
 
     def test_gaussian_case_mean_and_variance(self):
         rng = np.random.default_rng(1)
@@ -154,8 +179,8 @@ class TestSampling:
         assert abs(s.mean() - 4.0) <= 4 * se
 
     def test_gaussian_reduction_ks(self):
-        # p = 2 sampling path (Gamma transform) is indistinguishable from a
-        # standard Gaussian per coordinate
+        # p = 2 sampling path is indistinguishable from a standard Gaussian
+        # per coordinate
         rng = np.random.default_rng(4)
         x = sample_pgg(PggSpec(2.0, 2), rng, size=120_000)
         for j in range(2):
