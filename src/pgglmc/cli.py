@@ -1,7 +1,8 @@
 """Command-line harness: ``pgglmc {sample, verify, bounds}``.
 
-Exit codes: 0 success, 2 config or usage problem (parse error, unknown key,
-unknown suite, bad --seed, --threads or $PGGLMC_THREADS), 3 chain
+Exit codes: 0 success, 1 a ``verify`` check failed, 2 config or usage
+problem (parse error, unknown key, unknown suite, bad --seed, --threads or
+$PGGLMC_THREADS, a config whose bounds overflow a float), 3 chain
 divergence, 4 theory-gate violation (step-size cap).
 
 Reports are JSON with full config echo; final states go to CSV with the
@@ -80,15 +81,16 @@ def _default_w2_init(pot, lcfg):
     d = pot.d
     init = lcfg.init
     if init.kind == "point":
-        pt = np.broadcast_to(np.asarray(init.point, dtype=float), (d,))
-        mean_sq, spread = float(pt @ pt), 0.0
+        center, spread = init.point, 0.0
     else:
-        mean = np.broadcast_to(np.asarray(init.mean, dtype=float), (d,))
-        mean_sq, spread = float(mean @ mean), float(init.scale)
+        center, spread = init.mean, float(init.scale)
+    # hypot of the center's coordinates and the spread term: the root of the
+    # sum of squares, without overflowing where the squares would
+    center = np.broadcast_to(np.asarray(center, dtype=float), (d,)).tolist()
     if pot.has_exact_smoothing:
         sigma = math.sqrt(pot.target_variance)
-        return math.sqrt(mean_sq + d * (spread - sigma) ** 2), "exact (Gaussian target)"
-    w2_to_point = math.sqrt(mean_sq + d * spread**2)
+        return math.hypot(*center, math.sqrt(d) * (spread - sigma)), "exact (Gaussian target)"
+    w2_to_point = math.hypot(*center, math.sqrt(d) * spread)
     return w2_to_point + math.sqrt(d / pot.lam), "upper bound via d/lam second moment"
 
 
@@ -131,6 +133,8 @@ def cmd_sample(args) -> int:
     scfg = cfg.build_smoothing()
     lcfg = cfg.build_lmc(pot, seed_override=args.seed)
     out_dir = Path(args.out)
+    # the bounds go first, so a config they reject writes nothing
+    bounds = _bounds_payload(cfg, pot, scfg, lcfg)
 
     t0 = time.perf_counter()
     res = run_chain(pot, scfg, lcfg, thin=cfg.resolve_thinning(), threads=args.threads)
@@ -150,7 +154,8 @@ def cmd_sample(args) -> int:
         "final_coordinate_variance": finals.var(axis=0, ddof=1) if lcfg.chains > 1 else None,
         "final_mean_sq_norm": float(np.mean(np.sum(finals**2, axis=1))),
     }
-    if pot.has_exact_smoothing and lcfg.chains > 1:
+    # a diverged chain's last state says nothing about the target
+    if pot.has_exact_smoothing and lcfg.chains > 1 and not res.diverged.any():
         pts = finals
         sub_note = ""
         if pts.shape[0] > ASSIGNMENT_CAP:
@@ -176,7 +181,7 @@ def cmd_sample(args) -> int:
                      "thin": res.config_echo["thin"],
                      "eta_cap": max_step_size(pot, scfg.mu, scfg.pgg.p)},
         "metrics": metrics,
-        "bounds": _bounds_payload(cfg, pot, scfg, lcfg),
+        "bounds": bounds,
     }
     _write_json(out_dir / cfg.report.json_path, report)
 

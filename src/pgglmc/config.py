@@ -56,7 +56,7 @@ def _number(doc, path, key, *, integer=False, minimum=None, strict_min=None):
     val = doc[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-    if integer and int(val) != val:
+    if integer and isinstance(val, float) and not val.is_integer():
         raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {val}")

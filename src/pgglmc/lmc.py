@@ -191,6 +191,15 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         # written into blocks that are reused across chunks
         xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
         noise = np.empty((len(indices), chunk, d))
+        if xi is not None:
+            # each step's draws are copied once into a step-major (n, chains, d)
+            # buffer, so the estimator runs long contiguous inner loops instead
+            # of d-element ones on the strided slice xi[:, j]; the copy moves
+            # each draw's d coordinates as one opaque record
+            row = np.dtype((np.void, xi.itemsize * d))
+            xi_rows = xi.view(row)[..., 0]
+            xi_step = np.empty((n, len(indices), d))
+            xi_step_rows = xi_step.view(row)[..., 0]
         k = 0
         while k < steps:
             m = min(chunk, steps - k)
@@ -205,7 +214,8 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
                     if xi is None:
                         g = pot.smoothed_grad(x, mu, scfg.pgg)
                     else:
-                        g = grad_estimate_from_draws(pot, mu, p, x, xi[:, j])
+                        xi_step_rows[...] = xi_rows[:, j].T
+                        g = grad_estimate_from_draws(pot, mu, p, x, xi_step.transpose(1, 0, 2))
                         local_evals += int(alive.sum()) * (n + 1)
                     cand = x - lcfg.eta * g + root2eta * noise[:, j]
                     # a non-finite coordinate makes the squared norm NaN or
@@ -310,7 +320,10 @@ def lemma3_w2_bound(pot: RegularizedPotential, mu: float, p: float,
         raise ParameterError(f"||x*||^2 must be >= 0, got {xstar_norm_sq}")
     a = perturbation_scale_a(pot, mu, p)
     d, lam = pot.d, pot.lam
-    w2_sq = 4.0 * (d + lam * xstar_norm_sq) / lam * (a + math.expm1(a))
+    try:
+        w2_sq = 4.0 * (d + lam * xstar_norm_sq) / lam * (a + math.expm1(a))
+    except OverflowError:
+        raise ParameterError(f"the Lemma-3 bound overflows a float: e^a with a = {a:.6g}") from None
     simplified = 3.0 * math.sqrt(d * a / lam)
     # tolerance so a computed to land exactly on the 0.1 boundary still counts
     applicable = a <= 0.1 * (1.0 + 1e-12) and 8.24 * lam * xstar_norm_sq < 0.76 * d
@@ -335,8 +348,8 @@ def theorem1_bound(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcCo
     """
     if C < 0:
         raise ParameterError(f"C must be >= 0, got {C}")
-    if w2_init < 0:
-        raise ParameterError(f"w2_init must be >= 0, got {w2_init}")
+    if not 0.0 <= w2_init < math.inf:
+        raise ParameterError(f"w2_init must be finite and >= 0, got {w2_init}")
     mu, p = scfg.mu, scfg.pgg.p
     d, lam, n = pot.d, pot.lam, scfg.n
     eta, steps = lcfg.eta, lcfg.steps

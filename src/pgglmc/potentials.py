@@ -22,6 +22,7 @@ Callables are vectorized: value maps (..., d) -> (...), subgrad maps
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -155,9 +156,15 @@ def perturbation_scale_a(pot: RegularizedPotential, mu: float, p: float) -> floa
     if not mu > 0:
         raise ParameterError(f"smoothing radius must be > 0, got {mu}")
     L, alpha, d = pot.base.L, pot.base.alpha, pot.base.d
-    gap = L * mu ** (1.0 + alpha) * d ** ((1.0 + alpha) / p) / (1.0 + alpha)
-    reg = 0.5 * pot.lam * mu * mu * (d + 1.0) ** (2.0 / p)
-    return gap + reg
+    try:
+        gap = L * mu ** (1.0 + alpha) * d ** ((1.0 + alpha) / p) / (1.0 + alpha)
+    except OverflowError:
+        gap = math.inf
+    a = gap + 0.5 * pot.lam * mu * mu * (d + 1.0) ** (2.0 / p)
+    if not math.isfinite(a):
+        raise ParameterError(f"perturbation scale a overflows a float at mu = {mu}, "
+                             f"lam = {pot.lam}")
+    return a
 
 
 def max_step_size(pot: RegularizedPotential, mu: float, p: float) -> float:

@@ -99,6 +99,8 @@ def w2_exact_assignment(a, b, rng: np.random.Generator | None = None) -> float:
             f"use w2_sliced for larger sets"
         )
     cost = cdist(pa, pb, metric="sqeuclidean")
+    if not np.isfinite(cost).all():
+        raise ParameterError("squared distances between the sample sets overflow a float")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 

@@ -1,9 +1,13 @@
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgglmc import ConfigError, ExperimentConfig, max_step_size
 from pgglmc.cli import main
@@ -26,6 +30,18 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+# a smoothing radius or regularization weight so large that the bounds
+# overflow a float; "auto" keeps the step size below the cap
+_OVERFLOWS = [("smoothing", "mu", 1e200), ("potential", "lambda", 1e300)]
+
+
+def overflow_doc(section, key, value):
+    doc = base_doc()
+    doc[section][key] = value
+    doc["lmc"]["eta"] = "auto"
+    return doc
 
 
 class TestConfigParsing:
@@ -284,3 +300,113 @@ class TestCliExitCodes:
         code = main(["sample", "--config", cfg_path, "--out", str(tmp_path), "--threads", "0"])
         self.assert_config_error(code, capsys, "--threads")
         assert not (tmp_path / "samples.csv").exists()
+
+    @pytest.mark.parametrize("section, key, value", _OVERFLOWS)
+    def test_overflowing_bounds_exit_2_and_write_nothing(self, tmp_path, capsys,
+                                                         section, key, value):
+        cfg_path = write_config(tmp_path, overflow_doc(section, key, value))
+        for command in ("sample", "bounds"):
+            out = tmp_path / command
+            code = main([command, "--config", cfg_path, "--out", str(out)])
+            self.assert_config_error(code, capsys, "overflow")
+            assert not out.exists()
+
+
+# Config documents for the exit-code fuzz test: valid documents at tiny sizes,
+# then a few leaves replaced by out-of-range or extreme floats, wrong types or
+# init points of the wrong length.  Sizes stay tiny whatever the mutation, so
+# every example runs in milliseconds.
+_EXTREME_FLOATS = (0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-12, 1e12, 1e200, 1e300,
+                   1.7976931348623157e308, -1e300, math.inf, -math.inf, math.nan)
+_PARAMS = {
+    "quadratic": {"curvature": st.floats(0.1, 10.0)},
+    "power": {"alpha": st.floats(0.05, 0.95)},
+    "l1": {},
+    "huber": {"delta": st.floats(0.1, 2.0)},
+    "zero": {"L": st.floats(0.1, 10.0), "alpha": st.floats(0.0, 1.0)},
+}
+_LEAVES = (
+    ("potential", "name"), ("potential", "lambda"), ("potential", "params"),
+    ("smoothing", "mu"), ("smoothing", "p"), ("lmc", "eta"), ("lmc", "seed"), ("lmc", "init"),
+)
+# sizes never get a large integral value, which would be a valid but huge run
+_SIZE_LEAVES = (
+    ("potential", "d"), ("smoothing", "n"), ("lmc", "steps"), ("lmc", "chains"),
+    ("report", "thinning"), ("report", "resamples"),
+)
+
+
+@st.composite
+def _valid_documents(draw):
+    name = draw(st.sampled_from(sorted(_PARAMS)))
+    d = draw(st.integers(1, 3))
+    coordinate = st.floats(-2.0, 2.0)
+    point = st.one_of(coordinate, st.lists(coordinate, min_size=d, max_size=d))
+    init = draw(st.one_of(
+        st.fixed_dictionaries({"kind": st.just("point"), "value": point}),
+        st.fixed_dictionaries({"kind": st.just("gaussian"), "mean": point,
+                               "scale": st.floats(0.1, 2.0)}),
+    ))
+    return {
+        "potential": {"name": name, "d": d, "lambda": draw(st.floats(0.1, 10.0)),
+                      "params": draw(st.fixed_dictionaries(_PARAMS[name]))},
+        "smoothing": {"mu": draw(st.floats(1e-3, 1.0)), "n": draw(st.integers(1, 3)),
+                      "p": draw(st.floats(1.0, 2.0))},
+        "lmc": {"eta": draw(st.one_of(st.just("auto"), st.floats(1e-4, 0.1))),
+                "steps": draw(st.integers(0, 3)), "chains": draw(st.integers(1, 3)),
+                "init": init, "seed": draw(st.integers(0, 2**32))},
+        "report": {"thinning": draw(st.one_of(st.just("auto"), st.integers(1, 3))),
+                   "resamples": draw(st.integers(1, 2)),
+                   "csv": "samples.csv", "json": "report.json"},
+    }
+
+
+_WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just({}))
+_BAD_SIZES = st.one_of(
+    st.sampled_from((-1e300, -1, 0, 0.5, 2.5, 1e-300, math.inf, -math.inf, math.nan)),
+    st.integers(-3, 4), _WRONG_TYPES,
+)
+_BAD_VALUES = st.one_of(
+    st.sampled_from(_EXTREME_FLOATS),
+    st.floats(),
+    st.integers(-3, 4),
+    _WRONG_TYPES,
+    st.lists(st.floats(-2.0, 2.0), max_size=4),
+    st.fixed_dictionaries({"kind": st.sampled_from(["point", "gaussian", "delta"]),
+                           "value": st.lists(st.floats(-2.0, 2.0), max_size=4)}),
+    st.fixed_dictionaries({"kind": st.just("point"),
+                           "value": st.sampled_from(_EXTREME_FLOATS)}),
+    st.fixed_dictionaries({"kind": st.just("gaussian"),
+                           "mean": st.lists(st.sampled_from(_EXTREME_FLOATS), max_size=3),
+                           "scale": st.sampled_from(_EXTREME_FLOATS)}),
+    st.dictionaries(st.sampled_from(["curvature", "alpha", "delta", "L", "beta"]),
+                    st.one_of(st.sampled_from(_EXTREME_FLOATS), st.text(max_size=2)),
+                    max_size=2),
+)
+
+
+@st.composite
+def config_documents(draw):
+    doc = draw(_valid_documents())
+    for section, key in draw(st.lists(st.sampled_from(_LEAVES + _SIZE_LEAVES), max_size=3)):
+        doc[section][key] = draw(_BAD_SIZES if (section, key) in _SIZE_LEAVES else _BAD_VALUES)
+    return doc
+
+
+def _run_both_commands(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("sample", "bounds"):
+            code = main([command, "--config", str(cfg_path), "--out",
+                         str(Path(tmp) / command), "--quiet"])
+            assert code in (0, 2, 3, 4), (command, code, doc)
+
+
+class TestCliExitCodeFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(doc=config_documents())
+    @example(doc=overflow_doc(*_OVERFLOWS[0]))
+    @example(doc=overflow_doc(*_OVERFLOWS[1]))
+    def test_exit_code_is_documented(self, doc):
+        _run_both_commands(doc)

@@ -17,8 +17,10 @@ from pgglmc import (
     check_step_size,
     geometric_factor,
     get_potential,
+    grad_estimate_from_draws,
     lemma3_w2_bound,
     lmc_step,
+    max_step_size,
     regularize,
     run_chain,
     sample_pgg,
@@ -222,6 +224,51 @@ class TestRunChain:
         assert np.array_equal(res.final_states[bad], ref.trajectory[bad, fault_step - 2])
         assert np.array_equal(res.final_states[~bad], ref.final_states[~bad])
         assert res.evals_total == (6 * fault_step + 3 * (steps - fault_step)) * (n + 1)
+
+    @staticmethod
+    def _one_chain_at_a_time(pot, scfg, lcfg):
+        # each chain alone, from its own stream in run_chain's order: the init
+        # draw, then the chunk's smoothing block, then its noise block
+        d, n, mu, p = pot.d, scfg.n, scfg.mu, scfg.pgg.p
+        root2eta = math.sqrt(2.0 * lcfg.eta)
+        finals = []
+        for child in np.random.SeedSequence(lcfg.seed).spawn(lcfg.chains):
+            rng = np.random.Generator(np.random.PCG64(child))
+            x = lcfg.init.mean + lcfg.init.scale * rng.standard_normal(d)
+            xi = sample_pgg(scfg.pgg, rng, size=(lcfg.steps, n))
+            noise = rng.standard_normal((lcfg.steps, d))
+            for j in range(lcfg.steps):
+                g = grad_estimate_from_draws(pot, mu, p, x, xi[j])
+                x = x - lcfg.eta * g + root2eta * noise[j]
+            finals.append(x)
+        return np.stack(finals)
+
+    def _chain_setup(self, d, p, n):
+        # l1 keeps transcendental functions out of the potential: numpy's
+        # array and scalar pow may round differently
+        pot = regularize(get_potential("l1", d), 0.5)
+        scfg = SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(p, d))
+        lcfg = LmcConfig(eta=0.5 * max_step_size(pot, 0.1, p), steps=6, chains=5,
+                         init=InitSpec(kind="gaussian", mean=0.5, scale=2.0), seed=17)
+        return pot, scfg, lcfg
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_one_chain_at_a_time_bitwise(self, d, p, threads):
+        pot, scfg, lcfg = self._chain_setup(d, p, n=4)
+        res = run_chain(pot, scfg, lcfg, threads=threads)
+        assert np.array_equal(res.final_states, self._one_chain_at_a_time(pot, scfg, lcfg))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_matches_one_chain_at_a_time_d1(self, p, threads):
+        # at d = 1 the draw-axis mean may sum in another order (pairwise
+        # against sequential), so only rounding may differ
+        pot, scfg, lcfg = self._chain_setup(1, p, n=9)
+        res = run_chain(pot, scfg, lcfg, threads=threads)
+        ref = self._one_chain_at_a_time(pot, scfg, lcfg)
+        assert np.abs(res.final_states - ref).max() <= 1e-14
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
