@@ -14,7 +14,6 @@ Example:
 
 import argparse
 import csv
-import math
 import sys
 
 import numpy as np
@@ -25,13 +24,11 @@ from pgglmc import (
     PggSpec,
     SampleSet,
     SmoothingConfig,
+    bounds_table,
     get_potential,
-    lemma3_w2_bound,
     max_step_size,
     regularize,
     run_chain,
-    smoothness_constant_M,
-    theorem1_bound,
     w2_to_gaussian,
 )
 
@@ -83,24 +80,14 @@ def main() -> int:
         scfg = SmoothingConfig(mu=mu, n=args.n, pgg=PggSpec(p=args.p, d=args.d))
         lcfg = LmcConfig(eta=eta, steps=args.steps, chains=args.chains,
                          init=InitSpec(), seed=args.seed)
-        l3 = lemma3_w2_bound(pot, mu, args.p)
-        if pot.has_exact_smoothing:
-            w2_init = math.sqrt(args.d * pot.target_variance)
-        else:
-            w2_init = math.sqrt(args.d / args.lam)
-        tb = theorem1_bound(pot, scfg, lcfg, w2_init=w2_init, C=0.0)
-        row = {
-            "mu": mu,
-            "M": smoothness_constant_M(pot, mu, args.p),
-            "eta": eta,
-            "cap": cap,
-            "a": tb.a,
-            "lemma3_w2_general": l3.w2_general,
-            "lemma3_w2_simplified": l3.w2_simplified if l3.simplified_applicable
-                                    else float("nan"),
-            "theorem1_total": tb.w2_mixing,
-        }
-        row.update({f"term_{k}": v for k, v in tb.terms.items()})
+        table = bounds_table(pot, scfg, lcfg)
+        l3, t1 = table["lemma3"], table["theorem1"]
+        row = {"mu": mu, "M": table["M"], "eta": eta, "cap": cap, "a": table["a"],
+               "lemma3_w2_general": l3["w2_general"],
+               "lemma3_w2_simplified": (l3["w2_simplified"] if l3["simplified_applicable"]
+                                        else float("nan")),
+               "theorem1_total": t1["w2_mixing"]}
+        row.update({f"term_{k}": v for k, v in t1["terms"].items()})
         if args.run_chains:
             if not pot.has_exact_smoothing:
                 print("known-law W2 needs a quadratic-family potential; skipping "

@@ -54,10 +54,13 @@ from .lmc import (
     Lemma3Bound,
     LmcConfig,
     TheoryBound,
+    bounds_table,
     check_step_size,
     geometric_factor,
+    initial_w2,
     lemma3_w2_bound,
     lmc_step,
+    outside_guard,
     run_chain,
     theorem1_bound,
 )

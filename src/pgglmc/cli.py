@@ -26,9 +26,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, DivergenceError, ParameterError, StepSizeError
-from .lmc import lemma3_w2_bound, run_chain, theorem1_bound
-from .potentials import max_step_size, perturbation_scale_a, smoothness_constant_M
-from .smoothing import lemma1_gap_bound
+from .lmc import bounds_table, outside_guard, run_chain
 from .suites import SUITE_NAMES, run_suites
 from .transport import ASSIGNMENT_CAP, SampleSet, w2_to_gaussian
 
@@ -45,8 +43,9 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # strict JSON has no Infinity or NaN
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -57,7 +56,7 @@ def _jsonable(obj):
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(doc), fh, indent=2)
+        json.dump(_jsonable(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -71,62 +70,6 @@ def _write_states_csv(path: Path, states: np.ndarray) -> None:
             fh.write(str(i) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _default_w2_init(pot, lcfg):
-    """Distance from the initial law to the smoothed regularized target.
-
-    Exact for the quadratic family (the smoothed target is the same Gaussian
-    as the unsmoothed one); otherwise an upper bound via the point mass at
-    the symmetric minimizer plus the d/lam second-moment envelope.
-    """
-    d = pot.d
-    init = lcfg.init
-    if init.kind == "point":
-        center, spread = init.point, 0.0
-    else:
-        center, spread = init.mean, float(init.scale)
-    # hypot of the center's coordinates and the spread term: the root of the
-    # sum of squares, without overflowing where the squares would
-    center = np.broadcast_to(np.asarray(center, dtype=float), (d,)).tolist()
-    if pot.has_exact_smoothing:
-        sigma = math.sqrt(pot.target_variance)
-        return math.hypot(*center, math.sqrt(d) * (spread - sigma)), "exact (Gaussian target)"
-    w2_to_point = math.hypot(*center, math.sqrt(d) * spread)
-    return w2_to_point + math.sqrt(d / pot.lam), "upper bound via d/lam second moment"
-
-
-def _bounds_payload(cfg: ExperimentConfig, pot, scfg, lcfg) -> dict:
-    w2_init, w2_init_kind = _default_w2_init(pot, lcfg)
-    theorem = theorem1_bound(pot, scfg, lcfg, w2_init=w2_init, xstar_norm_sq=0.0, C=0.0)
-    lemma3 = lemma3_w2_bound(pot, scfg.mu, scfg.pgg.p, xstar_norm_sq=0.0)
-    return {
-        "M": theorem.M,
-        "a": theorem.a,
-        "max_step_size": max_step_size(pot, scfg.mu, scfg.pgg.p),
-        "lemma1_gap_bound": lemma1_gap_bound(pot.base, scfg.mu, scfg.pgg.p),
-        "lemma3": {
-            "a": lemma3.a,
-            "w2_sq_general": lemma3.w2_sq_general,
-            "w2_general": lemma3.w2_general,
-            "w2_simplified": lemma3.w2_simplified,
-            "simplified_applicable": lemma3.simplified_applicable,
-        },
-        "theorem1": {
-            "w2_mixing": theorem.w2_mixing,
-            "w2_init": w2_init,
-            "w2_init_kind": w2_init_kind,
-            "C": theorem.C,
-            "terms": theorem.terms,
-            "notes": theorem.notes,
-            "geometric_alt_exponent_K": theorem.geometric_alt,
-        },
-    }
-
-
-def _emit(quiet: bool, text: str) -> None:
-    if not quiet:
-        print(text)
-
-
 def cmd_sample(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     pot = cfg.build_potential()
@@ -134,7 +77,7 @@ def cmd_sample(args) -> int:
     lcfg = cfg.build_lmc(pot, seed_override=args.seed)
     out_dir = Path(args.out)
     # the bounds go first, so a config they reject writes nothing
-    bounds = _bounds_payload(cfg, pot, scfg, lcfg)
+    bounds = bounds_table(pot, scfg, lcfg)
 
     t0 = time.perf_counter()
     res = run_chain(pot, scfg, lcfg, thin=cfg.resolve_thinning(), threads=args.threads)
@@ -144,18 +87,27 @@ def cmd_sample(args) -> int:
     _write_states_csv(csv_path, res.final_states)
 
     finals = res.final_states
-    metrics = {
-        "evals_total": res.evals_total,
-        "runtime_seconds": runtime,
-        "chains": lcfg.chains,
-        "diverged_chains": int(res.diverged.sum()),
-        "divergence_steps": res.divergence_step[res.diverged].tolist(),
-        "final_mean": finals.mean(axis=0),
-        "final_coordinate_variance": finals.var(axis=0, ddof=1) if lcfg.chains > 1 else None,
-        "final_mean_sq_norm": float(np.mean(np.sum(finals**2, axis=1))),
-    }
-    # a diverged chain's last state says nothing about the target
-    if pot.has_exact_smoothing and lcfg.chains > 1 and not res.diverged.any():
+    # states far enough out to overflow these statistics are reported as null
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = {
+            "evals_total": res.evals_total,
+            "runtime_seconds": runtime,
+            "chains": lcfg.chains,
+            "diverged_chains": int(res.diverged.sum()),
+            "divergence_steps": res.divergence_step[res.diverged].tolist(),
+            "final_mean": finals.mean(axis=0),
+            "final_coordinate_variance": finals.var(axis=0, ddof=1) if lcfg.chains > 1 else None,
+            "final_mean_sq_norm": float(np.mean(np.sum(finals**2, axis=1))),
+        }
+    # a diverged chain's last state says nothing about the target, and a
+    # state beyond the step guard (only an init beyond it, with steps: 0)
+    # overflows the transport costs
+    known = pot.has_exact_smoothing and lcfg.chains > 1
+    if known and res.diverged.any():
+        metrics["empirical_w2_to_target_skipped"] = "a chain diverged"
+    elif known and outside_guard(finals).any():
+        metrics["empirical_w2_to_target_skipped"] = "a final state lies beyond the step guard"
+    elif known:
         pts = finals
         sub_note = ""
         if pts.shape[0] > ASSIGNMENT_CAP:
@@ -178,15 +130,15 @@ def cmd_sample(args) -> int:
         "command": "sample",
         "config": cfg.echo(),
         "resolved": {"eta": lcfg.eta, "seed": lcfg.seed, "threads": args.threads,
-                     "thin": res.config_echo["thin"],
-                     "eta_cap": max_step_size(pot, scfg.mu, scfg.pgg.p)},
+                     "thin": res.thin, "eta_cap": bounds["max_step_size"]},
         "metrics": metrics,
         "bounds": bounds,
     }
     _write_json(out_dir / cfg.report.json_path, report)
 
-    _emit(args.quiet, f"wrote {csv_path} ({lcfg.chains} chains, d = {pot.d}) and "
-                      f"{out_dir / cfg.report.json_path}")
+    if not args.quiet:
+        print(f"wrote {csv_path} ({lcfg.chains} chains, d = {pot.d}) and "
+              f"{out_dir / cfg.report.json_path}")
     if res.diverged.any():
         bad = np.flatnonzero(res.diverged)
         for c in bad:
@@ -200,7 +152,7 @@ def cmd_bounds(args) -> int:
     pot = cfg.build_potential()
     scfg = cfg.build_smoothing()
     lcfg = cfg.build_lmc(pot, seed_override=args.seed)
-    payload = _bounds_payload(cfg, pot, scfg, lcfg)
+    payload = bounds_table(pot, scfg, lcfg)
 
     if not args.quiet:
         print(f"M = {payload['M']:.9g}   a = {payload['a']:.9g}   "

@@ -14,7 +14,8 @@ class ConfigError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """A potential evaluation returned a non-finite value."""
+    """``grad_estimate`` met a non-finite potential value; the chain drivers
+    (``lmc_step``, ``run_chain``) treat one as a divergence instead."""
 
     def __init__(self, message, point=None):
         super().__init__(message)

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, StepSizeError
 from .potentials import RegularizedPotential, max_step_size, perturbation_scale_a, smoothness_constant_M
-from .smoothing import SmoothingConfig, grad_estimate, grad_estimate_from_draws
+from .smoothing import SmoothingConfig, grad_estimate_from_draws, lemma1_gap_bound
 from .pgg import sample_pgg
 
 __all__ = [
@@ -39,10 +39,13 @@ __all__ = [
     "Lemma3Bound",
     "TheoryBound",
     "check_step_size",
+    "outside_guard",
     "lmc_step",
     "run_chain",
     "lemma3_w2_bound",
     "theorem1_bound",
+    "initial_w2",
+    "bounds_table",
     "geometric_factor",
 ]
 
@@ -100,7 +103,7 @@ class ChainResult:
     evals_total: int
     diverged: np.ndarray                # (chains,) bool
     divergence_step: np.ndarray         # (chains,) int, -1 where healthy
-    config_echo: dict
+    thin: int                           # trajectory thinning actually used
 
 
 def check_step_size(pot: RegularizedPotential, mu: float, p: float, eta: float) -> float:
@@ -113,25 +116,57 @@ def check_step_size(pot: RegularizedPotential, mu: float, p: float, eta: float) 
     return cap
 
 
+def outside_guard(states: np.ndarray) -> np.ndarray:
+    """Rows of a (chains, d) block the step guard rejects: norm above 1e8 or not finite."""
+    # a non-finite coordinate makes the squared norm NaN or inf
+    return ~(np.einsum("ij,ij->i", states, states) <= _DIVERGE_NORM**2)
+
+
+def _require_exact(pot: RegularizedPotential) -> None:
+    if not pot.has_exact_smoothing:
+        raise ParameterError(
+            f"potential {pot.base.name!r} has no registered exact smoothed gradient")
+
+
+def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.ndarray,
+          xi: Optional[np.ndarray], noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One update of a (chains, d) batch; returns the candidates and the guard's flags.
+
+    xi holds the (chains, n, d) smoothing draws, or is None for the exact
+    smoothed gradient; noise holds the (chains, d) standard Gaussian draws.
+    """
+    if xi is None:
+        g = pot.smoothed_grad(x, scfg.mu, scfg.pgg)
+    else:
+        g = grad_estimate_from_draws(pot, scfg.mu, scfg.pgg.p, x, xi)
+    cand = x - eta * g + math.sqrt(2.0 * eta) * noise
+    return cand, outside_guard(cand)
+
+
 def lmc_step(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray, eta: float,
              rng: np.random.Generator, exact_gradient: bool = False) -> np.ndarray:
-    """One update x - eta*g(x) + sqrt(2 eta)*zeta with zeta ~ N(0, I_d)."""
+    """One ``run_chain`` step on one chain: x - eta*g(x) + sqrt(2 eta)*zeta.
+
+    Draws the n smoothing perturbations and then zeta ~ N(0, I_d) from rng,
+    as ``run_chain`` does for each chain.  A new state that the step guard
+    rejects (non-finite, e.g. from a non-finite black-box value, or of norm
+    above 1e8) raises DivergenceError with step=1.
+    """
     if not eta > 0:
         raise ParameterError(f"step size must be > 0, got {eta}")
-    x = np.asarray(x, dtype=float)
     if exact_gradient:
-        if not pot.has_exact_smoothing:
-            raise ParameterError(
-                f"potential {pot.base.name!r} has no registered exact smoothed gradient"
-            )
-        g = pot.smoothed_grad(x, cfg.mu, cfg.pgg)
-    else:
-        g = grad_estimate(pot, cfg, x, rng).value
-    out = x - eta * g + math.sqrt(2.0 * eta) * rng.standard_normal(x.shape)
-    norm = float(np.linalg.norm(out))
-    if not np.isfinite(out).all() or norm > _DIVERGE_NORM:
-        raise DivergenceError("chain state left the finite region", step=1, state_norm=norm)
-    return out
+        _require_exact(pot)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (cfg.pgg.d,):
+        raise ParameterError(f"point has shape {x.shape}, expected ({cfg.pgg.d},)")
+    x = x[None, :]
+    xi = None if exact_gradient else sample_pgg(cfg.pgg, rng, size=(1, cfg.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cand, bad = _step(pot, cfg, eta, x, xi, rng.standard_normal(x.shape))
+    if bad[0]:
+        raise DivergenceError("chain state left the finite region", step=1,
+                              state_norm=float(np.linalg.norm(cand[0])))
+    return cand[0]
 
 
 def _init_states(init: InitSpec, rngs, indices, d: int) -> np.ndarray:
@@ -158,12 +193,9 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     if scfg.pgg.d != d:
         raise ParameterError(f"smoothing dimension {scfg.pgg.d} != potential dimension {d}")
     check_step_size(pot, scfg.mu, scfg.pgg.p, lcfg.eta)
-    if exact_gradient and not pot.has_exact_smoothing:
-        raise ParameterError(
-            f"potential {pot.base.name!r} has no registered exact smoothed gradient"
-        )
+    if exact_gradient:
+        _require_exact(pot)
     steps, chains, n = lcfg.steps, lcfg.chains, scfg.n
-    mu, p = scfg.mu, scfg.pgg.p
     if thin is None:
         thin = max(1, steps // 1000)
     elif thin < 1:
@@ -175,7 +207,6 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     per_step = chains * d * (1 if exact_gradient else n)
     chunk = max(1, min(steps, _CHUNK_ELEMS // max(1, per_step))) if steps else 1
     slots = steps // thin
-    root2eta = math.sqrt(2.0 * lcfg.eta)
 
     final = np.empty((chains, d))
     traj = np.zeros((chains, slots, d)) if store_trajectory and slots else None
@@ -191,6 +222,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         # written into blocks that are reused across chunks
         xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
         noise = np.empty((len(indices), chunk, d))
+        xi_view = None
         if xi is not None:
             # each step's draws are copied once into a step-major (n, chains, d)
             # buffer, so the estimator runs long contiguous inner loops instead
@@ -200,6 +232,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             xi_rows = xi.view(row)[..., 0]
             xi_step = np.empty((n, len(indices), d))
             xi_step_rows = xi_step.view(row)[..., 0]
+            xi_view = xi_step.transpose(1, 0, 2)
         k = 0
         while k < steps:
             m = min(chunk, steps - k)
@@ -208,19 +241,13 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
                     xi[i, :m] = sample_pgg(scfg.pgg, rngs[c], size=(m, n))
                 noise[i, :m] = rngs[c].standard_normal((m, d))
             # non-finite intermediates are expected on freshly diverged
-            # chains; the guard below handles them
+            # chains; the step guard handles them
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(m):
-                    if xi is None:
-                        g = pot.smoothed_grad(x, mu, scfg.pgg)
-                    else:
+                    if xi is not None:
                         xi_step_rows[...] = xi_rows[:, j].T
-                        g = grad_estimate_from_draws(pot, mu, p, x, xi_step.transpose(1, 0, 2))
                         local_evals += int(alive.sum()) * (n + 1)
-                    cand = x - lcfg.eta * g + root2eta * noise[:, j]
-                    # a non-finite coordinate makes the squared norm NaN or
-                    # inf, so this one comparison also catches it
-                    bad = ~(np.einsum("ij,ij->i", cand, cand) <= _DIVERGE_NORM**2)
+                    cand, bad = _step(pot, scfg, lcfg.eta, x, xi_view, noise[:, j])
                     newly = alive & bad
                     step_no = k + j + 1
                     if newly.any():
@@ -241,22 +268,6 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         with ThreadPoolExecutor(max_workers=len(groups)) as pool:
             evals[0] = sum(pool.map(advance, groups))
 
-    echo = {
-        "seed": lcfg.seed,
-        "eta": lcfg.eta,
-        "steps": steps,
-        "chains": chains,
-        "d": d,
-        "mu": mu,
-        "n": n,
-        "p": p,
-        "lam": pot.lam,
-        "potential": pot.base.name,
-        "init": {"kind": lcfg.init.kind, "point": np.asarray(lcfg.init.point).tolist(),
-                 "mean": np.asarray(lcfg.init.mean).tolist(), "scale": lcfg.init.scale},
-        "exact_gradient": exact_gradient,
-        "thin": thin,
-    }
     return ChainResult(
         final_states=final,
         trajectory=traj,
@@ -264,7 +275,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         evals_total=int(evals[0]),
         diverged=diverged,
         divergence_step=div_step,
-        config_echo=echo,
+        thin=thin,
     )
 
 
@@ -405,3 +416,53 @@ def theorem1_bound(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcCo
         notes=notes,
         geometric_alt=float(max(0.0, 1.0 - 0.5 * lam * eta) ** steps * w2_init),
     )
+
+
+def initial_w2(pot: RegularizedPotential, init: InitSpec) -> float:
+    """Distance from the initial law to the smoothed regularized target.
+
+    Exact for the quadratic family (the smoothed target is the same Gaussian
+    as the unsmoothed one); otherwise an upper bound via the point mass at
+    the symmetric minimizer plus the d/lam second-moment envelope.
+    """
+    d = pot.d
+    if init.kind == "point":
+        center, spread = init.point, 0.0
+    else:
+        center, spread = init.mean, float(init.scale)
+    # hypot of the center's coordinates and the spread term: the root of the
+    # sum of squares, without overflowing where the squares would
+    center = np.broadcast_to(np.asarray(center, dtype=float), (d,)).tolist()
+    if pot.has_exact_smoothing:
+        sigma = math.sqrt(pot.target_variance)
+        return math.hypot(*center, math.sqrt(d) * (spread - sigma))
+    return math.hypot(*center, math.sqrt(d) * spread) + math.sqrt(d / pot.lam)
+
+
+def bounds_table(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig) -> dict:
+    """Every closed-form bound at one config, with ``initial_w2`` as w2_init.
+
+    M, a, the step-size cap, the Lemma-1 gap, both Lemma-3 forms and the
+    itemized Theorem-1 terms at x* = 0 and C = 0.
+    """
+    mu, p = scfg.mu, scfg.pgg.p
+    w2_init = initial_w2(pot, lcfg.init)
+    theorem = theorem1_bound(pot, scfg, lcfg, w2_init=w2_init, xstar_norm_sq=0.0, C=0.0)
+    lemma3 = lemma3_w2_bound(pot, mu, p, xstar_norm_sq=0.0)
+    return {
+        "M": theorem.M,
+        "a": theorem.a,
+        "max_step_size": max_step_size(pot, mu, p),
+        "lemma1_gap_bound": lemma1_gap_bound(pot.base, mu, p),
+        "lemma3": asdict(lemma3),
+        "theorem1": {
+            "w2_mixing": theorem.w2_mixing,
+            "w2_init": w2_init,
+            "w2_init_kind": ("exact (Gaussian target)" if pot.has_exact_smoothing
+                             else "upper bound via d/lam second moment"),
+            "C": theorem.C,
+            "terms": theorem.terms,
+            "notes": theorem.notes,
+            "geometric_alt_exponent_K": theorem.geometric_alt,
+        },
+    }

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import EvaluationError, ParameterError
 from .pgg import PggSpec, sample_pgg
-from .potentials import Potential, RegularizedPotential, smoothness_constant_M
+from .potentials import RegularizedPotential, smoothness_constant_M
 
 __all__ = [
     "SmoothingConfig",
@@ -107,6 +107,17 @@ def hadamard_weight(xi: np.ndarray, p: float) -> np.ndarray:
     return np.sign(xi) * np.abs(xi) ** (p - 1.0)
 
 
+def _two_point(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
+               xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The summand's factors (U_bar(x + mu*xi) - U_bar(x)) / mu, shape (..., m), and w(xi).
+
+    xi has shape (..., m, d) against x of shape (..., d); callers reduce.
+    """
+    base = pot.value(x)
+    vals = pot.value(x[..., None, :] + mu * xi)
+    return (vals - np.expand_dims(base, -1)) / mu, hadamard_weight(xi, p)
+
+
 def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
                              x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Estimator applied to given draws; xi has shape (..., n, d), x (..., d).
@@ -114,12 +125,8 @@ def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
     Leading axes broadcast, so a (trials, n, d) block of draws against a
     single point yields (trials, d) independent estimates in one call.
     """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    base = pot.value(x)
-    vals = pot.value(x[..., None, :] + mu * xi)
-    coef = (vals - np.expand_dims(base, -1)) / mu
-    return np.mean(coef[..., None] * hadamard_weight(xi, p), axis=-2)
+    coef, w = _two_point(pot, mu, p, np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
+    return np.mean(coef[..., None] * w, axis=-2)
 
 
 def grad_estimate(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,
@@ -129,14 +136,13 @@ def grad_estimate(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray
     if x.shape != (cfg.pgg.d,):
         raise ParameterError(f"point has shape {x.shape}, expected ({cfg.pgg.d},)")
     xi = sample_pgg(cfg.pgg, rng, size=cfg.n)
-    base = pot.value(x)
-    vals = pot.value(x + cfg.mu * xi)
-    finite = np.isfinite(vals)
-    if not (finite.all() and np.isfinite(base)):
-        bad = x if not np.isfinite(base) else x + cfg.mu * xi[int(np.argmin(finite))]
+    coef, w = _two_point(pot, cfg.mu, cfg.pgg.p, x, xi)
+    finite = np.isfinite(coef)
+    if not finite.all():
+        # blame x itself when its own value is the non-finite one
+        bad = x if not np.isfinite(pot.value(x)) else x + cfg.mu * xi[int(np.argmin(finite))]
         raise EvaluationError("potential evaluated to a non-finite value", point=bad)
-    coef = (vals - base) / cfg.mu
-    value = np.mean(coef[:, None] * hadamard_weight(xi, cfg.pgg.p), axis=0)
+    value = np.mean(coef[:, None] * w, axis=0)
     return GradientEstimate(value=value, draws_used=cfg.n, function_evals=cfg.n + 1)
 
 
@@ -231,9 +237,8 @@ def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np
     else:
         m = int(reference_draws) if reference_draws is not None else 100 * trials
         xi_ref = sample_pgg(cfg.pgg, rng, size=m)
-        base = pot.value(x)
-        coef = (pot.value(x + cfg.mu * xi_ref) - base) / cfg.mu
-        summands = coef[:, None] * hadamard_weight(xi_ref, p)
+        coef, w = _two_point(pot, cfg.mu, p, x, xi_ref)
+        summands = coef[:, None] * w
         ref = summands.mean(axis=0)
         ref_var = summands.var(axis=0, ddof=1) / m
 

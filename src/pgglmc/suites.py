@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .lmc import InitSpec, LmcConfig, run_chain, theorem1_bound
+from .lmc import InitSpec, LmcConfig, initial_w2, run_chain, theorem1_bound
 from .pgg import PggSpec, pgg_norm_moment, sample_pgg
 from .potentials import (
     RegularizedPotential,
@@ -23,12 +23,7 @@ from .potentials import (
     regularize,
     smoothness_constant_M,
 )
-from .smoothing import (
-    SmoothingConfig,
-    hadamard_weight,
-    lemma1_gap_envelope,
-    measure_bias_variance,
-)
+from .smoothing import SmoothingConfig, _two_point, lemma1_gap_envelope, measure_bias_variance
 from .transport import SampleSet, w2_exact_1d, w2_exact_assignment, w2_to_gaussian
 
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suites",
@@ -145,17 +140,12 @@ def _mc_refs_common_draws(pot: RegularizedPotential, mu: float, p: float,
                           points: np.ndarray, xi: np.ndarray):
     """References for grad U_bar_mu at many points sharing one draw block.
 
-    Returns (refs, coef) with refs[i] the estimate at points[i]; sharing the
+    Returns (refs, coef, w) with refs[i] the estimate at points[i]; sharing the
     draws makes differences of references nearly noise-free, which is what
     the Lipschitz check needs.
     """
-    m = xi.shape[0]
-    base = pot.value(points)                          # (P,)
-    vals = pot.value(points[:, None, :] + mu * xi)    # (P, m)
-    coef = (vals - base[:, None]) / mu
-    w = hadamard_weight(xi, p)                        # (m, d)
-    refs = coef @ w / m
-    return refs, coef, w
+    coef, w = _two_point(pot, mu, p, points, xi)      # (P, m), (m, d)
+    return coef @ w / xi.shape[0], coef, w
 
 
 def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
@@ -370,11 +360,11 @@ def suite_mixing_dominance(seed: int = 1004, threads: int = 1, resamples: int = 
         scfg = SmoothingConfig(mu=mu, n=n, pgg=PggSpec(p=p, d=d))
         lcfg = LmcConfig(eta=eta, steps=steps, chains=chains, init=InitSpec(),
                          seed=seed + 100 + i)
-        tv = pot.target_variance
-        w2_init = math.sqrt(d * tv)  # exact distance from the point mass at 0
-        bound = theorem1_bound(pot, scfg, lcfg, w2_init=w2_init, xstar_norm_sq=0.0, C=0.0)
+        bound = theorem1_bound(pot, scfg, lcfg, w2_init=initial_w2(pot, lcfg.init),
+                               xstar_norm_sq=0.0, C=0.0)
         res = run_chain(pot, scfg, lcfg, threads=threads)
-        measured = w2_to_gaussian(SampleSet(res.final_states), tv, resamples=resamples,
+        measured = w2_to_gaussian(SampleSet(res.final_states), pot.target_variance,
+                                  resamples=resamples,
                                   rng=np.random.default_rng(seed + 500 + i))
         result.checks.append(Check(
             name=f"theorem1_dominance[{label}]",

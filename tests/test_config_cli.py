@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,6 +32,30 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """``pgglmc`` in a fresh interpreter, so stderr holds exactly what it printed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "pgglmc.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def load_strict_json(path):
+    """Parse a report, rejecting the non-standard Infinity and NaN constants."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def far_init_doc(name):
+    """Zero steps from an init so far out that squaring it overflows."""
+    doc = base_doc(potential={"name": name, "d": 2, "lambda": 0.5, "params": {}})
+    doc["lmc"].update(eta="auto", steps=0, init={"kind": "point", "value": 1e300})
+    return doc
 
 
 # a smoothing radius or regularization weight so large that the bounds
@@ -204,6 +230,23 @@ class TestCliSample:
         from pgglmc.cli import build_parser
         args = build_parser().parse_args(["sample", "--config", "x.json"])
         assert args.threads == 2
+
+    def test_far_init_report_is_strict_json_with_quiet_stderr(self, tmp_path):
+        cfg_path = write_config(tmp_path, far_init_doc("l1"))
+        proc = run_cli("sample", "--config", cfg_path, "--out", tmp_path, "--quiet")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        report = load_strict_json(tmp_path / "report.json")
+        assert report["metrics"]["final_mean_sq_norm"] is None
+
+    def test_far_init_on_known_law_skips_w2(self, tmp_path):
+        cfg_path = write_config(tmp_path, far_init_doc("quadratic"))
+        assert main(["sample", "--config", cfg_path, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        assert (tmp_path / "samples.csv").exists()
+        metrics = load_strict_json(tmp_path / "report.json")["metrics"]
+        assert "empirical_w2_to_target" not in metrics
+        assert "empirical_w2_to_target_skipped" in metrics
 
     def test_report_config_echo_is_lossless(self, tmp_path):
         doc = base_doc()

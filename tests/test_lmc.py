@@ -18,6 +18,7 @@ from pgglmc import (
     geometric_factor,
     get_potential,
     grad_estimate_from_draws,
+    initial_w2,
     lemma3_w2_bound,
     lmc_step,
     max_step_size,
@@ -95,6 +96,36 @@ class TestLmcStep:
         with pytest.raises(ParameterError):
             lmc_step(pot, cfg, np.zeros(2), 0.01, np.random.default_rng(0),
                      exact_gradient=True)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_is_one_run_chain_step_bitwise(self, d, p):
+        # power rounds differently at one point than inside a batch, so this
+        # only holds if lmc_step evaluates the same batch-of-one as run_chain
+        pot = regularize(get_potential("power", d, alpha=0.5), 1.0)
+        scfg = SmoothingConfig(mu=0.1, n=4, pgg=PggSpec(p, d))
+        eta = 0.5 * max_step_size(pot, 0.1, p)
+        points = np.random.default_rng(17).normal(scale=2.0, size=(100, d))
+        for seed, x in enumerate(points):
+            child = np.random.SeedSequence(seed).spawn(1)[0]
+            out = lmc_step(pot, scfg, x, eta, np.random.Generator(np.random.PCG64(child)))
+            lcfg = LmcConfig(eta=eta, steps=1, chains=1,
+                             init=InitSpec(kind="point", point=x), seed=seed)
+            ref = run_chain(pot, scfg, lcfg).final_states[0]
+            assert np.array_equal(out, ref), (seed, out - ref)
+
+    def test_nonfinite_evaluation_is_a_divergence(self):
+        # a black box returning NaN is a divergence at step 1 for both drivers
+        base = Potential(name="nan", d=2, L=1.0, alpha=1.0,
+                         value=lambda x: np.full(np.shape(x)[:-1], np.nan))
+        pot = regularize(base, 1.0)
+        scfg = SmoothingConfig(mu=0.1, n=3, pgg=PggSpec(1.5, 2))
+        with pytest.raises(DivergenceError) as err:
+            lmc_step(pot, scfg, np.zeros(2), 0.05, np.random.default_rng(0))
+        assert err.value.step == 1
+        res = run_chain(pot, scfg, LmcConfig(eta=0.05, steps=3, chains=1, seed=0))
+        assert res.diverged.tolist() == [True]
+        assert res.divergence_step.tolist() == [1]
 
 
 class TestRunChain:
@@ -441,3 +472,27 @@ class TestTheorem1:
                             lcfg, w2_init=1.0)
         for term in ("variance_mu", "variance_grad"):
             assert t4.terms[term] == pytest.approx(t1.terms[term] / 2.0, rel=1e-12)
+
+
+class TestInitialW2:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_quadratic_point_mass_at_origin(self, d):
+        pot = regularize(get_potential("quadratic", d), 0.7)
+        expected = math.sqrt(d * pot.target_variance)
+        assert abs(initial_w2(pot, InitSpec()) - expected) <= 2 * math.ulp(expected)
+
+    def test_gaussian_init_equal_to_target_is_zero(self):
+        pot = regularize(get_potential("quadratic", 3), 0.7)
+        init = InitSpec(kind="gaussian", mean=0.0, scale=math.sqrt(pot.target_variance))
+        assert initial_w2(pot, init) == 0.0
+
+    @pytest.mark.parametrize("init", [InitSpec(), InitSpec(kind="point", point=[3.0, 4.0]),
+                                      InitSpec(kind="gaussian", mean=[3.0, 4.0], scale=2.0)])
+    def test_non_quadratic_adds_second_moment_envelope(self, init):
+        d, lam = 2, 0.5
+        pot = regularize(get_potential("l1", d), lam)
+        center = np.broadcast_to(init.point if init.kind == "point" else init.mean, (d,))
+        spread = 0.0 if init.kind == "point" else init.scale
+        to_point = math.sqrt(float(center @ center) + d * spread**2)
+        assert initial_w2(pot, init) == pytest.approx(to_point + math.sqrt(d / lam),
+                                                      rel=1e-15)
