@@ -173,6 +173,8 @@ def smoothed_gradient_reference(pot: RegularizedPotential, cfg: SmoothingConfig,
     x = np.asarray(x, dtype=float)
     if use_closed_form and pot.has_exact_smoothing:
         return pot.smoothed_grad(x, cfg.mu, cfg.pgg)
+    if m < 1:
+        raise ParameterError(f"reference draw count must be >= 1, got {m}")
     xi = sample_pgg(cfg.pgg, rng, size=m)
     return grad_estimate_from_draws(pot, cfg.mu, cfg.pgg.p, x, xi)
 
@@ -209,16 +211,36 @@ def lemma1_gap_envelope(pot, mu: float, p: float) -> float:
     return L * mu ** (1.0 + alpha) * base ** ((1.0 + alpha) / (2.0 * p)) / (1.0 + alpha)
 
 
+def _mc_reference(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray, m: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo reference for grad U_bar_mu(x) from m >= 2 draws.
+
+    Returns the mean of the m summands and the per-coordinate variance of
+    that mean; neither depends on the batch size cfg.n.
+    """
+    if m < 2:
+        raise ParameterError(f"reference draw count must be >= 2, got {m}")
+    xi = sample_pgg(cfg.pgg, rng, size=m)
+    coef, w = _two_point(pot, cfg.mu, cfg.pgg.p, np.asarray(x, dtype=float), xi)
+    summands = coef[:, None] * w
+    return summands.mean(axis=0), summands.var(axis=0, ddof=1) / m
+
+
 def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,
                           trials: int, rng: np.random.Generator,
-                          reference_draws: int | None = None) -> BiasVarianceReport:
+                          reference_draws: int | None = None,
+                          reference: tuple[np.ndarray, np.ndarray] | None = None,
+                          ) -> BiasVarianceReport:
     """Empirical bias and variance of the estimator at x over independent trials.
 
-    The reference gradient is the closed form when available, else a Monte
-    Carlo average over ``reference_draws`` draws (default 100 * trials so the
-    reference error is negligible against the quantities being certified).
-    Standard errors accompany both empirical statistics; stochastic
-    assertions downstream use 4 standard errors.
+    The reference gradient is ``reference`` when given, a ``(ref, ref_var)``
+    pair from ``_mc_reference`` at the same potential, mu, p and x; then no
+    reference draws are taken, so a sweep over n at one point computes it
+    once.  Otherwise it is the closed form when available, else a Monte Carlo
+    average over ``reference_draws`` >= 2 draws taken after the trials
+    (default 100 * trials so the reference error is negligible against the
+    quantities being certified).  Standard errors accompany both empirical
+    statistics; stochastic assertions downstream use 4 standard errors.
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
@@ -231,16 +253,14 @@ def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np
     gbar = g.mean(axis=0)
     gvar = g.var(axis=0, ddof=1)  # per-coordinate
 
-    if pot.has_exact_smoothing:
+    if reference is not None:
+        ref, ref_var = reference
+    elif pot.has_exact_smoothing:
         ref = pot.smoothed_grad(x, cfg.mu, cfg.pgg)
         ref_var = np.zeros(d)
     else:
         m = int(reference_draws) if reference_draws is not None else 100 * trials
-        xi_ref = sample_pgg(cfg.pgg, rng, size=m)
-        coef, w = _two_point(pot, cfg.mu, p, x, xi_ref)
-        summands = coef[:, None] * w
-        ref = summands.mean(axis=0)
-        ref_var = summands.var(axis=0, ddof=1) / m
+        ref, ref_var = _mc_reference(pot, cfg, x, m, rng)
 
     bias_vec = gbar - ref
     var_b = gvar / trials + ref_var

@@ -23,6 +23,7 @@ from pgglmc import (
     smoothed_gradient_reference,
     smoothed_value_mc,
 )
+from pgglmc.smoothing import _mc_reference
 
 
 def quadratic_target(d):
@@ -196,6 +197,13 @@ class TestGradientReference:
                                           np.random.default_rng(12), use_closed_form=False)
         assert ref[0] > 2.5
 
+    def test_mc_draw_count_validated(self):
+        # m = 0 used to average an empty slice and return NaN
+        pot = regularize(get_potential("power", 2, alpha=0.5), 0.5)
+        cfg = SmoothingConfig(mu=0.2, n=1, pgg=PggSpec(1.5, 2))
+        with pytest.raises(ParameterError):
+            smoothed_gradient_reference(pot, cfg, np.zeros(2), 0, np.random.default_rng(0))
+
 
 class TestLemma1Bounds:
     @pytest.mark.parametrize("L,alpha,p,mu,d,expected", [
@@ -286,3 +294,42 @@ class TestBiasVariance:
         with pytest.raises(ParameterError):
             measure_bias_variance(pot, cfg, np.zeros(1), trials=1,
                                   rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_reference_draws_validated(self, m):
+        # m = 1 used to give a NaN bias and SE (ddof=1 on one draw), m = 0 a
+        # NaN reference gradient
+        pot = regularize(get_potential("power", 2, alpha=0.5), 0.5)
+        cfg = SmoothingConfig(mu=0.2, n=4, pgg=PggSpec(1.5, 2))
+        with pytest.raises(ParameterError):
+            measure_bias_variance(pot, cfg, np.zeros(2), trials=10,
+                                  rng=np.random.default_rng(0), reference_draws=m)
+
+
+class TestSharedReference:
+    pot = regularize(get_potential("power", 3, alpha=0.5), 0.5)
+    cfg = SmoothingConfig(mu=0.2, n=4, pgg=PggSpec(1.5, 3))
+    x = np.array([0.7, -0.4, 0.2])
+    trials = 300
+
+    def test_supplied_reference_matches_inline_bitwise(self):
+        inline = measure_bias_variance(self.pot, self.cfg, self.x, self.trials,
+                                       np.random.default_rng(17))
+        # the inline path draws its reference right after the trials block
+        rng = np.random.default_rng(17)
+        sample_pgg(self.cfg.pgg, rng, size=(self.trials, self.cfg.n))
+        reference = _mc_reference(self.pot, self.cfg, self.x, 100 * self.trials, rng)
+        shared = measure_bias_variance(self.pot, self.cfg, self.x, self.trials,
+                                       np.random.default_rng(17), reference=reference)
+        assert shared.reference_gradient is reference[0]
+        for field in inline.__dataclass_fields__:
+            assert np.array_equal(getattr(shared, field), getattr(inline, field)), field
+
+    def test_supplied_reference_draws_only_the_trials_block(self):
+        reference = _mc_reference(self.pot, self.cfg, self.x, 1000, np.random.default_rng(18))
+        rng = np.random.default_rng(19)
+        measure_bias_variance(self.pot, self.cfg, self.x, self.trials, rng,
+                              reference=reference)
+        expected = np.random.default_rng(19)
+        sample_pgg(self.cfg.pgg, expected, size=(self.trials, self.cfg.n))
+        assert rng.random() == expected.random()
