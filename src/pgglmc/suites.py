@@ -15,6 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .errors import ParameterError
 from .lmc import InitSpec, LmcConfig, initial_w2, run_chain, theorem1_bound
 from .pgg import PggSpec, pgg_norm_moment, sample_pgg
 from .potentials import (
@@ -78,21 +79,45 @@ def _lemma1_corpus(d: int):
 # ---------------------------------------------------------------------------
 
 
+# Rows per in-place pass over a moments draw block: 16k rows of 5 coordinates
+# is 640 kB, which stays in a per-core cache across the three passes.
+_MOMENT_ROWS = 16_384
+
+
 def suite_moments(seed: int = 1001, draws: int = 1_000_000, **_) -> SuiteResult:
-    """Monte Carlo vs the Gamma-ratio moment formula on the (p, d, n) grid."""
+    """Monte Carlo vs the Gamma-ratio moment formula on the (p, d, n) grid.
+
+    One ``(draws, 5)`` N_p block per p serves every d: the first d
+    coordinates of an N_p(0, I_5) row are an exact N_p(0, I_d) draw.  The
+    block is overwritten in place, in row blocks, with the running sum of
+    |xi_j|^p over j, so column d - 1 holds ||xi||_p^p for that d.  Checks in
+    the same p therefore share draws; each still uses all ``draws`` rows and
+    a 4-SE test.  ``draws`` >= 2, else ``ParameterError``.
+    """
+    if draws < 2:
+        raise ParameterError(f"moment draw count must be >= 2, got {draws}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="moments")
     orders = (1.0, 2.0, 4.0)
+    dims = (1, 3, 5)
 
     for p in (1.0, 1.5, 2.0):
-        for d in (1, 3, 5):
+        xi = sample_pgg(PggSpec(p=p, d=dims[-1]), rng, size=draws)
+        for start in range(0, draws, _MOMENT_ROWS):
+            block = xi[start:start + _MOMENT_ROWS]
+            np.abs(block, out=block)
+            block **= p
+            for j in range(1, dims[-1]):  # a cumsum over axis 1, 3x faster at 5 columns
+                block[:, j] += block[:, j - 1]
+        for d in dims:
             spec = PggSpec(p=p, d=d)
-            xi = sample_pgg(spec, rng, size=draws)
-            norms = np.sum(np.abs(xi) ** p, axis=-1) ** (1.0 / p)
+            norms = xi[:, d - 1] ** (1.0 / p)
             for order in orders:
                 vals = norms**order
-                mc, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))
+                mc = float(vals.mean())
+                var = (float(vals @ vals) - draws * mc * mc) / (draws - 1)
+                se = math.sqrt(var / draws)
                 exact = pgg_norm_moment(spec, order)
                 result.checks.append(Check(
                     name=f"mc_moment[p={p},d={d},n={order:g}]",

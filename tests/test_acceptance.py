@@ -8,6 +8,7 @@ tests/test_acceptance.py`` (add ``-s`` to see the per-criterion lines live).
 
 import json
 import math
+import os
 import time
 from itertools import permutations
 
@@ -42,6 +43,11 @@ from pgglmc.suites import (
     suite_moments,
     suite_transport,
 )
+
+
+# run_chain results do not depend on the thread count (criterion 9), so the
+# mixing fixtures use every core.
+THREADS = os.cpu_count() or 1
 
 
 def finish(name, ok, elapsed, budget, detail=""):
@@ -137,14 +143,14 @@ def test_criterion_5_estimator_reduction_bitwise():
 @pytest.fixture(scope="module")
 def mixing_variance_result():
     t0 = time.perf_counter()
-    res = suite_mixing_variance(seed=20_006)
+    res = suite_mixing_variance(seed=20_006, threads=THREADS)
     return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def mixing_dominance_result():
     t0 = time.perf_counter()
-    res = suite_mixing_dominance(seed=20_007)
+    res = suite_mixing_dominance(seed=20_007, threads=THREADS)
     return res, time.perf_counter() - t0
 
 

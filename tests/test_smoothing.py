@@ -23,6 +23,7 @@ from pgglmc import (
     smoothed_gradient_reference,
     smoothed_value_mc,
 )
+from pgglmc import smoothing
 from pgglmc.smoothing import _mc_reference
 
 
@@ -333,3 +334,36 @@ class TestSharedReference:
         expected = np.random.default_rng(19)
         sample_pgg(self.cfg.pgg, expected, size=(self.trials, self.cfg.n))
         assert rng.random() == expected.random()
+
+
+class TestRowBlocks:
+    """Cache-sized row blocks give bitwise the results of one whole-array call."""
+
+    pot = regularize(get_potential("power", 3, alpha=0.5), 0.5)
+    cfg = SmoothingConfig(mu=0.2, n=8, pgg=PggSpec(1.5, 3))
+    x = np.array([0.7, -0.4, 0.2])
+
+    @staticmethod
+    def rows_per_block(row_bytes):
+        return smoothing._BLOCK_BYTES // row_bytes
+
+    def test_bias_variance_report_matches_one_call(self, monkeypatch):
+        # several full trial blocks and a partial last one, likewise for the
+        # reference rows
+        trials = 3 * self.rows_per_block(self.cfg.n * 3 * 8) + 101
+        m = 4 * self.rows_per_block(3 * 8) + 7
+        blocked = measure_bias_variance(self.pot, self.cfg, self.x, trials,
+                                        np.random.default_rng(21), reference_draws=m)
+        monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1 << 40)
+        whole = measure_bias_variance(self.pot, self.cfg, self.x, trials,
+                                      np.random.default_rng(21), reference_draws=m)
+        for field in whole.__dataclass_fields__:
+            assert np.array_equal(getattr(blocked, field), getattr(whole, field)), field
+
+    def test_mc_reference_matches_one_call(self, monkeypatch):
+        m = 5 * self.rows_per_block(3 * 8) + 13
+        blocked = _mc_reference(self.pot, self.cfg, self.x, m, np.random.default_rng(22))
+        monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1 << 40)
+        whole = _mc_reference(self.pot, self.cfg, self.x, m, np.random.default_rng(22))
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
