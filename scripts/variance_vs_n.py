@@ -21,8 +21,8 @@ from pgglmc import (
     get_potential,
     measure_bias_variance,
     regularize,
+    smoothed_gradient_reference,
 )
-from pgglmc.smoothing import _mc_reference
 
 
 def parse_args():
@@ -52,8 +52,8 @@ def main() -> int:
     print(f"potential={args.potential} d={args.d} p={args.p} mu={args.mu} "
           f"lam={args.lam} trials={args.trials} x||={np.linalg.norm(x):.3f}")
     print(f"{'n':>6}  {'variance':>12}  {'4*SE':>10}  {'envelope':>12}  {'bias^2':>11}")
-    # one Monte Carlo reference serves every n; closed forms need none
-    reference = None if pot.has_exact_smoothing else _mc_reference(
+    # one reference serves every n
+    reference = smoothed_gradient_reference(
         pot, SmoothingConfig(mu=args.mu, n=1, pgg=spec), x, 100 * args.trials, rng)
     variances = []
     for n in args.ns:

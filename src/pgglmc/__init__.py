@@ -29,6 +29,8 @@ from .potentials import (
     RegularizedPotential,
     certify_holder,
     get_potential,
+    lemma1_gap_bound,
+    lemma1_gap_envelope,
     make_potential,
     max_step_size,
     perturbation_scale_a,
@@ -42,8 +44,6 @@ from .smoothing import (
     grad_estimate,
     grad_estimate_from_draws,
     hadamard_weight,
-    lemma1_gap_bound,
-    lemma1_gap_envelope,
     measure_bias_variance,
     smoothed_gradient_reference,
     smoothed_value_mc,
@@ -69,7 +69,6 @@ from .transport import (
     W2GaussianResult,
     w2_exact_1d,
     w2_exact_assignment,
-    w2_sliced,
     w2_to_gaussian,
 )
 from .config import ExperimentConfig, ReportConfig, load_config

@@ -28,8 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, StepSizeError
-from .potentials import RegularizedPotential, max_step_size, perturbation_scale_a, smoothness_constant_M
-from .smoothing import SmoothingConfig, grad_estimate_from_draws, lemma1_gap_bound
+from .potentials import (RegularizedPotential, lemma1_gap_bound, max_step_size,
+                         perturbation_scale_a, smoothness_constant_M)
+from .smoothing import SmoothingConfig, grad_estimate_from_draws
 from .pgg import sample_pgg
 
 __all__ = [
@@ -89,10 +90,12 @@ class LmcConfig:
     def __post_init__(self):
         if not self.eta > 0:
             raise ParameterError(f"step size must be > 0, got {self.eta}")
-        if self.steps < 0:
-            raise ParameterError(f"step count must be >= 0, got {self.steps}")
-        if self.chains < 1:
-            raise ParameterError(f"chain count must be >= 1, got {self.chains}")
+        if not (self.steps >= 0 and float(self.steps).is_integer()):
+            raise ParameterError(f"step count must be an integer >= 0, got {self.steps}")
+        if not (self.chains >= 1 and float(self.chains).is_integer()):
+            raise ParameterError(f"chain count must be an integer >= 1, got {self.chains}")
+        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "chains", int(self.chains))
 
 
 @dataclass

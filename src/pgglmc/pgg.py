@@ -42,7 +42,7 @@ class PggSpec:
     def __post_init__(self):
         if not (1.0 <= self.p <= 2.0):
             raise ParameterError(f"p must lie in [1, 2], got {self.p}")
-        if int(self.d) != self.d or self.d < 1:
+        if not (self.d >= 1 and float(self.d).is_integer()):
             raise ParameterError(f"d must be a positive integer, got {self.d}")
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "d", int(self.d))

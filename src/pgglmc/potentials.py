@@ -38,6 +38,8 @@ __all__ = [
     "make_potential",
     "regularize",
     "smoothness_constant_M",
+    "lemma1_gap_bound",
+    "lemma1_gap_envelope",
     "perturbation_scale_a",
     "max_step_size",
     "get_potential",
@@ -147,20 +149,49 @@ def smoothness_constant_M(pot: RegularizedPotential, mu: float, p: float) -> flo
     return L * d ** ((1.0 - alpha) / p) / (mu ** (1.0 - alpha) * (1.0 + alpha) ** (1.0 - alpha))
 
 
+def _base_constants(pot) -> tuple[float, float, int]:
+    base = pot.base if isinstance(pot, RegularizedPotential) else pot
+    return base.L, base.alpha, base.d
+
+
+def lemma1_gap_bound(pot, mu: float, p: float) -> float:
+    """Smoothing gap bound L mu^(1+alpha) d^((1+alpha)/p) / (1+alpha).
+
+    This is the simplified large-d form; for small d it can undershoot the
+    true gap (see ``lemma1_gap_envelope``).  Accepts a base or regularized
+    potential; the regularizer's own gap contribution is not included.
+    """
+    if not mu > 0:
+        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+    L, alpha, d = _base_constants(pot)
+    return L * mu ** (1.0 + alpha) * d ** ((1.0 + alpha) / p) / (1.0 + alpha)
+
+
+def lemma1_gap_envelope(pot, mu: float, p: float) -> float:
+    """Pre-simplification gap envelope, valid at every dimension.
+
+    L mu^(1+alpha) (2 d (d+p) / p)^((1+alpha)/(2p)) / (1+alpha).  The
+    simplified d^((1+alpha)/p) form drops a (1 + p/d)-ish factor that only
+    vanishes asymptotically, so dominance tests at small d use this form.
+    """
+    if not mu > 0:
+        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+    L, alpha, d = _base_constants(pot)
+    base = 2.0 * d * (d + p) / p
+    return L * mu ** (1.0 + alpha) * base ** ((1.0 + alpha) / (2.0 * p)) / (1.0 + alpha)
+
+
 def perturbation_scale_a(pot: RegularizedPotential, mu: float, p: float) -> float:
-    """a = L mu^(1+alpha) d^((1+alpha)/p) / (1+alpha) + (lam/2) mu^2 (d+1)^(2/p).
+    """a = lemma1_gap_bound + (lam/2) mu^2 (d+1)^(2/p).
 
     Controls how far the smoothed target exp(-U_bar_mu) drifts from
     exp(-U_bar) in 2-Wasserstein distance.
     """
-    if not mu > 0:
-        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
-    L, alpha, d = pot.base.L, pot.base.alpha, pot.base.d
     try:
-        gap = L * mu ** (1.0 + alpha) * d ** ((1.0 + alpha) / p) / (1.0 + alpha)
+        gap = lemma1_gap_bound(pot, mu, p)
     except OverflowError:
         gap = math.inf
-    a = gap + 0.5 * pot.lam * mu * mu * (d + 1.0) ** (2.0 / p)
+    a = gap + 0.5 * pot.lam * mu * mu * (pot.d + 1.0) ** (2.0 / p)
     if not math.isfinite(a):
         raise ParameterError(f"perturbation scale a overflows a float at mu = {mu}, "
                              f"lam = {pot.lam}")

@@ -45,8 +45,6 @@ __all__ = [
     "grad_estimate",
     "smoothed_value_mc",
     "smoothed_gradient_reference",
-    "lemma1_gap_bound",
-    "lemma1_gap_envelope",
     "measure_bias_variance",
 ]
 
@@ -62,7 +60,7 @@ class SmoothingConfig:
     def __post_init__(self):
         if not self.mu > 0:
             raise ParameterError(f"smoothing radius must be > 0, got {self.mu}")
-        if int(self.n) != self.n or self.n < 1:
+        if not (self.n >= 1 and float(self.n).is_integer()):
             raise ParameterError(f"batch size must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -128,6 +126,15 @@ def _by_row_blocks(fn, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _as_point(x, cfg: SmoothingConfig, batched: bool = False) -> np.ndarray:
+    """x as floats; ParameterError unless its shape is (d,), or (..., d) when batched."""
+    x = np.asarray(x, dtype=float)
+    if (x.shape[-1:] if batched else x.shape) != (cfg.pgg.d,):
+        raise ParameterError(f"point has shape {x.shape}, expected "
+                             f"({'..., ' if batched else ''}{cfg.pgg.d},)")
+    return x
+
+
 def _two_point(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
                xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The summand's factors (U_bar(x + mu*xi) - U_bar(x)) / mu, shape (..., m), and w(xi).
@@ -153,9 +160,7 @@ def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
 def grad_estimate(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,
                   rng: np.random.Generator) -> GradientEstimate:
     """Black-box gradient estimate from n fresh N_p draws; n + 1 evaluations."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cfg.pgg.d,):
-        raise ParameterError(f"point has shape {x.shape}, expected ({cfg.pgg.d},)")
+    x = _as_point(x, cfg)
     xi = sample_pgg(cfg.pgg, rng, size=cfg.n)
     coef, w = _two_point(pot, cfg.mu, cfg.pgg.p, x, xi)
     finite = np.isfinite(coef)
@@ -168,81 +173,37 @@ def grad_estimate(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray
 
 
 def smoothed_value_mc(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,
-                      m: int, rng: np.random.Generator, return_se: bool = False):
-    """Monte Carlo estimate (1/m) sum U_bar(x + mu*xi_i) of U_bar_mu(x)."""
-    if m < 1:
-        raise ParameterError(f"sample count must be >= 1, got {m}")
-    x = np.asarray(x, dtype=float)
+                      m: int, rng: np.random.Generator):
+    """Monte Carlo estimate (1/m) sum U_bar(x + mu*xi_i) of U_bar_mu(x), and its SE.
+
+    x has shape (..., d), and every point shares one block of m >= 2 draws,
+    so differences between points carry little Monte Carlo noise.  The mean
+    and its standard error both have shape x.shape[:-1].
+    """
+    if m < 2:
+        raise ParameterError(f"sample count must be >= 2, got {m}")
+    x = _as_point(x, cfg, batched=True)
     xi = sample_pgg(cfg.pgg, rng, size=m)
-    vals = pot.value(x + cfg.mu * xi)
-    mean = float(np.mean(vals))
-    if not return_se:
-        return mean
-    se = float(np.std(vals, ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
-    return mean, se
+    vals = pot.value(x[..., None, :] + cfg.mu * xi)
+    return vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / np.sqrt(m)
 
 
 def smoothed_gradient_reference(pot: RegularizedPotential, cfg: SmoothingConfig,
                                 x: np.ndarray, m: int, rng: np.random.Generator,
-                                use_closed_form: bool = True) -> np.ndarray:
-    """High-accuracy reference for grad U_bar_mu(x).
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for grad U_bar_mu(x), and its per-coordinate variance.
 
-    Uses the registered closed form when the potential admits one (quadratic
-    family: grad U_bar_mu = (c + lam) x); otherwise averages the gradient
-    identity over m draws.  m >= 1e3 recommended for Monte Carlo references.
-    """
-    x = np.asarray(x, dtype=float)
-    if use_closed_form and pot.has_exact_smoothing:
-        return pot.smoothed_grad(x, cfg.mu, cfg.pgg)
-    if m < 1:
-        raise ParameterError(f"reference draw count must be >= 1, got {m}")
-    xi = sample_pgg(cfg.pgg, rng, size=m)
-    return grad_estimate_from_draws(pot, cfg.mu, cfg.pgg.p, x, xi)
-
-
-def _base_constants(pot) -> tuple[float, float, int]:
-    base = pot.base if isinstance(pot, RegularizedPotential) else pot
-    return base.L, base.alpha, base.d
-
-
-def lemma1_gap_bound(pot, mu: float, p: float) -> float:
-    """Smoothing gap bound L mu^(1+alpha) d^((1+alpha)/p) / (1+alpha).
-
-    This is the simplified large-d form; for small d it can undershoot the
-    true gap (see ``lemma1_gap_envelope``).  Accepts a base or regularized
-    potential; the regularizer's own gap contribution is not included.
-    """
-    if not mu > 0:
-        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
-    L, alpha, d = _base_constants(pot)
-    return L * mu ** (1.0 + alpha) * d ** ((1.0 + alpha) / p) / (1.0 + alpha)
-
-
-def lemma1_gap_envelope(pot, mu: float, p: float) -> float:
-    """Pre-simplification gap envelope, valid at every dimension.
-
-    L mu^(1+alpha) (2 d (d+p) / p)^((1+alpha)/(2p)) / (1+alpha).  The
-    simplified d^((1+alpha)/p) form drops a (1 + p/d)-ish factor that only
-    vanishes asymptotically, so dominance tests at small d use this form.
-    """
-    if not mu > 0:
-        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
-    L, alpha, d = _base_constants(pot)
-    base = 2.0 * d * (d + p) / p
-    return L * mu ** (1.0 + alpha) * base ** ((1.0 + alpha) / (2.0 * p)) / (1.0 + alpha)
-
-
-def _mc_reference(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray, m: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo reference for grad U_bar_mu(x) from m >= 2 draws.
-
-    Returns the mean of the m summands and the per-coordinate variance of
-    that mean; neither depends on the batch size cfg.n.  The summands are
+    The quadratic family returns its closed form (c + lam) x with zero
+    variance and takes no draws.  Otherwise the reference is the mean of the
+    gradient-identity summands over m >= 2 draws, with the variance of that
+    mean; neither depends on the batch size cfg.n.  The summands are
     evaluated in cache-sized row blocks, then reduced over all m at once.
     """
     if m < 2:
         raise ParameterError(f"reference draw count must be >= 2, got {m}")
-    x = np.asarray(x, dtype=float)
+    x = _as_point(x, cfg)
+    if pot.has_exact_smoothing:
+        return pot.smoothed_grad(x, cfg.mu, cfg.pgg), np.zeros(cfg.pgg.d)
     xi = sample_pgg(cfg.pgg, rng, size=m)
 
     def summands_of(block):
@@ -261,12 +222,12 @@ def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np
     """Empirical bias and variance of the estimator at x over independent trials.
 
     The reference gradient is ``reference`` when given, a ``(ref, ref_var)``
-    pair from ``_mc_reference`` at the same potential, mu, p and x; then no
-    reference draws are taken, so a sweep over n at one point computes it
-    once.  Otherwise it is the closed form when available, else a Monte Carlo
-    average over ``reference_draws`` >= 2 draws taken after the trials
-    (default 100 * trials so the reference error is negligible against the
-    quantities being certified).  Standard errors accompany both empirical
+    pair from ``smoothed_gradient_reference`` at the same potential, mu, p
+    and x; then no reference draws are taken, so a sweep over n at one point
+    computes it once.  Otherwise ``smoothed_gradient_reference`` is called
+    with ``reference_draws`` draws, taken after the trials (default
+    100 * trials so the reference error is negligible against the quantities
+    being certified).  Standard errors accompany both empirical
     statistics; stochastic assertions downstream use 4 standard errors.
 
     The trials are estimated in cache-sized blocks of rows of the one
@@ -276,7 +237,7 @@ def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
-    x = np.asarray(x, dtype=float)
+    x = _as_point(x, cfg)
     d = cfg.pgg.d
     p = cfg.pgg.p
 
@@ -286,14 +247,9 @@ def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np
     gbar = g.mean(axis=0)
     gvar = g.var(axis=0, ddof=1)  # per-coordinate
 
-    if reference is not None:
-        ref, ref_var = reference
-    elif pot.has_exact_smoothing:
-        ref = pot.smoothed_grad(x, cfg.mu, cfg.pgg)
-        ref_var = np.zeros(d)
-    else:
-        m = int(reference_draws) if reference_draws is not None else 100 * trials
-        ref, ref_var = _mc_reference(pot, cfg, x, m, rng)
+    m = int(reference_draws) if reference_draws is not None else 100 * trials
+    ref, ref_var = (reference if reference is not None
+                    else smoothed_gradient_reference(pot, cfg, x, m, rng))
 
     bias_vec = gbar - ref
     var_b = gvar / trials + ref_var

@@ -18,14 +18,9 @@ import numpy as np
 from .errors import ParameterError
 from .lmc import InitSpec, LmcConfig, initial_w2, run_chain, theorem1_bound
 from .pgg import PggSpec, pgg_norm_moment, sample_pgg
-from .potentials import (
-    RegularizedPotential,
-    get_potential,
-    regularize,
-    smoothness_constant_M,
-)
-from .smoothing import (SmoothingConfig, _mc_reference, _two_point, lemma1_gap_envelope,
-                        measure_bias_variance)
+from .potentials import get_potential, lemma1_gap_envelope, regularize, smoothness_constant_M
+from .smoothing import (SmoothingConfig, _two_point, measure_bias_variance,
+                        smoothed_gradient_reference, smoothed_value_mc)
 from .transport import SampleSet, w2_exact_1d, w2_exact_assignment, w2_to_gaussian
 
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suites",
@@ -162,18 +157,6 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000, **_) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _mc_refs_common_draws(pot: RegularizedPotential, mu: float, p: float,
-                          points: np.ndarray, xi: np.ndarray):
-    """References for grad U_bar_mu at many points sharing one draw block.
-
-    Returns (refs, coef, w) with refs[i] the estimate at points[i]; sharing the
-    draws makes differences of references nearly noise-free, which is what
-    the Lipschitz check needs.
-    """
-    coef, w = _two_point(pot, mu, p, points, xi)      # (P, m), (m, d)
-    return coef @ w / xi.shape[0], coef, w
-
-
 def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
                  pairs: int = 1000, lipschitz_draws: int = 4000, **_) -> SuiteResult:
     t0 = time.perf_counter()
@@ -184,13 +167,11 @@ def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
     for base in _lemma1_corpus(d):
         pot = regularize(base, lam)
         for p in (1.0, 2.0):
-            spec = PggSpec(p=p, d=d)
             for mu in (0.5, 0.1):
                 X = rng.normal(scale=1.5, size=(points, d))
-                xi = sample_pgg(spec, rng, size=gap_draws)
-                vals = pot.value(X[:, None, :] + mu * xi)          # (points, m)
-                gap = vals.mean(axis=1) - pot.value(X)
-                se = vals.std(axis=1, ddof=1) / math.sqrt(gap_draws)
+                cfg = SmoothingConfig(mu=mu, n=1, pgg=PggSpec(p=p, d=d))
+                smoothed, se = smoothed_value_mc(pot, cfg, X, gap_draws, rng)
+                gap = smoothed - pot.value(X)
                 # Regularizer contributes exactly (lam/2) mu^2 E||xi||^2,
                 # covered by the same (d+1)^(2/p) envelope used inside a.
                 bound = lemma1_gap_envelope(base, mu, p) + 0.5 * lam * mu**2 * (d + 1) ** (2 / p)
@@ -220,11 +201,12 @@ def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
                                        - pot.smoothed_grad(y, mu, spec), axis=1)
                 tol = np.full(pairs, 1e-9)
             else:
+                # shared draws make differences of references nearly noise-free
                 xi = sample_pgg(spec, rng, size=lipschitz_draws)
-                refs_x, coef_x, w = _mc_refs_common_draws(pot, mu, p, x, xi)
-                refs_y, coef_y, _ = _mc_refs_common_draws(pot, mu, p, y, xi)
-                dvec = refs_x - refs_y
-                delta = np.linalg.norm(dvec, axis=1)
+                coef_x, w = _two_point(pot, mu, p, x, xi)      # (pairs, m), (m, d)
+                coef_y, _ = _two_point(pot, mu, p, y, xi)
+                delta = np.linalg.norm(coef_x @ w / lipschitz_draws
+                                       - coef_y @ w / lipschitz_draws, axis=1)
                 wsq = np.sum(w * w, axis=1)
                 second = (coef_x - coef_y) ** 2 @ wsq / lipschitz_draws
                 tr_cov = np.maximum(second - delta**2, 0.0)
@@ -256,8 +238,8 @@ def suite_lemma2(seed: int = 1003, trials: int = 10_000, **_) -> SuiteResult:
     for base_name, base in (("quadratic", get_potential("quadratic", d)),
                             ("power", get_potential("power", d, alpha=0.5))):
         pot = regularize(base, lam)
-        # the Monte Carlo reference does not depend on n: draw it once
-        reference = None if pot.has_exact_smoothing else _mc_reference(
+        # the reference does not depend on n: compute it once
+        reference = smoothed_gradient_reference(
             pot, SmoothingConfig(mu=mu, n=1, pgg=spec), x, 100 * trials, rng)
         reports = {}
         for n in (1, 10, 20, 50, 100):

@@ -3,10 +3,10 @@
 All estimates are between empirical measures; callers should report N so
 finite-sample bias stays interpretable.  Exact mode solves the optimal
 assignment on the squared-Euclidean cost matrix (cubic time, capped at
-N = 2048); at d = 1 the sorted matching is the same optimum.  The sliced
-estimator is the scalable surrogate and is reported separately, never
-substituted into bound-dominance checks at sizes where exact assignment is
-feasible.
+N = 2048); at d = 1 the sorted matching is the same optimum.  Larger sets
+are subsampled to the cap, as ``pgglmc sample`` does, rather than replaced
+by a sliced surrogate: every 1-D projection is 1-Lipschitz, so sliced W2 is
+at most W2 and cannot certify that a measured distance lies below a bound.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "SampleSet",
     "w2_exact_1d",
     "w2_exact_assignment",
-    "w2_sliced",
     "w2_to_gaussian",
     "W2GaussianResult",
     "ASSIGNMENT_CAP",
@@ -96,37 +95,13 @@ def w2_exact_assignment(a, b, rng: np.random.Generator | None = None) -> float:
     if pa.shape[0] > ASSIGNMENT_CAP:
         raise ParameterError(
             f"N = {pa.shape[0]} exceeds the exact-assignment cap {ASSIGNMENT_CAP}; "
-            f"use w2_sliced for larger sets"
+            f"subsample the sets to at most {ASSIGNMENT_CAP} points"
         )
     cost = cdist(pa, pb, metric="sqeuclidean")
     if not np.isfinite(cost).all():
         raise ParameterError("squared distances between the sample sets overflow a float")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
-
-
-def w2_sliced(a, b, projections: int, rng: np.random.Generator) -> float:
-    """Sliced W2: root-mean of squared 1-D distances over random directions.
-
-    A lower-bound-flavored surrogate for the exact distance; scales to sample
-    sizes the assignment solver cannot touch.  At d = 1 every direction is a
-    sign flip, so the value equals w2_exact_1d exactly.
-    """
-    a, b = _as_samples(a), _as_samples(b)
-    if a.d != b.d:
-        raise ParameterError(f"dimensions differ: {a.d} vs {b.d}")
-    if a.n != b.n:
-        raise ParameterError(f"sample sizes differ: {a.n} vs {b.n}")
-    if projections < 1:
-        raise ParameterError(f"projection count must be >= 1, got {projections}")
-    dirs = rng.standard_normal((projections, a.d))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    dirs /= norms
-    pa = np.sort(a.points @ dirs.T, axis=0)
-    pb = np.sort(b.points @ dirs.T, axis=0)
-    sq = np.mean((pa - pb) ** 2, axis=0)
-    return float(np.sqrt(np.mean(sq)))
 
 
 @dataclass(frozen=True)

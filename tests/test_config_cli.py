@@ -248,6 +248,21 @@ class TestCliSample:
         assert "empirical_w2_to_target" not in metrics
         assert "empirical_w2_to_target_skipped" in metrics
 
+    def test_known_law_above_assignment_cap_is_subsampled(self, tmp_path):
+        # 2,100 chains exceed the 2,048-point exact-assignment cap, so W2 is
+        # measured on a subsample; a spread-out init keeps the solve fast
+        doc = base_doc()
+        doc["lmc"].update(steps=1, chains=2100,
+                          init={"kind": "gaussian", "mean": 0.0, "scale": 1.0})
+        doc["report"]["resamples"] = 1
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["sample", "--config", cfg_path, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        w2 = load_strict_json(tmp_path / "report.json")["metrics"]["empirical_w2_to_target"]
+        assert w2["n"] == 2048
+        assert "subsampled" in w2["note"]
+        assert math.isfinite(w2["mean"])
+
     def test_report_config_echo_is_lossless(self, tmp_path):
         doc = base_doc()
         doc["lmc"]["eta"] = "auto"

@@ -311,6 +311,17 @@ class TestRunChain:
         with pytest.raises(ParameterError):
             InitSpec(kind="delta")
 
+    @pytest.mark.parametrize("steps,chains", [(math.nan, 1), (2.5, 1), (1, 1.5)])
+    def test_counts_must_be_integers(self, steps, chains):
+        # steps = nan used to run no step and return the initial states
+        with pytest.raises(ParameterError):
+            LmcConfig(eta=0.1, steps=steps, chains=chains, seed=0)
+
+    def test_integral_float_counts_become_ints(self):
+        lcfg = LmcConfig(eta=0.1, steps=3.0, chains=2.0, seed=0)
+        assert (lcfg.steps, lcfg.chains) == (3, 2)
+        assert type(lcfg.steps) is int and type(lcfg.chains) is int
+
 
 class TestOuStationarity:
     def test_exact_gradient_matches_discrete_oracle(self):

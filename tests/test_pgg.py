@@ -37,8 +37,9 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             PggSpec(p=p, d=1)
 
-    @pytest.mark.parametrize("d", [0, -1])
+    @pytest.mark.parametrize("d", [0, -1, 2.5, math.inf, math.nan])
     def test_bad_dimension_rejected(self, d):
+        # d = nan used to raise a bare ValueError from int()
         with pytest.raises(ParameterError):
             PggSpec(p=2.0, d=d)
 

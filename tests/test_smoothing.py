@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,12 +25,16 @@ from pgglmc import (
     smoothed_value_mc,
 )
 from pgglmc import smoothing
-from pgglmc.smoothing import _mc_reference
 
 
 def quadratic_target(d):
     """Regularized potential whose total is exactly ||x||^2 / 2."""
     return regularize(get_potential("zero", d), 1.0)
+
+
+def without_closed_form(pot):
+    """The same potential with its closed-form smoothing hidden."""
+    return regularize(replace(pot.base, quad_curvature=None), pot.lam)
 
 
 class TestHadamardWeight:
@@ -57,6 +62,12 @@ class TestSmoothingConfig:
             SmoothingConfig(mu=0.0, n=1, pgg=PggSpec(2.0, 1))
         with pytest.raises(ParameterError):
             SmoothingConfig(mu=0.1, n=0, pgg=PggSpec(2.0, 1))
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5])
+    def test_batch_size_must_be_an_integer(self, n):
+        # n = inf used to raise OverflowError from int()
+        with pytest.raises(ParameterError):
+            SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(2.0, 1))
 
 
 class TestGradEstimate:
@@ -117,16 +128,14 @@ class TestSmoothedValue:
         # U_bar_mu(0) = mu^2 d / 2 for the unit quadratic at p = 2
         pot = quadratic_target(1)
         cfg = SmoothingConfig(mu=0.5, n=1, pgg=PggSpec(2.0, 1))
-        val, se = smoothed_value_mc(pot, cfg, np.zeros(1), 200_000,
-                                    np.random.default_rng(5), return_se=True)
+        val, se = smoothed_value_mc(pot, cfg, np.zeros(1), 200_000, np.random.default_rng(5))
         assert abs(val - 0.125) <= 4 * se
 
     def test_quadratic_origin_p1_d2(self):
         # Laplace coordinate variance 2, so E||xi||^2 = 2d and the value is 2
         pot = quadratic_target(2)
         cfg = SmoothingConfig(mu=1.0, n=1, pgg=PggSpec(1.0, 2))
-        val, se = smoothed_value_mc(pot, cfg, np.zeros(2), 200_000,
-                                    np.random.default_rng(6), return_se=True)
+        val, se = smoothed_value_mc(pot, cfg, np.zeros(2), 200_000, np.random.default_rng(6))
         assert abs(val - 2.0) <= 4 * se
         assert val == pytest.approx(pot.smoothed_value(np.zeros(2), 1.0, cfg.pgg), abs=4 * se)
 
@@ -134,14 +143,37 @@ class TestSmoothedValue:
         pot = regularize(get_potential("l1", 3), 0.5)
         cfg = SmoothingConfig(mu=1e-12, n=1, pgg=PggSpec(1.5, 3))
         x = np.array([1.0, -2.0, 3.0])
-        val = smoothed_value_mc(pot, cfg, x, 2000, np.random.default_rng(7))
+        val, _ = smoothed_value_mc(pot, cfg, x, 2000, np.random.default_rng(7))
         assert val == pytest.approx(float(pot.value(x)), rel=1e-9)
 
     def test_sample_count_validated(self):
+        # one draw has no standard error
         pot = quadratic_target(1)
         cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
-        with pytest.raises(ParameterError):
-            smoothed_value_mc(pot, cfg, np.zeros(1), 0, np.random.default_rng(0))
+        for m in (0, 1):
+            with pytest.raises(ParameterError):
+                smoothed_value_mc(pot, cfg, np.zeros(1), m, np.random.default_rng(0))
+
+    def test_point_dimension_checked(self):
+        pot = quadratic_target(1)
+        cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
+        for x in (np.zeros(3), np.zeros((4, 3)), np.float64(0.0)):
+            with pytest.raises(ParameterError):
+                smoothed_value_mc(pot, cfg, x, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name,params", [("quadratic", {}), ("power", {"alpha": 0.5}),
+                                             ("l1", {}), ("huber", {"delta": 0.5})])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_batched_points_match_single_calls(self, name, params, p):
+        # points sharing one draw block give bitwise each point's own call
+        pot = regularize(get_potential(name, 3, **params), 0.5)
+        cfg = SmoothingConfig(mu=0.3, n=1, pgg=PggSpec(p, 3))
+        X = np.random.default_rng(30).normal(scale=1.5, size=(5, 3))
+        means, ses = smoothed_value_mc(pot, cfg, X, 1000, np.random.default_rng(31))
+        assert means.shape == ses.shape == (5,)
+        for i, x in enumerate(X):
+            mean, se = smoothed_value_mc(pot, cfg, x, 1000, np.random.default_rng(31))
+            assert mean == means[i] and se == ses[i]
 
 
 class TestGradientReference:
@@ -149,16 +181,19 @@ class TestGradientReference:
         pot = quadratic_target(3)
         cfg = SmoothingConfig(mu=0.3, n=1, pgg=PggSpec(1.5, 3))
         x = np.array([2.0, -1.0, 0.5])
-        ref = smoothed_gradient_reference(pot, cfg, x, 10, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        ref, ref_var = smoothed_gradient_reference(pot, cfg, x, 10, rng)
         assert np.array_equal(ref, x)
+        assert np.array_equal(ref_var, np.zeros(3))
+        assert rng.random() == np.random.default_rng(8).random()  # no draws taken
 
     def test_mc_agrees_with_closed_form(self):
-        pot = regularize(get_potential("quadratic", 2), 0.5)
+        pot = without_closed_form(regularize(get_potential("quadratic", 2), 0.5))
         cfg = SmoothingConfig(mu=0.2, n=1, pgg=PggSpec(1.5, 2))
         x = np.array([1.0, -0.5])
-        mc = smoothed_gradient_reference(pot, cfg, x, 400_000, np.random.default_rng(9),
-                                         use_closed_form=False)
+        mc, mc_var = smoothed_gradient_reference(pot, cfg, x, 400_000, np.random.default_rng(9))
         assert np.allclose(mc, 1.5 * x, atol=0.02)
+        assert (np.abs(mc - 1.5 * x) <= 4 * np.sqrt(mc_var)).all()
 
     def test_central_difference_oracle(self):
         # non-quadratic potential: the gradient-identity reference must match
@@ -192,18 +227,28 @@ class TestGradientReference:
     def test_sign_convention_positive(self):
         # the plus-sign reading: for the quadratic the reference points along
         # +x, not -x
-        pot = quadratic_target(1)
+        pot = without_closed_form(quadratic_target(1))
         cfg = SmoothingConfig(mu=0.2, n=1, pgg=PggSpec(1.2, 1))
-        ref = smoothed_gradient_reference(pot, cfg, np.array([3.0]), 100_000,
-                                          np.random.default_rng(12), use_closed_form=False)
+        ref, _ = smoothed_gradient_reference(pot, cfg, np.array([3.0]), 100_000,
+                                             np.random.default_rng(12))
         assert ref[0] > 2.5
 
     def test_mc_draw_count_validated(self):
-        # m = 0 used to average an empty slice and return NaN
+        # m = 0 used to average an empty slice and return NaN; one draw has no
+        # variance
         pot = regularize(get_potential("power", 2, alpha=0.5), 0.5)
         cfg = SmoothingConfig(mu=0.2, n=1, pgg=PggSpec(1.5, 2))
+        for m in (0, 1):
+            with pytest.raises(ParameterError):
+                smoothed_gradient_reference(pot, cfg, np.zeros(2), m, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["quadratic", "power"])
+    def test_point_dimension_checked(self, name):
+        # a point of the wrong dimension used to broadcast silently
+        pot = regularize(get_potential(name, 1), 0.5)
+        cfg = SmoothingConfig(mu=0.2, n=1, pgg=PggSpec(1.5, 1))
         with pytest.raises(ParameterError):
-            smoothed_gradient_reference(pot, cfg, np.zeros(2), 0, np.random.default_rng(0))
+            smoothed_gradient_reference(pot, cfg, np.zeros(3), 100, np.random.default_rng(0))
 
 
 class TestLemma1Bounds:
@@ -296,6 +341,13 @@ class TestBiasVariance:
             measure_bias_variance(pot, cfg, np.zeros(1), trials=1,
                                   rng=np.random.default_rng(0))
 
+    def test_point_dimension_checked(self):
+        pot = quadratic_target(1)
+        cfg = SmoothingConfig(mu=0.1, n=2, pgg=PggSpec(2.0, 1))
+        with pytest.raises(ParameterError):
+            measure_bias_variance(pot, cfg, np.zeros(3), trials=10,
+                                  rng=np.random.default_rng(0))
+
     @pytest.mark.parametrize("m", [0, 1])
     def test_reference_draws_validated(self, m):
         # m = 1 used to give a NaN bias and SE (ddof=1 on one draw), m = 0 a
@@ -319,7 +371,8 @@ class TestSharedReference:
         # the inline path draws its reference right after the trials block
         rng = np.random.default_rng(17)
         sample_pgg(self.cfg.pgg, rng, size=(self.trials, self.cfg.n))
-        reference = _mc_reference(self.pot, self.cfg, self.x, 100 * self.trials, rng)
+        reference = smoothed_gradient_reference(self.pot, self.cfg, self.x, 100 * self.trials,
+                                                rng)
         shared = measure_bias_variance(self.pot, self.cfg, self.x, self.trials,
                                        np.random.default_rng(17), reference=reference)
         assert shared.reference_gradient is reference[0]
@@ -327,7 +380,8 @@ class TestSharedReference:
             assert np.array_equal(getattr(shared, field), getattr(inline, field)), field
 
     def test_supplied_reference_draws_only_the_trials_block(self):
-        reference = _mc_reference(self.pot, self.cfg, self.x, 1000, np.random.default_rng(18))
+        reference = smoothed_gradient_reference(self.pot, self.cfg, self.x, 1000,
+                                                np.random.default_rng(18))
         rng = np.random.default_rng(19)
         measure_bias_variance(self.pot, self.cfg, self.x, self.trials, rng,
                               reference=reference)
@@ -362,8 +416,10 @@ class TestRowBlocks:
 
     def test_mc_reference_matches_one_call(self, monkeypatch):
         m = 5 * self.rows_per_block(3 * 8) + 13
-        blocked = _mc_reference(self.pot, self.cfg, self.x, m, np.random.default_rng(22))
+        blocked = smoothed_gradient_reference(self.pot, self.cfg, self.x, m,
+                                              np.random.default_rng(22))
         monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1 << 40)
-        whole = _mc_reference(self.pot, self.cfg, self.x, m, np.random.default_rng(22))
+        whole = smoothed_gradient_reference(self.pot, self.cfg, self.x, m,
+                                            np.random.default_rng(22))
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)

@@ -11,7 +11,6 @@ from pgglmc import (
     SampleSet,
     w2_exact_1d,
     w2_exact_assignment,
-    w2_sliced,
     w2_to_gaussian,
 )
 from pgglmc.transport import ASSIGNMENT_CAP
@@ -97,7 +96,7 @@ class TestExactAssignment:
 
     def test_size_cap(self):
         big = SampleSet(np.zeros((ASSIGNMENT_CAP + 1, 1)))
-        with pytest.raises(ParameterError, match="sliced"):
+        with pytest.raises(ParameterError, match="subsample"):
             w2_exact_assignment(big, big)
 
     def test_unequal_sizes_need_rng(self):
@@ -105,6 +104,16 @@ class TestExactAssignment:
         with pytest.raises(ParameterError):
             w2_exact_assignment(a, b)
         assert w2_exact_assignment(a, b, rng=np.random.default_rng(0)) == 0.0
+
+    def test_translated_gaussian_sees_full_shift(self):
+        # the same isotropic law shifted by c: W2 is ||c||, which a sliced
+        # estimate would shrink to about ||c|| / sqrt(d)
+        rng = np.random.default_rng(5)
+        d, n, c = 5, 2000, np.array([2.0, 0.0, 0.0, 0.0, 0.0])
+        a = rng.normal(size=(n, d))[:512]
+        b = (rng.normal(size=(n, d)) + c)[:512]
+        assert w2_exact_assignment(SampleSet(a), SampleSet(b)) == pytest.approx(
+            np.linalg.norm(c), rel=0.2)
 
     @settings(max_examples=50, deadline=None)
     @given(c=st.floats(0.1, 10.0), seed=st.integers(0, 2**16))
@@ -124,40 +133,6 @@ class TestExactAssignment:
         base = w2_exact_assignment(SampleSet(a), SampleSet(b))
         moved = w2_exact_assignment(SampleSet(a + v), SampleSet(b + v))
         assert moved == pytest.approx(base, rel=1e-6, abs=1e-9)
-
-
-class TestSliced:
-    def test_identical_sets(self):
-        pts = np.random.default_rng(3).normal(size=(64, 4))
-        assert w2_sliced(SampleSet(pts), SampleSet(pts.copy()), 32,
-                         np.random.default_rng(0)) == 0.0
-
-    def test_d1_equals_closed_form(self):
-        rng = np.random.default_rng(4)
-        a = SampleSet(rng.normal(size=40))
-        b = SampleSet(rng.normal(size=40) + 1.0)
-        for projections in (1, 7, 33):
-            assert w2_sliced(a, b, projections, np.random.default_rng(9)) == \
-                pytest.approx(w2_exact_1d(a, b), rel=1e-12)
-
-    def test_translated_gaussian_scaling(self):
-        # same isotropic law shifted by c: sliced value ~ ||c|| / sqrt(d)
-        rng = np.random.default_rng(5)
-        d, n, c = 5, 2000, np.array([2.0, 0.0, 0.0, 0.0, 0.0])
-        a = SampleSet(rng.normal(size=(n, d)))
-        b = SampleSet(rng.normal(size=(n, d)) + c)
-        val = w2_sliced(a, b, 512, np.random.default_rng(10))
-        assert val == pytest.approx(np.linalg.norm(c) / math.sqrt(d), rel=0.2)
-        # while the exact distance at small N sees the full shift
-        small_a = SampleSet(a.points[:512])
-        small_b = SampleSet(b.points[:512])
-        assert w2_exact_assignment(small_a, small_b) == pytest.approx(
-            np.linalg.norm(c), rel=0.2)
-
-    def test_projection_count_validated(self):
-        a = SampleSet(np.zeros((4, 2)))
-        with pytest.raises(ParameterError):
-            w2_sliced(a, a, 0, np.random.default_rng(0))
 
 
 class TestToGaussian:
