@@ -8,13 +8,7 @@ bias/variance, smoothing drift in W2, and the full mixing bound).
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    EvaluationError,
-    ParameterError,
-    StepSizeError,
-)
+from .errors import ConfigError, ParameterError, StepSizeError
 from .pgg import (
     PggSpec,
     kappa,
@@ -39,9 +33,7 @@ from .potentials import (
 )
 from .smoothing import (
     BiasVarianceReport,
-    GradientEstimate,
     SmoothingConfig,
-    grad_estimate,
     grad_estimate_from_draws,
     hadamard_weight,
     measure_bias_variance,
@@ -59,7 +51,6 @@ from .lmc import (
     geometric_factor,
     initial_w2,
     lemma3_w2_bound,
-    lmc_step,
     outside_guard,
     run_chain,
     theorem1_bound,
@@ -71,4 +62,4 @@ from .transport import (
     w2_exact_assignment,
     w2_to_gaussian,
 )
-from .config import ExperimentConfig, ReportConfig, load_config
+from .config import ExperimentConfig, ReportConfig

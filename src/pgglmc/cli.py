@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 a ``verify`` check failed, 2 config or usage
 problem (parse error, unknown key, unknown suite, bad --seed, --threads or
-$PGGLMC_THREADS, a config whose bounds overflow a float), 3 chain
-divergence, 4 theory-gate violation (step-size cap).
+$PGGLMC_THREADS, report file names that are not two separate files, a
+config whose bounds overflow a float), 3 a ``sample`` chain diverged (its
+state became non-finite, a non-finite black-box value included, or its norm
+passed 1e8), 4 theory-gate violation (step-size cap).
 
 Reports are JSON with full config echo; final states go to CSV with the
 fixed header ``chain,coordinate_0,...`` (UTF-8, LF).  Floats are written in
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigError, DivergenceError, ParameterError, StepSizeError
+from .errors import ConfigError, ParameterError, StepSizeError
 from .lmc import bounds_table, outside_guard, run_chain
 from .suites import SUITE_NAMES, run_suites
 from .transport import ASSIGNMENT_CAP, SampleSet, w2_to_gaussian
@@ -282,9 +284,6 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ smoothing parameters are known.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .pgg import PggSpec
 from .potentials import RegularizedPotential, get_potential, max_step_size, regularize
 from .smoothing import SmoothingConfig
 
-__all__ = ["ExperimentConfig", "ReportConfig", "load_config"]
+__all__ = ["ExperimentConfig", "ReportConfig"]
 
 
 def _require_mapping(doc, path):
@@ -142,18 +143,22 @@ class ExperimentConfig:
         _check_keys(rep, "report", required=(), optional=("thinning", "resamples", "csv", "json"))
         thinning = rep.get("thinning", "auto")
         if thinning != "auto":
-            if isinstance(thinning, bool) or not isinstance(thinning, int) or thinning < 1:
-                raise ConfigError(f'report.thinning: expected a positive integer or "auto", '
-                                  f"got {thinning!r}")
-        resamples = rep.get("resamples", 5)
-        if isinstance(resamples, bool) or not isinstance(resamples, int) or resamples < 1:
-            raise ConfigError(f"report.resamples: expected a positive integer, got {resamples!r}")
-        for key in ("csv", "json"):
-            if key in rep and not isinstance(rep[key], str):
-                raise ConfigError(f"report.{key}: expected a string, got {rep[key]!r}")
+            thinning = _number(rep, "report", "thinning", integer=True, minimum=1)
+        resamples = (_number(rep, "report", "resamples", integer=True, minimum=1)
+                     if "resamples" in rep else 5)
+        names = {"csv": rep.get("csv", "samples.csv"), "json": rep.get("json", "report.json")}
+        for key, name in names.items():
+            if not isinstance(name, str):
+                raise ConfigError(f"report.{key}: expected a string, got {name!r}")
+            if os.path.basename(name) in ("", ".", "..") or "\0" in name:
+                raise ConfigError(f"report.{key}: expected a file name, got {name!r}")
+        # the JSON report must neither overwrite the CSV nor need it as a directory
+        csv, js = (os.path.normpath(name) for name in names.values())
+        if csv == js or csv.startswith(js + os.sep) or js.startswith(csv + os.sep):
+            raise ConfigError(f"report.csv and report.json must name two separate files, "
+                              f"got {names['csv']!r} and {names['json']!r}")
         report = ReportConfig(thinning=thinning, resamples=resamples,
-                              csv=rep.get("csv", "samples.csv"),
-                              json_path=rep.get("json", "report.json"))
+                              csv=names["csv"], json_path=names["json"])
 
         return cls(potential_name=pot["name"], d=d, lam=lam, potential_params=dict(params),
                    mu=mu, n=n, p=p, eta=eta, steps=steps, chains=chains, init=init,
@@ -230,7 +235,3 @@ class ExperimentConfig:
             "report": {"thinning": self.report.thinning, "resamples": self.report.resamples,
                        "csv": self.report.csv, "json": self.report.json_path},
         }
-
-
-def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_file(path)

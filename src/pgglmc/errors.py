@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DivergenceError -> 3,
-StepSizeError -> 4.
+The CLI maps these onto exit codes: ConfigError and ParameterError -> 2,
+StepSizeError -> 4.  A chain divergence is not an exception: ``run_chain``
+marks the chain in its result, and ``pgglmc sample`` then exits 3.
 """
 
 
@@ -11,24 +12,6 @@ class ParameterError(ValueError):
 
 class ConfigError(ValueError):
     """A config document is malformed: unknown key, missing field, bad type."""
-
-
-class EvaluationError(RuntimeError):
-    """``grad_estimate`` met a non-finite potential value; the chain drivers
-    (``lmc_step``, ``run_chain``) treat one as a divergence instead."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
-
-class DivergenceError(RuntimeError):
-    """A chain left the finite region; carries the step index and state norm."""
-
-    def __init__(self, message, step=None, state_norm=None):
-        super().__init__(message)
-        self.step = step
-        self.state_norm = state_norm
 
 
 class StepSizeError(ParameterError):

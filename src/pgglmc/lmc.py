@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, StepSizeError
+from .errors import ParameterError, StepSizeError
 from .potentials import (RegularizedPotential, lemma1_gap_bound, max_step_size,
                          perturbation_scale_a, smoothness_constant_M)
 from .smoothing import SmoothingConfig, grad_estimate_from_draws
@@ -41,7 +41,6 @@ __all__ = [
     "TheoryBound",
     "check_step_size",
     "outside_guard",
-    "lmc_step",
     "run_chain",
     "lemma3_w2_bound",
     "theorem1_bound",
@@ -125,12 +124,6 @@ def outside_guard(states: np.ndarray) -> np.ndarray:
     return ~(np.einsum("ij,ij->i", states, states) <= _DIVERGE_NORM**2)
 
 
-def _require_exact(pot: RegularizedPotential) -> None:
-    if not pot.has_exact_smoothing:
-        raise ParameterError(
-            f"potential {pot.base.name!r} has no registered exact smoothed gradient")
-
-
 def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.ndarray,
           xi: Optional[np.ndarray], noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One update of a (chains, d) batch; returns the candidates and the guard's flags.
@@ -146,32 +139,6 @@ def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.nd
     return cand, outside_guard(cand)
 
 
-def lmc_step(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray, eta: float,
-             rng: np.random.Generator, exact_gradient: bool = False) -> np.ndarray:
-    """One ``run_chain`` step on one chain: x - eta*g(x) + sqrt(2 eta)*zeta.
-
-    Draws the n smoothing perturbations and then zeta ~ N(0, I_d) from rng,
-    as ``run_chain`` does for each chain.  A new state that the step guard
-    rejects (non-finite, e.g. from a non-finite black-box value, or of norm
-    above 1e8) raises DivergenceError with step=1.
-    """
-    if not eta > 0:
-        raise ParameterError(f"step size must be > 0, got {eta}")
-    if exact_gradient:
-        _require_exact(pot)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cfg.pgg.d,):
-        raise ParameterError(f"point has shape {x.shape}, expected ({cfg.pgg.d},)")
-    x = x[None, :]
-    xi = None if exact_gradient else sample_pgg(cfg.pgg, rng, size=(1, cfg.n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cand, bad = _step(pot, cfg, eta, x, xi, rng.standard_normal(x.shape))
-    if bad[0]:
-        raise DivergenceError("chain state left the finite region", step=1,
-                              state_norm=float(np.linalg.norm(cand[0])))
-    return cand[0]
-
-
 def _init_states(init: InitSpec, rngs, indices, d: int) -> np.ndarray:
     if init.kind == "point":
         pt = np.broadcast_to(np.asarray(init.point, dtype=float), (d,))
@@ -185,8 +152,9 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
               thin: Optional[int] = None, threads: int = 1) -> ChainResult:
     """Run independent chains; deterministic given (seed, chain index).
 
-    Divergence (non-finite state or norm above 1e8) aborts the offending
-    chain only: its last finite state is reported along with the step index.
+    Divergence (a non-finite state, a non-finite black-box value included,
+    or a norm above 1e8) aborts the offending chain only: its last finite
+    state is reported along with the step index.
     ``evals_total`` counts potential evaluations, (n + 1) per live chain per
     step in estimator mode and 0 in exact-gradient ablation mode.
     Trajectories are thinned to every ``thin``-th state (default keeps at
@@ -196,8 +164,9 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     if scfg.pgg.d != d:
         raise ParameterError(f"smoothing dimension {scfg.pgg.d} != potential dimension {d}")
     check_step_size(pot, scfg.mu, scfg.pgg.p, lcfg.eta)
-    if exact_gradient:
-        _require_exact(pot)
+    if exact_gradient and not pot.has_exact_smoothing:
+        raise ParameterError(
+            f"potential {pot.base.name!r} has no registered exact smoothed gradient")
     steps, chains, n = lcfg.steps, lcfg.chains, scfg.n
     if thin is None:
         thin = max(1, steps // 1000)

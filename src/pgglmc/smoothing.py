@@ -32,17 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import ParameterError
 from .pgg import PggSpec, sample_pgg
 from .potentials import RegularizedPotential, smoothness_constant_M
 
 __all__ = [
     "SmoothingConfig",
-    "GradientEstimate",
     "BiasVarianceReport",
     "hadamard_weight",
     "grad_estimate_from_draws",
-    "grad_estimate",
     "smoothed_value_mc",
     "smoothed_gradient_reference",
     "measure_bias_variance",
@@ -63,13 +61,6 @@ class SmoothingConfig:
         if not (self.n >= 1 and float(self.n).is_integer()):
             raise ParameterError(f"batch size must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-
-
-@dataclass(frozen=True)
-class GradientEstimate:
-    value: np.ndarray
-    draws_used: int
-    function_evals: int
 
 
 @dataclass(frozen=True)
@@ -157,21 +148,6 @@ def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
     return np.mean(coef[..., None] * w, axis=-2)
 
 
-def grad_estimate(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,
-                  rng: np.random.Generator) -> GradientEstimate:
-    """Black-box gradient estimate from n fresh N_p draws; n + 1 evaluations."""
-    x = _as_point(x, cfg)
-    xi = sample_pgg(cfg.pgg, rng, size=cfg.n)
-    coef, w = _two_point(pot, cfg.mu, cfg.pgg.p, x, xi)
-    finite = np.isfinite(coef)
-    if not finite.all():
-        # blame x itself when its own value is the non-finite one
-        bad = x if not np.isfinite(pot.value(x)) else x + cfg.mu * xi[int(np.argmin(finite))]
-        raise EvaluationError("potential evaluated to a non-finite value", point=bad)
-    value = np.mean(coef[:, None] * w, axis=0)
-    return GradientEstimate(value=value, draws_used=cfg.n, function_evals=cfg.n + 1)
-
-
 def smoothed_value_mc(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,
                       m: int, rng: np.random.Generator):
     """Monte Carlo estimate (1/m) sum U_bar(x + mu*xi_i) of U_bar_mu(x), and its SE.
@@ -216,19 +192,15 @@ def smoothed_gradient_reference(pot: RegularizedPotential, cfg: SmoothingConfig,
 
 def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,
                           trials: int, rng: np.random.Generator,
-                          reference_draws: int | None = None,
-                          reference: tuple[np.ndarray, np.ndarray] | None = None,
-                          ) -> BiasVarianceReport:
+                          reference: tuple[np.ndarray, np.ndarray]) -> BiasVarianceReport:
     """Empirical bias and variance of the estimator at x over independent trials.
 
-    The reference gradient is ``reference`` when given, a ``(ref, ref_var)``
-    pair from ``smoothed_gradient_reference`` at the same potential, mu, p
-    and x; then no reference draws are taken, so a sweep over n at one point
-    computes it once.  Otherwise ``smoothed_gradient_reference`` is called
-    with ``reference_draws`` draws, taken after the trials (default
-    100 * trials so the reference error is negligible against the quantities
-    being certified).  Standard errors accompany both empirical
-    statistics; stochastic assertions downstream use 4 standard errors.
+    ``reference`` is the ``(ref, ref_var)`` pair of shape-(d,) arrays that
+    ``smoothed_gradient_reference`` gives at the same potential, mu, p and
+    x, from about 100 * trials draws so its error stays negligible.  It does
+    not depend on the batch size, so a sweep over n at one point computes it
+    once; rng serves only the trials.  Standard errors accompany both
+    empirical statistics; stochastic assertions downstream use 4 of them.
 
     The trials are estimated in cache-sized blocks of rows of the one
     ``(trials, n, d)`` draw block, and the statistics reduce over all trials
@@ -240,16 +212,16 @@ def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np
     x = _as_point(x, cfg)
     d = cfg.pgg.d
     p = cfg.pgg.p
+    ref, ref_var = reference
+    if np.shape(ref) != (d,) or np.shape(ref_var) != (d,):
+        raise ParameterError(f"reference pair has shapes {np.shape(ref)} and "
+                             f"{np.shape(ref_var)}, expected ({d},) each")
 
     xi = sample_pgg(cfg.pgg, rng, size=(trials, cfg.n))
     # (trials, d)
     g = _by_row_blocks(lambda block: grad_estimate_from_draws(pot, cfg.mu, p, x, block), xi)
     gbar = g.mean(axis=0)
     gvar = g.var(axis=0, ddof=1)  # per-coordinate
-
-    m = int(reference_draws) if reference_draws is not None else 100 * trials
-    ref, ref_var = (reference if reference is not None
-                    else smoothed_gradient_reference(pot, cfg, x, m, rng))
 
     bias_vec = gbar - ref
     var_b = gvar / trials + ref_var

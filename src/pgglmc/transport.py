@@ -1,12 +1,13 @@
 """Empirical 2-Wasserstein distances between equal-weight sample sets.
 
-All estimates are between empirical measures; callers should report N so
-finite-sample bias stays interpretable.  Exact mode solves the optimal
-assignment on the squared-Euclidean cost matrix (cubic time, capped at
-N = 2048); at d = 1 the sorted matching is the same optimum.  Larger sets
-are subsampled to the cap, as ``pgglmc sample`` does, rather than replaced
-by a sliced surrogate: every 1-D projection is 1-Lipschitz, so sliced W2 is
-at most W2 and cannot certify that a measured distance lies below a bound.
+Both sets of a comparison have the same size N; a caller with a larger set
+subsamples it first, and should report N so finite-sample bias stays
+interpretable.  Exact mode solves the optimal assignment on the
+squared-Euclidean cost matrix (cubic time, capped at N = 2048); at d = 1 the
+sorted matching is the same optimum.  Larger sets are subsampled to the cap,
+as ``pgglmc sample`` does, rather than replaced by a sliced surrogate: every
+1-D projection is 1-Lipschitz, so sliced W2 is at most W2 and cannot certify
+that a measured distance lies below a bound.
 """
 
 from __future__ import annotations
@@ -71,33 +72,19 @@ def w2_exact_1d(a, b) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def w2_exact_assignment(a, b, rng: np.random.Generator | None = None) -> float:
-    """Exact optimal-assignment W2 between equal-size sample sets, N <= 2048.
-
-    Unequal sizes are resampled down to the smaller size without replacement,
-    which requires a seeded stream (keeps the problem an assignment rather
-    than general transport).
-    """
+def w2_exact_assignment(a, b) -> float:
+    """Exact optimal-assignment W2 between equal-size sample sets, N <= 2048."""
     a, b = _as_samples(a), _as_samples(b)
     if a.d != b.d:
         raise ParameterError(f"dimensions differ: {a.d} vs {b.d}")
-    pa, pb = a.points, b.points
     if a.n != b.n:
-        if rng is None:
-            raise ParameterError(
-                f"sample sizes differ ({a.n} vs {b.n}); pass rng to subsample the larger set"
-            )
-        m = min(a.n, b.n)
-        if a.n > m:
-            pa = pa[rng.choice(a.n, size=m, replace=False)]
-        if b.n > m:
-            pb = pb[rng.choice(b.n, size=m, replace=False)]
-    if pa.shape[0] > ASSIGNMENT_CAP:
+        raise ParameterError(f"sample sizes differ: {a.n} vs {b.n}")
+    if a.n > ASSIGNMENT_CAP:
         raise ParameterError(
-            f"N = {pa.shape[0]} exceeds the exact-assignment cap {ASSIGNMENT_CAP}; "
+            f"N = {a.n} exceeds the exact-assignment cap {ASSIGNMENT_CAP}; "
             f"subsample the sets to at most {ASSIGNMENT_CAP} points"
         )
-    cost = cdist(pa, pb, metric="sqeuclidean")
+    cost = cdist(a.points, b.points, metric="sqeuclidean")
     if not np.isfinite(cost).all():
         raise ParameterError("squared distances between the sample sets overflow a float")
     rows, cols = linear_sum_assignment(cost)

@@ -146,6 +146,22 @@ class TestConfigParsing:
         cap = max_step_size(pot, cfg.mu, cfg.p)
         assert cfg.resolve_eta(pot) == pytest.approx(0.9 * cap, rel=1e-12)
 
+    @pytest.mark.parametrize("key", ["thinning", "resamples"])
+    @pytest.mark.parametrize("value", [True, "2", 0, 2.5])
+    def test_report_counts_are_positive_integers(self, key, value):
+        doc = base_doc()
+        doc["report"][key] = value
+        with pytest.raises(ConfigError, match=f"report.{key}"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_integral_float_report_counts_accepted(self):
+        # the integer rule of lmc.steps, lmc.chains, potential.d and smoothing.n
+        doc = base_doc()
+        doc["report"].update(thinning=2.0, resamples=2.0)
+        report = ExperimentConfig.from_dict(doc).report
+        assert (report.thinning, report.resamples) == (2, 2)
+        assert type(report.thinning) is int and type(report.resamples) is int
+
     def test_json_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"potential": }', encoding="utf-8")
@@ -370,6 +386,37 @@ class TestCliExitCodes:
             assert not out.exists()
 
 
+    @pytest.mark.parametrize("key", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "sub/", "sub/..", "a\0b"])
+    def test_report_name_that_is_no_file_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                    key, name):
+        # "csv": "" used to exit 1 with FileExistsError, "json": "" with
+        # IsADirectoryError after the CSV was written
+        doc = base_doc()
+        doc["report"][key] = name
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main(["sample", "--config", cfg_path, "--out", str(out)])
+        self.assert_config_error(code, capsys, f"report.{key}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("csv, json_name", [
+        ("report.json", "report.json"), ("./out.txt", "out.txt"), ("sub", "sub/report.json"),
+        ("sub/samples.csv", "sub"),
+    ])
+    def test_report_names_that_collide_exit_2_and_write_nothing(self, tmp_path, capsys,
+                                                                csv, json_name):
+        # the same name for both used to exit 0, the JSON report silently
+        # overwriting the CSV of states
+        doc = base_doc()
+        doc["report"].update(csv=csv, json=json_name)
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main(["sample", "--config", cfg_path, "--out", str(out)])
+        self.assert_config_error(code, capsys, "separate files")
+        assert not out.exists()
+
+
 # Config documents for the exit-code fuzz test: valid documents at tiny sizes,
 # then a few leaves replaced by out-of-range or extreme floats, wrong types or
 # init points of the wrong length.  Sizes stay tiny whatever the mutation, so
@@ -386,6 +433,14 @@ _PARAMS = {
 _LEAVES = (
     ("potential", "name"), ("potential", "lambda"), ("potential", "params"),
     ("smoothing", "mu"), ("smoothing", "p"), ("lmc", "eta"), ("lmc", "seed"), ("lmc", "init"),
+)
+# report file names are drawn from a fixed list, so no example writes outside
+# its temporary directory
+_NAME_LEAVES = (("report", "csv"), ("report", "json"))
+_BAD_NAMES = st.one_of(
+    st.sampled_from(["", ".", "..", "/", "sub/", "sub/..", "a\0b", "sub", "sub/x.json",
+                     "samples.csv", "report.json", "./report.json"]),
+    st.none(), st.booleans(), st.integers(-3, 4), st.just({}),
 )
 # sizes never get a large integral value, which would be a valid but huge run
 _SIZE_LEAVES = (
@@ -446,8 +501,11 @@ _BAD_VALUES = st.one_of(
 @st.composite
 def config_documents(draw):
     doc = draw(_valid_documents())
-    for section, key in draw(st.lists(st.sampled_from(_LEAVES + _SIZE_LEAVES), max_size=3)):
-        doc[section][key] = draw(_BAD_SIZES if (section, key) in _SIZE_LEAVES else _BAD_VALUES)
+    leaves = _LEAVES + _SIZE_LEAVES + _NAME_LEAVES
+    for section, key in draw(st.lists(st.sampled_from(leaves), max_size=3)):
+        doc[section][key] = draw(_BAD_SIZES if (section, key) in _SIZE_LEAVES
+                                 else _BAD_NAMES if (section, key) in _NAME_LEAVES
+                                 else _BAD_VALUES)
     return doc
 
 
@@ -466,5 +524,7 @@ class TestCliExitCodeFuzz:
     @given(doc=config_documents())
     @example(doc=overflow_doc(*_OVERFLOWS[0]))
     @example(doc=overflow_doc(*_OVERFLOWS[1]))
+    @example(doc=base_doc(report={"csv": ""}))
+    @example(doc=base_doc(report={"json": ""}))
     def test_exit_code_is_documented(self, doc):
         _run_both_commands(doc)

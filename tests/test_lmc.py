@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgglmc import (
-    DivergenceError,
     InitSpec,
     LmcConfig,
     ParameterError,
@@ -20,47 +19,55 @@ from pgglmc import (
     grad_estimate_from_draws,
     initial_w2,
     lemma3_w2_bound,
-    lmc_step,
     max_step_size,
     regularize,
     run_chain,
     sample_pgg,
     theorem1_bound,
 )
-
-
-class ZeroNoise:
-    """rng stand-in whose injected noise is identically zero."""
-
-    def standard_normal(self, shape=None):
-        return np.zeros(shape if shape is not None else ())
+from pgglmc import lmc
 
 
 def quadratic_target(d):
     return regularize(get_potential("zero", d), 1.0)
 
 
+def one_step(pot, scfg, x, eta, seed=0, exact_gradient=False):
+    """One run_chain step of one chain from the point x."""
+    lcfg = LmcConfig(eta=eta, steps=1, chains=1, init=InitSpec(kind="point", point=x),
+                     seed=seed)
+    return run_chain(pot, scfg, lcfg, exact_gradient=exact_gradient)
+
+
+def chain_stream(seed):
+    """The generator run_chain gives chain 0 of a run with this master seed."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+
+
 class TestLmcStep:
+    """One chain step is run_chain with a point init, steps=1 and chains=1."""
+
     def test_pure_diffusion(self):
         # flat total potential: one step is x + sqrt(2 eta) * zeta; replicate
-        # the exact draws with a second generator
+        # the exact draws from the chain's own stream
         base = get_potential("zero", 2)
         pot = regularize(base, 1e-12)
         cfg = SmoothingConfig(mu=0.1, n=3, pgg=PggSpec(1.5, 2))
         x = np.array([1.0, -1.0])
-        out = lmc_step(pot, cfg, x, 0.5, np.random.default_rng(21))
-        rng = np.random.default_rng(21)
+        out = one_step(pot, cfg, x, 0.5, seed=21).final_states[0]
+        rng = chain_stream(21)
         g_draws = sample_pgg(cfg.pgg, rng, size=3)
-        from pgglmc import grad_estimate_from_draws
         g = grad_estimate_from_draws(pot, 0.1, 1.5, x, g_draws)
         expected = x - 0.5 * g + math.sqrt(1.0) * rng.standard_normal(2)
         assert np.array_equal(out, expected)
 
     def test_deterministic_contraction(self):
+        # the chain step with the exact gradient and zero injected noise
         pot = quadratic_target(1)
         cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
-        out = lmc_step(pot, cfg, np.array([1.0]), 0.1, ZeroNoise(), exact_gradient=True)
-        assert out == pytest.approx([0.9], rel=1e-15)
+        cand, bad = lmc._step(pot, cfg, 0.1, np.array([[1.0]]), None, np.zeros((1, 1)))
+        assert cand[0] == pytest.approx([0.9], rel=1e-15)
+        assert not bad[0]
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_one_step_moments_from_origin(self, p):
@@ -77,55 +84,53 @@ class TestLmcStep:
         var_se = var * math.sqrt(2.0 / (chains - 1))
         assert abs(var - 2 * eta) <= 4 * var_se + 1e-4
 
-    def test_divergence_raises(self):
+    def test_divergence_is_marked_at_step_one(self):
+        # the chain keeps its last finite state, here the init
         pot = quadratic_target(1)
         cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
-        with pytest.raises(DivergenceError) as err:
-            lmc_step(pot, cfg, np.array([1e9]), 0.1, ZeroNoise(), exact_gradient=True)
-        assert err.value.state_norm > 1e8
+        res = one_step(pot, cfg, np.array([1e9]), 0.1, exact_gradient=True)
+        assert res.diverged.tolist() == [True]
+        assert res.divergence_step.tolist() == [1]
+        assert res.final_states.tolist() == [[1e9]]
 
     def test_eta_validated(self):
-        pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
         with pytest.raises(ParameterError):
-            lmc_step(pot, cfg, np.zeros(1), 0.0, np.random.default_rng(0))
+            LmcConfig(eta=0.0, steps=1, chains=1, seed=0)
 
     def test_exact_mode_needs_closed_form(self):
         pot = regularize(get_potential("l1", 2), 1.0)
         cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 2))
-        with pytest.raises(ParameterError):
-            lmc_step(pot, cfg, np.zeros(2), 0.01, np.random.default_rng(0),
-                     exact_gradient=True)
+        with pytest.raises(ParameterError, match="exact smoothed gradient"):
+            one_step(pot, cfg, np.zeros(2), 0.01, exact_gradient=True)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_is_one_run_chain_step_bitwise(self, d, p):
-        # power rounds differently at one point than inside a batch, so this
-        # only holds if lmc_step evaluates the same batch-of-one as run_chain
+        # the chain step on a batch of one, fed the chain's own draws in
+        # run_chain's order; power rounds differently at one point than
+        # inside a batch, so this only holds if run_chain's step-major copy
+        # hands _step exactly those draws
         pot = regularize(get_potential("power", d, alpha=0.5), 1.0)
         scfg = SmoothingConfig(mu=0.1, n=4, pgg=PggSpec(p, d))
         eta = 0.5 * max_step_size(pot, 0.1, p)
         points = np.random.default_rng(17).normal(scale=2.0, size=(100, d))
         for seed, x in enumerate(points):
-            child = np.random.SeedSequence(seed).spawn(1)[0]
-            out = lmc_step(pot, scfg, x, eta, np.random.Generator(np.random.PCG64(child)))
-            lcfg = LmcConfig(eta=eta, steps=1, chains=1,
-                             init=InitSpec(kind="point", point=x), seed=seed)
-            ref = run_chain(pot, scfg, lcfg).final_states[0]
-            assert np.array_equal(out, ref), (seed, out - ref)
+            rng = chain_stream(seed)
+            xi = sample_pgg(scfg.pgg, rng, size=(1, scfg.n))
+            cand, _ = lmc._step(pot, scfg, eta, x[None, :], xi, rng.standard_normal((1, d)))
+            ref = one_step(pot, scfg, x, eta, seed=seed).final_states[0]
+            assert np.array_equal(cand[0], ref), (seed, cand[0] - ref)
 
     def test_nonfinite_evaluation_is_a_divergence(self):
-        # a black box returning NaN is a divergence at step 1 for both drivers
+        # a black box returning NaN marks the chain diverged at step 1
         base = Potential(name="nan", d=2, L=1.0, alpha=1.0,
                          value=lambda x: np.full(np.shape(x)[:-1], np.nan))
         pot = regularize(base, 1.0)
         scfg = SmoothingConfig(mu=0.1, n=3, pgg=PggSpec(1.5, 2))
-        with pytest.raises(DivergenceError) as err:
-            lmc_step(pot, scfg, np.zeros(2), 0.05, np.random.default_rng(0))
-        assert err.value.step == 1
         res = run_chain(pot, scfg, LmcConfig(eta=0.05, steps=3, chains=1, seed=0))
         assert res.diverged.tolist() == [True]
         assert res.divergence_step.tolist() == [1]
+        assert res.final_states.tolist() == [[0.0, 0.0]]
 
 
 class TestRunChain:

@@ -1,13 +1,20 @@
 """The set of public names the package exports is pinned: adding or removing one is a
-deliberate API change that must update this list."""
+deliberate API change that must update this list.  The internal names that the
+benchmark's tracer wraps must stay importable too."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pgglmc
 
+ROOT = Path(__file__).resolve().parents[1]
+
 PUBLIC_NAMES = {
     # errors
-    "ConfigError", "DivergenceError", "EvaluationError", "ParameterError", "StepSizeError",
+    "ConfigError", "ParameterError", "StepSizeError",
     # pgg
     "PggSpec", "kappa", "log_density", "log_kappa", "pgg_norm_moment",
     "pgg_sq_norm_moment_bound", "sample_pgg",
@@ -16,17 +23,16 @@ PUBLIC_NAMES = {
     "lemma1_gap_bound", "lemma1_gap_envelope", "make_potential", "max_step_size",
     "perturbation_scale_a", "regularize", "smoothness_constant_M",
     # smoothing
-    "BiasVarianceReport", "GradientEstimate", "SmoothingConfig", "grad_estimate",
-    "grad_estimate_from_draws", "hadamard_weight", "measure_bias_variance",
-    "smoothed_gradient_reference", "smoothed_value_mc",
+    "BiasVarianceReport", "SmoothingConfig", "grad_estimate_from_draws", "hadamard_weight",
+    "measure_bias_variance", "smoothed_gradient_reference", "smoothed_value_mc",
     # lmc
     "ChainResult", "InitSpec", "Lemma3Bound", "LmcConfig", "TheoryBound", "bounds_table",
-    "check_step_size", "geometric_factor", "initial_w2", "lemma3_w2_bound", "lmc_step",
+    "check_step_size", "geometric_factor", "initial_w2", "lemma3_w2_bound",
     "outside_guard", "run_chain", "theorem1_bound",
     # transport
     "SampleSet", "W2GaussianResult", "w2_exact_1d", "w2_exact_assignment", "w2_to_gaussian",
     # config
-    "ExperimentConfig", "ReportConfig", "load_config",
+    "ExperimentConfig", "ReportConfig",
 }
 
 
@@ -35,3 +41,15 @@ def test_exported_names_are_pinned():
     exported = {name for name in dir(pgglmc) if not name.startswith("_")
                 and not isinstance(getattr(pgglmc, name), types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py wraps module-level names such as suites.sample_pgg and
+    # smoothing.grad_estimate_from_draws; a fresh process sees the package as
+    # the benchmark does
+    code = ("import sys; sys.path.insert(0, 'perfbench'); "
+            "from spans import Tracer; Tracer('t').install()")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

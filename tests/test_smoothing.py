@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgglmc import (
-    EvaluationError,
     ParameterError,
     PggSpec,
     SmoothingConfig,
     get_potential,
-    grad_estimate,
     grad_estimate_from_draws,
     hadamard_weight,
+    outside_guard,
     lemma1_gap_bound,
     lemma1_gap_envelope,
     measure_bias_variance,
@@ -99,28 +98,43 @@ class TestGradEstimate:
         assert np.array_equal(g, np.zeros(4))
 
     def test_rng_plumbing_and_budget(self):
+        # one estimate from n fresh draws costs n + 1 evaluations
         pot = quadratic_target(2)
         cfg = SmoothingConfig(mu=0.2, n=7, pgg=PggSpec(1.5, 2))
         x = np.array([0.5, 0.5])
-        est = grad_estimate(pot, cfg, x, np.random.default_rng(3))
-        assert est.draws_used == 7
-        assert est.function_evals == 8
-        xi = sample_pgg(cfg.pgg, np.random.default_rng(3), size=7)
-        assert np.array_equal(est.value, grad_estimate_from_draws(pot, 0.2, 1.5, x, xi))
+        points = []
+
+        def value(y):
+            points.append(np.size(y) // 2)
+            return pot.value(y)
+
+        counted = SimpleNamespace(value=value)
+        xi = sample_pgg(cfg.pgg, np.random.default_rng(3), size=cfg.n)
+        g = grad_estimate_from_draws(counted, 0.2, 1.5, x, xi)
+        assert sum(points) == cfg.n + 1
+        again = sample_pgg(cfg.pgg, np.random.default_rng(3), size=cfg.n)
+        assert np.array_equal(g, grad_estimate_from_draws(pot, 0.2, 1.5, x, again))
 
     def test_nonfinite_evaluation_reported(self):
+        # a non-finite black-box value makes the estimate non-finite, which
+        # the step guard reports as a divergence
         bad = SimpleNamespace(value=lambda x: np.where(
             np.sum(np.square(x), axis=-1) > 0.5, np.inf, 0.0))
         cfg = SmoothingConfig(mu=10.0, n=4, pgg=PggSpec(2.0, 2))
-        with pytest.raises(EvaluationError) as err:
-            grad_estimate(bad, cfg, np.zeros(2), np.random.default_rng(4))
-        assert err.value.point is not None
+        xi = sample_pgg(cfg.pgg, np.random.default_rng(4), size=cfg.n)
+        with np.errstate(invalid="ignore"):
+            g = grad_estimate_from_draws(bad, cfg.mu, 2.0, np.zeros(2), xi)
+        assert not np.isfinite(g).all()
+        assert outside_guard(-0.1 * g[None, :]).tolist() == [True]
 
     def test_dimension_mismatch(self):
+        # the estimator checks nothing itself; a point and draws of
+        # different dimensions do not broadcast
         pot = quadratic_target(2)
         cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 2))
-        with pytest.raises(ParameterError):
-            grad_estimate(pot, cfg, np.zeros(3), np.random.default_rng(0))
+        xi = sample_pgg(cfg.pgg, np.random.default_rng(0), size=cfg.n)
+        with pytest.raises(ValueError):
+            grad_estimate_from_draws(pot, cfg.mu, 2.0, np.zeros(3), xi)
 
 
 class TestSmoothedValue:
@@ -293,7 +307,9 @@ class TestBiasVariance:
         pot = quadratic_target(4)
         cfg = SmoothingConfig(mu=0.1, n=5, pgg=PggSpec(2.0, 4))
         x = np.array([0.5, -0.3, 0.8, 0.1])
-        rep = measure_bias_variance(pot, cfg, x, trials=4000, rng=np.random.default_rng(13))
+        reference = smoothed_gradient_reference(pot, cfg, x, 2, np.random.default_rng(0))
+        rep = measure_bias_variance(pot, cfg, x, trials=4000, rng=np.random.default_rng(13),
+                                    reference=reference)
         assert abs(rep.empirical_bias_norm_sq) <= 4 * rep.bias_se
         assert rep.empirical_bias_norm_sq <= rep.bias_bound + 4 * rep.bias_se
         assert rep.empirical_variance <= rep.variance_bound + 4 * rep.variance_se
@@ -307,7 +323,9 @@ class TestBiasVariance:
         reps = {}
         for n in (8, 16):
             cfg = SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(1.5, 2))
-            reps[n] = measure_bias_variance(pot, cfg, x, trials=6000, rng=rng)
+            reference = smoothed_gradient_reference(pot, cfg, x, 2, np.random.default_rng(0))
+            reps[n] = measure_bias_variance(pot, cfg, x, trials=6000, rng=rng,
+                                            reference=reference)
         ratio = reps[8].empirical_variance / reps[16].empirical_variance
         assert abs(ratio / 2.0 - 1.0) <= 0.2
 
@@ -329,8 +347,10 @@ class TestBiasVariance:
     def test_nonquadratic_uses_mc_reference(self):
         pot = regularize(get_potential("power", 2, alpha=0.5), 0.5)
         cfg = SmoothingConfig(mu=0.2, n=4, pgg=PggSpec(1.5, 2))
-        rep = measure_bias_variance(pot, cfg, np.array([0.7, -0.4]), trials=2000,
-                                    rng=np.random.default_rng(16), reference_draws=100_000)
+        x = np.array([0.7, -0.4])
+        reference = smoothed_gradient_reference(pot, cfg, x, 100_000, np.random.default_rng(116))
+        rep = measure_bias_variance(pot, cfg, x, trials=2000, rng=np.random.default_rng(16),
+                                    reference=reference)
         assert rep.empirical_bias_norm_sq <= rep.bias_bound + 4 * rep.bias_se
         assert rep.empirical_variance <= rep.variance_bound + 4 * rep.variance_se
 
@@ -339,24 +359,28 @@ class TestBiasVariance:
         cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
         with pytest.raises(ParameterError):
             measure_bias_variance(pot, cfg, np.zeros(1), trials=1,
-                                  rng=np.random.default_rng(0))
+                                  rng=np.random.default_rng(0),
+                                  reference=(np.zeros(1), np.zeros(1)))
 
     def test_point_dimension_checked(self):
         pot = quadratic_target(1)
         cfg = SmoothingConfig(mu=0.1, n=2, pgg=PggSpec(2.0, 1))
         with pytest.raises(ParameterError):
             measure_bias_variance(pot, cfg, np.zeros(3), trials=10,
-                                  rng=np.random.default_rng(0))
+                                  rng=np.random.default_rng(0),
+                                  reference=(np.zeros(1), np.zeros(1)))
 
-    @pytest.mark.parametrize("m", [0, 1])
-    def test_reference_draws_validated(self, m):
-        # m = 1 used to give a NaN bias and SE (ddof=1 on one draw), m = 0 a
-        # NaN reference gradient
-        pot = regularize(get_potential("power", 2, alpha=0.5), 0.5)
-        cfg = SmoothingConfig(mu=0.2, n=4, pgg=PggSpec(1.5, 2))
-        with pytest.raises(ParameterError):
-            measure_bias_variance(pot, cfg, np.zeros(2), trials=10,
-                                  rng=np.random.default_rng(0), reference_draws=m)
+    @pytest.mark.parametrize("wrong", ["ref", "ref_var"])
+    def test_reference_shape_validated(self, wrong):
+        # a d = 3 pair at d = 1 used to broadcast and return a report
+        pot = quadratic_target(1)
+        cfg = SmoothingConfig(mu=0.1, n=2, pgg=PggSpec(2.0, 1))
+        pair = {"ref": np.zeros(1), "ref_var": np.zeros(1)}
+        pair[wrong] = np.zeros(3)
+        with pytest.raises(ParameterError, match="reference"):
+            measure_bias_variance(pot, cfg, np.zeros(1), trials=10,
+                                  rng=np.random.default_rng(0),
+                                  reference=(pair["ref"], pair["ref_var"]))
 
 
 class TestSharedReference:
@@ -365,19 +389,19 @@ class TestSharedReference:
     x = np.array([0.7, -0.4, 0.2])
     trials = 300
 
-    def test_supplied_reference_matches_inline_bitwise(self):
-        inline = measure_bias_variance(self.pot, self.cfg, self.x, self.trials,
-                                       np.random.default_rng(17))
-        # the inline path draws its reference right after the trials block
-        rng = np.random.default_rng(17)
-        sample_pgg(self.cfg.pgg, rng, size=(self.trials, self.cfg.n))
-        reference = smoothed_gradient_reference(self.pot, self.cfg, self.x, 100 * self.trials,
-                                                rng)
+    def test_report_uses_the_supplied_pair(self):
+        reference = smoothed_gradient_reference(self.pot, self.cfg, self.x, 1000,
+                                                np.random.default_rng(18))
         shared = measure_bias_variance(self.pot, self.cfg, self.x, self.trials,
                                        np.random.default_rng(17), reference=reference)
+        # the reference's variance enters the bias noise floor as given
+        wider = measure_bias_variance(self.pot, self.cfg, self.x, self.trials,
+                                      np.random.default_rng(17),
+                                      reference=(reference[0], reference[1] + 0.25))
         assert shared.reference_gradient is reference[0]
-        for field in inline.__dataclass_fields__:
-            assert np.array_equal(getattr(shared, field), getattr(inline, field)), field
+        assert wider.empirical_bias_norm_sq == pytest.approx(
+            shared.empirical_bias_norm_sq - 0.25 * 3, abs=1e-12)
+        assert wider.empirical_variance == shared.empirical_variance
 
     def test_supplied_reference_draws_only_the_trials_block(self):
         reference = smoothed_gradient_reference(self.pot, self.cfg, self.x, 1000,
@@ -406,11 +430,14 @@ class TestRowBlocks:
         # reference rows
         trials = 3 * self.rows_per_block(self.cfg.n * 3 * 8) + 101
         m = 4 * self.rows_per_block(3 * 8) + 7
-        blocked = measure_bias_variance(self.pot, self.cfg, self.x, trials,
-                                        np.random.default_rng(21), reference_draws=m)
+        def report(rng):
+            reference = smoothed_gradient_reference(self.pot, self.cfg, self.x, m, rng)
+            return measure_bias_variance(self.pot, self.cfg, self.x, trials, rng,
+                                         reference=reference)
+
+        blocked = report(np.random.default_rng(21))
         monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1 << 40)
-        whole = measure_bias_variance(self.pot, self.cfg, self.x, trials,
-                                      np.random.default_rng(21), reference_draws=m)
+        whole = report(np.random.default_rng(21))
         for field in whole.__dataclass_fields__:
             assert np.array_equal(getattr(blocked, field), getattr(whole, field)), field
 

@@ -99,11 +99,11 @@ class TestExactAssignment:
         with pytest.raises(ParameterError, match="subsample"):
             w2_exact_assignment(big, big)
 
-    def test_unequal_sizes_need_rng(self):
+    def test_unequal_sizes_rejected(self):
+        # callers subsample the larger set themselves, as pgglmc sample does
         a, b = SampleSet(np.zeros((4, 1))), SampleSet(np.zeros((6, 1)))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="sizes differ"):
             w2_exact_assignment(a, b)
-        assert w2_exact_assignment(a, b, rng=np.random.default_rng(0)) == 0.0
 
     def test_translated_gaussian_sees_full_shift(self):
         # the same isotropic law shifted by c: W2 is ||c||, which a sliced
