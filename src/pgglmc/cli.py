@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a ``verify`` check failed, 2 config or usage
 problem (parse error, unknown key, unknown suite, bad --seed, --threads or
-$PGGLMC_THREADS, report file names that are not two separate files, a
+$PGGLMC_THREADS, report file names outside --out or not two separate files, a
 config whose bounds overflow a float), 3 a ``sample`` chain diverged (its
 state became non-finite, a non-finite black-box value included, or its norm
 passed 1e8), 4 theory-gate violation (step-size cap).

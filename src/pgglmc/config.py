@@ -152,6 +152,10 @@ class ExperimentConfig:
                 raise ConfigError(f"report.{key}: expected a string, got {name!r}")
             if os.path.basename(name) in ("", ".", "..") or "\0" in name:
                 raise ConfigError(f"report.{key}: expected a file name, got {name!r}")
+            # the reports are written inside --out, never next to or above it
+            if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == "..":
+                raise ConfigError(f"report.{key}: expected a relative path inside --out, "
+                                  f"got {name!r}")
         # the JSON report must neither overwrite the CSV nor need it as a directory
         csv, js = (os.path.normpath(name) for name in names.values())
         if csv == js or csv.startswith(js + os.sep) or js.startswith(csv + os.sep):

@@ -139,12 +139,22 @@ def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.nd
     return cand, outside_guard(cand)
 
 
-def _init_states(init: InitSpec, rngs, indices, d: int) -> np.ndarray:
+def _init_center(init: InitSpec, d: int) -> np.ndarray:
+    """The init point or mean broadcast to (d,); ParameterError naming the field otherwise."""
+    name = "point" if init.kind == "point" else "mean"
+    value = getattr(init, name)
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=float), (d,))
+    except (TypeError, ValueError):
+        raise ParameterError(f"init {name} must be a number or {d} numbers, "
+                             f"got {value!r}") from None
+
+
+def _init_states(init: InitSpec, center: np.ndarray, rngs, indices) -> np.ndarray:
     if init.kind == "point":
-        pt = np.broadcast_to(np.asarray(init.point, dtype=float), (d,))
-        return np.tile(pt, (len(indices), 1))
-    mean = np.broadcast_to(np.asarray(init.mean, dtype=float), (d,))
-    return np.stack([mean + init.scale * rngs[c].standard_normal(d) for c in indices])
+        return np.tile(center, (len(indices), 1))
+    return np.stack([center + init.scale * rngs[c].standard_normal(len(center))
+                     for c in indices])
 
 
 def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig, *,
@@ -172,6 +182,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         thin = max(1, steps // 1000)
     elif thin < 1:
         raise ParameterError(f"thinning must be >= 1, got {thin}")
+    center = _init_center(lcfg.init, d)
 
     children = np.random.SeedSequence(lcfg.seed).spawn(chains)
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in children]
@@ -187,7 +198,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     evals = np.zeros(1, dtype=np.int64)
 
     def advance(indices: np.ndarray) -> int:
-        x = _init_states(lcfg.init, rngs, indices, d)
+        x = _init_states(lcfg.init, center, rngs, indices)
         alive = np.ones(len(indices), dtype=bool)
         local_evals = 0
         # one smoothing block, then one noise block, per chain and chunk,
@@ -210,8 +221,8 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             m = min(chunk, steps - k)
             for i, c in enumerate(indices):
                 if xi is not None:
-                    xi[i, :m] = sample_pgg(scfg.pgg, rngs[c], size=(m, n))
-                noise[i, :m] = rngs[c].standard_normal((m, d))
+                    sample_pgg(scfg.pgg, rngs[c], size=(m, n), out=xi[i, :m])
+                rngs[c].standard_normal(out=noise[i, :m])
             # non-finite intermediates are expected on freshly diverged
             # chains; the step guard handles them
             with np.errstate(over="ignore", invalid="ignore"):
@@ -226,7 +237,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
                         div_step[indices[newly]] = step_no
                         diverged[indices[newly]] = True
                     alive &= ~bad
-                    x = np.where(alive[:, None], cand, x)
+                    np.copyto(x, cand, where=alive[:, None])
                     if traj is not None and step_no % thin == 0:
                         traj[indices, step_no // thin - 1] = x
             k += m
@@ -398,13 +409,10 @@ def initial_w2(pot: RegularizedPotential, init: InitSpec) -> float:
     the symmetric minimizer plus the d/lam second-moment envelope.
     """
     d = pot.d
-    if init.kind == "point":
-        center, spread = init.point, 0.0
-    else:
-        center, spread = init.mean, float(init.scale)
+    spread = 0.0 if init.kind == "point" else float(init.scale)
     # hypot of the center's coordinates and the spread term: the root of the
     # sum of squares, without overflowing where the squares would
-    center = np.broadcast_to(np.asarray(center, dtype=float), (d,)).tolist()
+    center = _init_center(init, d).tolist()
     if pot.has_exact_smoothing:
         sigma = math.sqrt(pot.target_variance)
         return math.hypot(*center, math.sqrt(d) * (spread - sigma))

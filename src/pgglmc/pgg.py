@@ -48,26 +48,32 @@ class PggSpec:
         object.__setattr__(self, "d", int(self.d))
 
 
-def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None) -> np.ndarray:
+def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None, *,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Draw exact samples from N_p(0, I_d).
 
     Per coordinate, by p:
 
     - p = 2: one ``standard_normal`` block; N_2 is N(0, 1).
-    - p = 1: E1 - E2 with two ``standard_exponential`` blocks, E1 first;
-      the difference of two independent Exponential(1) draws is Laplace(1).
+    - p = 1: X = log((1 - U1) / (1 - U2)) with two ``random`` blocks, U1
+      first.  Each 1 - U lies in (0, 1], so X is finite (|X| <= 53 ln 2), and
+      each -log(1 - U) is Exponential(1) by the inverse CDF, so X, their
+      difference, is Laplace(1).
     - 1 < p < 2: G ~ Gamma(shape=1 + 1/p, scale=p), then V ~ Uniform(-1, 1),
       X = V * G^(1/p).  R = G^(1/p) has density proportional to
       r^p exp(-r^p / p), so X has density proportional to
       integral_{r > |x|} r^(p-1) exp(-r^p / p) dr = exp(-|x|^p / p); the
       uniform also carries the sign.  The shape exceeds 1, so numpy takes its
-      fast Marsaglia-Tsang Gamma path.
+      fast Marsaglia-Tsang Gamma path; G is drawn as p * standard_gamma,
+      bitwise numpy's ``gamma(1 + 1/p, p)``.
 
     Returns shape ``size + (d,)``; a bare ``(d,)`` vector when size is None.
-    Each call consumes whole blocks of ``size + (d,)`` draws in the order
-    above, so outputs are a deterministic function of (generator state,
-    size); splitting one call into several interleaves the blocks differently
-    and is NOT stream-equivalent.
+    With ``out``, a C-contiguous float64 array of exactly that shape, the
+    draws are written into it and it is returned; its values equal those of
+    the allocating call bitwise.  Each call consumes whole blocks of
+    ``size + (d,)`` draws in the order above, so outputs are a deterministic
+    function of (generator state, size); splitting one call into several
+    interleaves the blocks differently and is NOT stream-equivalent.
     """
     if size is None:
         shape = (spec.d,)
@@ -75,17 +81,25 @@ def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None) -> np.ndarray
         shape = (int(size), spec.d)
     else:
         shape = tuple(int(s) for s in size) + (spec.d,)
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape
+              and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ParameterError(f"out must be a C-contiguous float64 array of shape {shape}")
     p = spec.p
     if p == 2.0:
-        return rng.standard_normal(shape)
+        return rng.standard_normal(out=out)
     if p == 1.0:
-        x = rng.standard_exponential(shape)
-        x -= rng.standard_exponential(shape)
-        return x
-    x = rng.gamma(1.0 + 1.0 / p, p, size=shape)
-    np.power(x, 1.0 / p, out=x)
-    x *= rng.uniform(-1.0, 1.0, size=shape)
-    return x
+        rng.random(out=out)
+        u2 = rng.random(shape)
+        np.subtract(1.0, out, out=out)
+        out /= np.subtract(1.0, u2, out=u2)
+        return np.log(out, out=out)
+    rng.standard_gamma(1.0 + 1.0 / p, out=out)
+    out *= p
+    np.power(out, 1.0 / p, out=out)
+    out *= rng.uniform(-1.0, 1.0, size=shape)
+    return out
 
 
 def log_kappa(spec: PggSpec) -> float:

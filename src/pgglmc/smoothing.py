@@ -131,10 +131,18 @@ def _two_point(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
     """The summand's factors (U_bar(x + mu*xi) - U_bar(x)) / mu, shape (..., m), and w(xi).
 
     xi has shape (..., m, d) against x of shape (..., d); callers reduce.
+    The points and coefficients are built in place where x broadcasts into
+    the draws' shape; the arithmetic is that of (U(x + mu*xi) - U(x)) / mu.
     """
     base = pot.value(x)
-    vals = pot.value(x[..., None, :] + mu * xi)
-    return (vals - np.expand_dims(base, -1)) / mu, hadamard_weight(xi, p)
+    y = mu * xi
+    fits = np.broadcast_shapes(y.shape, x[..., None, :].shape) == y.shape
+    y = np.add(y, x[..., None, :], out=y if fits else None)
+    coef = pot.value(y)
+    coef -= np.expand_dims(base, -1)
+    coef /= mu
+    # once evaluated the points are dead, so at p = 1 their buffer takes w
+    return coef, np.sign(xi, out=y) if p == 1.0 and fits else hadamard_weight(xi, p)
 
 
 def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
@@ -143,9 +151,17 @@ def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
 
     Leading axes broadcast, so a (trials, n, d) block of draws against a
     single point yields (trials, d) independent estimates in one call.
+    The summands overwrite the Hadamard weight when it is a fresh array of
+    the draws' shape (p < 2); the draw-axis sum over n is bitwise np.mean.
+    The black box must not keep the points it is passed: their buffer is reused.
     """
-    coef, w = _two_point(pot, mu, p, np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
-    return np.mean(coef[..., None] * w, axis=-2)
+    xi = np.asarray(xi, dtype=float)
+    coef, w = _two_point(pot, mu, p, np.asarray(x, dtype=float), xi)
+    if w is xi or coef.shape != xi.shape[:-1]:
+        w = coef[..., None] * w
+    else:
+        w *= coef[..., None]
+    return np.add.reduce(w, axis=-2) / xi.shape[-2]
 
 
 def smoothed_value_mc(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,

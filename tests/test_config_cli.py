@@ -232,8 +232,11 @@ class TestCliSample:
         b = (tmp_path / "b" / "samples.csv").read_bytes()
         assert a != b
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path):
-        cfg_path = write_config(tmp_path, base_doc())
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_byte_identical_across_runs_and_threads(self, tmp_path, p):
+        doc = base_doc()
+        doc["smoothing"]["p"] = p
+        cfg_path = write_config(tmp_path, doc)
         outs = []
         for sub, threads in (("r1", "1"), ("r2", "1"), ("r3", "3")):
             main(["sample", "--config", cfg_path, "--out", str(tmp_path / sub),
@@ -400,6 +403,23 @@ class TestCliExitCodes:
         self.assert_config_error(code, capsys, f"report.{key}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["ABS", "../escaped.txt", "sub/../../escaped.txt"])
+    def test_report_name_outside_out_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                 key, name):
+        # an absolute name used to exit 0 after writing that file outside --out
+        if name == "ABS":
+            name = str(tmp_path / "elsewhere" / "escaped.txt")
+        doc = base_doc()
+        doc["report"][key] = name
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main(["sample", "--config", cfg_path, "--out", str(out)])
+        self.assert_config_error(code, capsys, f"report.{key}")
+        assert not out.exists()
+        assert not (tmp_path / "escaped.txt").exists()
+        assert not (tmp_path / "elsewhere").exists()
+
     @pytest.mark.parametrize("csv, json_name", [
         ("report.json", "report.json"), ("./out.txt", "out.txt"), ("sub", "sub/report.json"),
         ("sub/samples.csv", "sub"),
@@ -434,12 +454,14 @@ _LEAVES = (
     ("potential", "name"), ("potential", "lambda"), ("potential", "params"),
     ("smoothing", "mu"), ("smoothing", "p"), ("lmc", "eta"), ("lmc", "seed"), ("lmc", "init"),
 )
-# report file names are drawn from a fixed list, so no example writes outside
-# its temporary directory
+# report file names are drawn from a fixed list; the ones that escape --out
+# stay inside the system's temporary directory, should they ever be written
 _NAME_LEAVES = (("report", "csv"), ("report", "json"))
+_ESCAPING_NAME = os.path.join(tempfile.gettempdir(), "pgglmc-fuzz", "escaped.txt")
 _BAD_NAMES = st.one_of(
     st.sampled_from(["", ".", "..", "/", "sub/", "sub/..", "a\0b", "sub", "sub/x.json",
-                     "samples.csv", "report.json", "./report.json"]),
+                     "samples.csv", "report.json", "./report.json", "../escaped.txt",
+                     "sub/../../escaped.txt", _ESCAPING_NAME]),
     st.none(), st.booleans(), st.integers(-3, 4), st.just({}),
 )
 # sizes never get a large integral value, which would be a valid but huge run

@@ -198,6 +198,21 @@ class TestRunChain:
         with pytest.raises(ParameterError):
             run_chain(pot, scfg, LmcConfig(eta=0.01, steps=1, chains=1, seed=0))
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("init", [
+        InitSpec(kind="point", point=[0.0, 0.0, 0.0]),
+        InitSpec(kind="gaussian", mean=[[1.0, 2.0]], scale=0.5),
+        InitSpec(kind="point", point="origin"),
+    ], ids=["point", "mean", "text"])
+    def test_init_shape_validated(self, init, threads):
+        # a point or mean that is not a number or d numbers used to raise
+        # numpy's broadcast ValueError, on a worker thread when threads > 1
+        pot, scfg, _ = self._setup(d=2)
+        lcfg = LmcConfig(eta=0.05, steps=2, chains=4, init=init, seed=0)
+        name = "point" if init.kind == "point" else "mean"
+        with pytest.raises(ParameterError, match=f"init {name}"):
+            run_chain(pot, scfg, lcfg, threads=threads)
+
     def test_trajectory_thinning(self):
         pot, scfg, lcfg = self._setup(steps=100, chains=3)
         res = run_chain(pot, scfg, lcfg, store_trajectory=True, thin=10)

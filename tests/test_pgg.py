@@ -132,12 +132,33 @@ class TestSampling:
         assert np.array_equal(got, v * g ** (1 / 1.5))
 
     def test_laplace_recipe_structure(self):
-        # p = 1: E1 - E2 from two standard_exponential blocks, E1 first
+        # p = 1: log((1 - U1) / (1 - U2)) from two random blocks, U1 first
         got = sample_pgg(PggSpec(1.0, 2), np.random.default_rng(7), size=5)
         rng = np.random.default_rng(7)
-        e1 = rng.standard_exponential((5, 2))
-        e2 = rng.standard_exponential((5, 2))
-        assert np.array_equal(got, e1 - e2)
+        u1 = rng.random((5, 2))
+        u2 = rng.random((5, 2))
+        assert np.array_equal(got, np.log((1.0 - u1) / (1.0 - u2)))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("size", [None, 4, (3, 5)])
+    def test_out_is_filled_bitwise(self, p, size):
+        spec = PggSpec(p, 3)
+        ref_rng = np.random.default_rng(11)
+        want = sample_pgg(spec, ref_rng, size=size)
+        buf = np.full(want.shape, np.nan)
+        rng = np.random.default_rng(11)
+        got = sample_pgg(spec, rng, size=size, out=buf)
+        assert got is buf and np.array_equal(buf, want)
+        # the generator is left where the allocating call leaves it
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("out", [
+        np.empty((4, 2)), np.empty((4, 3), dtype=np.float32), np.empty((3, 4)).T,
+        np.empty((4, 6))[:, ::2], [[0.0] * 3] * 4,
+    ], ids=["shape", "dtype", "fortran", "strided", "list"])
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(ParameterError, match="out"):
+            sample_pgg(PggSpec(1.5, 3), np.random.default_rng(0), size=4, out=out)
 
     def test_gaussian_recipe_structure(self):
         # p = 2: one standard_normal block

@@ -91,6 +91,28 @@ class TestGradEstimate:
         manual = (pot.value(x + mu * xi[0]) - pot.value(x)) / mu * xi[0]
         assert np.array_equal(grad_estimate_from_draws(pot, mu, 2.0, x, xi), manual)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("layout", ["step_major", "contiguous", "one_point", "shared_draws"])
+    def test_matches_mean_of_summands_bitwise(self, p, layout, d):
+        # the in-place kernel against the summand written out and np.mean,
+        # on the step-major view run_chain passes and on the other broadcasts;
+        # at d = 1 the draw-axis sum order depends on the memory layout
+        pot = regularize(get_potential("l1", d), 0.5)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, d))
+        xi = sample_pgg(PggSpec(p, d), rng, size=(40, 6)).transpose(1, 0, 2)
+        if layout == "contiguous":
+            xi = np.ascontiguousarray(xi)
+        elif layout == "one_point":
+            x = x[0]
+        elif layout == "shared_draws":
+            xi = xi[0]
+        mu = 0.2
+        coef = (pot.value(x[..., None, :] + mu * xi) - pot.value(x)[..., None]) / mu
+        want = np.mean(coef[..., None] * hadamard_weight(xi, p), axis=-2)
+        assert np.array_equal(grad_estimate_from_draws(pot, mu, p, x, xi), want)
+
     def test_constant_potential_gives_zero(self):
         flat = SimpleNamespace(value=lambda x: np.full(np.shape(x)[:-1], 3.7))
         xi = np.random.default_rng(2).normal(size=(50, 4))
