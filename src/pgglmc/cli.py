@@ -30,7 +30,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, ParameterError, StepSizeError
 from .lmc import bounds_table, outside_guard, run_chain
 from .suites import SUITE_NAMES, run_suites
-from .transport import ASSIGNMENT_CAP, SampleSet, w2_to_gaussian
+from .transport import w2_to_gaussian
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +82,7 @@ def cmd_sample(args) -> int:
     bounds = bounds_table(pot, scfg, lcfg)
 
     t0 = time.perf_counter()
-    res = run_chain(pot, scfg, lcfg, thin=cfg.resolve_thinning(), threads=args.threads)
+    res = run_chain(pot, scfg, lcfg, threads=args.threads)
     runtime = time.perf_counter() - t0
 
     csv_path = out_dir / cfg.report.csv
@@ -110,20 +110,14 @@ def cmd_sample(args) -> int:
     elif known and outside_guard(finals).any():
         metrics["empirical_w2_to_target_skipped"] = "a final state lies beyond the step guard"
     elif known:
-        pts = finals
-        sub_note = ""
-        if pts.shape[0] > ASSIGNMENT_CAP:
-            sel = np.random.default_rng(lcfg.seed).choice(pts.shape[0], ASSIGNMENT_CAP,
-                                                          replace=False)
-            pts = pts[sel]
-            sub_note = f" (subsampled to {ASSIGNMENT_CAP})"
-        w2 = w2_to_gaussian(SampleSet(pts), pot.target_variance,
+        w2 = w2_to_gaussian(finals, pot.target_variance,
                             resamples=cfg.report.resamples,
                             rng=np.random.default_rng(lcfg.seed + 1))
         metrics["empirical_w2_to_target"] = {
             "mean": w2.mean, "std": w2.std, "values": w2.values,
-            "n": pts.shape[0], "resamples": cfg.report.resamples,
-            "note": "exact W2 against the known Gaussian target" + sub_note,
+            "n": w2.n, "resamples": cfg.report.resamples,
+            "note": "exact W2 against the known Gaussian target"
+                    + (f" (subsampled to {w2.n})" if w2.n < lcfg.chains else ""),
         }
 
     report = {
@@ -132,7 +126,7 @@ def cmd_sample(args) -> int:
         "command": "sample",
         "config": cfg.echo(),
         "resolved": {"eta": lcfg.eta, "seed": lcfg.seed, "threads": args.threads,
-                     "thin": res.thin, "eta_cap": bounds["max_step_size"]},
+                     "thin": cfg.resolve_thinning(), "eta_cap": bounds["max_step_size"]},
         "metrics": metrics,
         "bounds": bounds,
     }

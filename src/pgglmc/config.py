@@ -219,8 +219,11 @@ class ExperimentConfig:
         return LmcConfig(eta=self.resolve_eta(pot), steps=self.steps, chains=self.chains,
                          init=self.init, seed=self.seed if seed_override is None else seed_override)
 
-    def resolve_thinning(self) -> int | None:
-        return None if self.report.thinning == "auto" else int(self.report.thinning)
+    def resolve_thinning(self) -> int:
+        """The thinning as an int; "auto" keeps at most ~1000 states per chain."""
+        if self.report.thinning == "auto":
+            return max(1, self.steps // 1000)
+        return int(self.report.thinning)
 
     def echo(self) -> dict:
         """Lossless round-trip of every input parameter, in schema shape."""

@@ -21,7 +21,8 @@ iteration, never reused across steps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -103,9 +104,12 @@ class ChainResult:
     trajectory: Optional[np.ndarray]    # (chains, slots, d) thinned, or None
     trajectory_steps: Optional[np.ndarray]
     evals_total: int
-    diverged: np.ndarray                # (chains,) bool
     divergence_step: np.ndarray         # (chains,) int, -1 where healthy
-    thin: int                           # trajectory thinning actually used
+
+    @property
+    def diverged(self) -> np.ndarray:
+        """(chains,) bool: the chains the step guard stopped."""
+        return self.divergence_step >= 0
 
 
 def check_step_size(pot: RegularizedPotential, mu: float, p: float, eta: float) -> float:
@@ -158,8 +162,8 @@ def _init_states(init: InitSpec, center: np.ndarray, rngs, indices) -> np.ndarra
 
 
 def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig, *,
-              exact_gradient: bool = False, store_trajectory: bool = False,
-              thin: Optional[int] = None, threads: int = 1) -> ChainResult:
+              exact_gradient: bool = False, thin: Optional[int] = None,
+              threads: int = 1) -> ChainResult:
     """Run independent chains; deterministic given (seed, chain index).
 
     Divergence (a non-finite state, a non-finite black-box value included,
@@ -167,8 +171,10 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     state is reported along with the step index.
     ``evals_total`` counts potential evaluations, (n + 1) per live chain per
     step in estimator mode and 0 in exact-gradient ablation mode.
-    Trajectories are thinned to every ``thin``-th state (default keeps at
-    most ~1000 per chain).
+    With ``thin``, every ``thin``-th state is kept as the trajectory;
+    without it, no trajectory is stored.  Each of the ``threads`` chain
+    groups runs on a worker thread; an interrupt or an exception in one
+    group stops every other group at its next chunk.
     """
     d = pot.d
     if scfg.pgg.d != d:
@@ -178,9 +184,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         raise ParameterError(
             f"potential {pot.base.name!r} has no registered exact smoothed gradient")
     steps, chains, n = lcfg.steps, lcfg.chains, scfg.n
-    if thin is None:
-        thin = max(1, steps // 1000)
-    elif thin < 1:
+    if thin is not None and thin < 1:
         raise ParameterError(f"thinning must be >= 1, got {thin}")
     center = _init_center(lcfg.init, d)
 
@@ -189,18 +193,16 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
 
     per_step = chains * d * (1 if exact_gradient else n)
     chunk = max(1, min(steps, _CHUNK_ELEMS // max(1, per_step))) if steps else 1
-    slots = steps // thin
+    slots = steps // thin if thin else 0
 
     final = np.empty((chains, d))
-    traj = np.zeros((chains, slots, d)) if store_trajectory and slots else None
-    diverged = np.zeros(chains, dtype=bool)
+    traj = np.zeros((chains, slots, d)) if slots else None
     div_step = np.full(chains, -1, dtype=np.int64)
-    evals = np.zeros(1, dtype=np.int64)
+    stop = threading.Event()
 
-    def advance(indices: np.ndarray) -> int:
+    def advance(indices: np.ndarray) -> None:
         x = _init_states(lcfg.init, center, rngs, indices)
         alive = np.ones(len(indices), dtype=bool)
-        local_evals = 0
         # one smoothing block, then one noise block, per chain and chunk,
         # written into blocks that are reused across chunks
         xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
@@ -217,7 +219,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             xi_step_rows = xi_step.view(row)[..., 0]
             xi_view = xi_step.transpose(1, 0, 2)
         k = 0
-        while k < steps:
+        while k < steps and not stop.is_set():
             m = min(chunk, steps - k)
             for i, c in enumerate(indices):
                 if xi is not None:
@@ -229,36 +231,36 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
                 for j in range(m):
                     if xi is not None:
                         xi_step_rows[...] = xi_rows[:, j].T
-                        local_evals += int(alive.sum()) * (n + 1)
                     cand, bad = _step(pot, scfg, lcfg.eta, x, xi_view, noise[:, j])
                     newly = alive & bad
                     step_no = k + j + 1
                     if newly.any():
                         div_step[indices[newly]] = step_no
-                        diverged[indices[newly]] = True
                     alive &= ~bad
                     np.copyto(x, cand, where=alive[:, None])
                     if traj is not None and step_no % thin == 0:
                         traj[indices, step_no // thin - 1] = x
             k += m
         final[indices] = x
-        return local_evals
 
     groups = [g for g in np.array_split(np.arange(chains), max(1, threads)) if len(g)]
-    if len(groups) == 1:
-        evals[0] = advance(groups[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            evals[0] = sum(pool.map(advance, groups))
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        try:
+            for done in as_completed([pool.submit(advance, g) for g in groups]):
+                done.result()
+        except BaseException:
+            # Ctrl-C, or the first group to fail: the others stop at their next chunk
+            stop.set()
+            raise
 
+    # a chain that diverged at step s was live, and evaluated, on steps 1..s
+    live_steps = int(np.where(div_step >= 0, div_step, steps).sum())
     return ChainResult(
         final_states=final,
         trajectory=traj,
         trajectory_steps=np.arange(thin, slots * thin + 1, thin) if traj is not None else None,
-        evals_total=int(evals[0]),
-        diverged=diverged,
+        evals_total=0 if exact_gradient else (n + 1) * live_steps,
         divergence_step=div_step,
-        thin=thin,
     )
 
 

@@ -319,7 +319,7 @@ def get_potential(name: str, d: int, **params) -> Potential:
 
 
 def certify_holder(pot: Potential, rng: np.random.Generator, pairs: int = 1000,
-                   scale: float = 10.0, rtol: float = 1e-9) -> float:
+                   scale: float = 10.0) -> float:
     """Spot-check the declared (L, alpha) on random pairs with ||x - y|| <= scale.
 
     Returns the worst observed ratio ||grad U(x) - grad U(y)|| / ||x - y||^alpha.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -39,15 +39,14 @@ class Check:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "observed": self.observed,
-                "limit": self.limit, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
 class SuiteResult:
     suite: str
     checks: list[Check] = field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = 0.0          # set by run_suites
 
     @property
     def passed(self) -> bool:
@@ -91,7 +90,6 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000, **_) -> SuiteResult:
     """
     if draws < 2:
         raise ParameterError(f"moment draw count must be >= 2, got {draws}")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="moments")
     orders = (1.0, 2.0, 4.0)
@@ -147,8 +145,6 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000, **_) -> SuiteResult:
             name=f"spot_laplace_l1_norm[d={d}]",
             passed=abs(m1 - d) <= 1e-12 * d, observed=m1, limit=float(d),
         ))
-
-    result.seconds = time.perf_counter() - t0
     return result
 
 
@@ -159,7 +155,6 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000, **_) -> SuiteResult:
 
 def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
                  pairs: int = 1000, lipschitz_draws: int = 4000, **_) -> SuiteResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="lemma1")
     d, lam = 3, 0.5
@@ -217,8 +212,6 @@ def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
                 passed=bool((slack <= 0).all()), observed=float(slack.max()), limit=0.0,
                 detail=f"M + lam = {M + lam:.6g}, {pairs} pairs, max slack shown",
             ))
-
-    result.seconds = time.perf_counter() - t0
     return result
 
 
@@ -228,7 +221,6 @@ def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
 
 
 def suite_lemma2(seed: int = 1003, trials: int = 10_000, **_) -> SuiteResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="lemma2")
     d, p, mu, lam = 4, 2.0, 0.1, 0.5
@@ -277,8 +269,6 @@ def suite_lemma2(seed: int = 1003, trials: int = 10_000, **_) -> SuiteResult:
                 observed=ratio, limit=2.0,
                 detail="doubling n should halve the variance (20% relative)",
             ))
-
-    result.seconds = time.perf_counter() - t0
     return result
 
 
@@ -300,7 +290,6 @@ def suite_mixing_variance(seed: int = 1004, threads: int = 1, **_) -> SuiteResul
     chain is exactly x' = (1 - eta lam) x + sqrt(2 eta) zeta in exact mode
     and the estimator runs are unbiased perturbations of it.
     """
-    t0 = time.perf_counter()
     result = SuiteResult(suite="mixing")
     lam, eta, steps, chains = 1.0, 0.01, 10_000, 1000
     pot = regularize(get_potential("zero", 1, L=1.0, alpha=1.0), lam)
@@ -322,8 +311,7 @@ def suite_mixing_variance(seed: int = 1004, threads: int = 1, **_) -> SuiteResul
         scfg_p = SmoothingConfig(mu=0.01, n=50, pgg=PggSpec(p=p, d=1))
         lcfg_p = LmcConfig(eta=eta, steps=steps, chains=chains, init=InitSpec(),
                            seed=seed + int(10 * p))
-        res_p = run_chain(pot, scfg_p, lcfg_p, store_trajectory=True, thin=10,
-                          threads=threads)
+        res_p = run_chain(pot, scfg_p, lcfg_p, thin=10, threads=threads)
         traj = res_p.trajectory[:, res_p.trajectory.shape[1] // 5:, 0]
         pooled = float(np.var(traj, ddof=1))
         result.checks.append(Check(
@@ -334,8 +322,6 @@ def suite_mixing_variance(seed: int = 1004, threads: int = 1, **_) -> SuiteResul
                    f"{abs(pooled - oracle) / oracle:.4f} (tolerance 0.05); "
                    f"evals_total = {res_p.evals_total}",
         ))
-
-    result.seconds = time.perf_counter() - t0
     return result
 
 
@@ -361,7 +347,6 @@ DOMINANCE_CHAINS = 1024
 def suite_mixing_dominance(seed: int = 1004, threads: int = 1, resamples: int = 5,
                            **_) -> SuiteResult:
     """Measured W2 to the known Gaussian target never exceeds the Theorem-1 bound."""
-    t0 = time.perf_counter()
     result = SuiteResult(suite="mixing")
     lam, eta, steps, chains = DOMINANCE_LAM, DOMINANCE_ETA, DOMINANCE_STEPS, DOMINANCE_CHAINS
     for i, (name, params, d, p, mu, n) in enumerate(DOMINANCE_CONFIGS):
@@ -384,8 +369,6 @@ def suite_mixing_dominance(seed: int = 1004, threads: int = 1, resamples: int = 
             detail=f"measured W2 {measured.mean:.4f} +- {measured.std:.4f} vs bound "
                    f"{bound.w2_mixing:.4f}; {bound.notes['batch_size_gate']}",
         ))
-
-    result.seconds = time.perf_counter() - t0
     return result
 
 
@@ -393,8 +376,7 @@ def suite_mixing(seed: int = 1004, threads: int = 1, **_) -> SuiteResult:
     """Both mixing parts: stationary-variance oracle plus Theorem-1 dominance."""
     part1 = suite_mixing_variance(seed=seed, threads=threads)
     part2 = suite_mixing_dominance(seed=seed, threads=threads)
-    return SuiteResult(suite="mixing", checks=part1.checks + part2.checks,
-                       seconds=part1.seconds + part2.seconds)
+    return SuiteResult(suite="mixing", checks=part1.checks + part2.checks)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +385,6 @@ def suite_mixing(seed: int = 1004, threads: int = 1, **_) -> SuiteResult:
 
 
 def suite_transport(seed: int = 1005, instances: int = 100, **_) -> SuiteResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="transport")
 
@@ -455,8 +436,6 @@ def suite_transport(seed: int = 1005, instances: int = 100, **_) -> SuiteResult:
         observed=worst_tri, limit=1e-9,
         detail="max of W2(a,c) - W2(a,b) - W2(b,c) over random triples",
     ))
-
-    result.seconds = time.perf_counter() - t0
     return result
 
 
@@ -470,13 +449,15 @@ SUITE_NAMES = {
 
 
 def run_suites(name: str, seed: int | None = None, threads: int = 1) -> list[SuiteResult]:
-    """Run one named suite, or all of them; unknown names raise KeyError."""
+    """Run one named suite, or all of them, timing each; unknown names raise KeyError."""
     names = list(SUITE_NAMES) if name == "all" else [name]
     out = []
     for key in names:
-        fn = SUITE_NAMES[key]
         kwargs = {"threads": threads}
         if seed is not None:
             kwargs["seed"] = seed
-        out.append(fn(**kwargs))
+        t0 = time.perf_counter()
+        result = SUITE_NAMES[key](**kwargs)
+        result.seconds = time.perf_counter() - t0
+        out.append(result)
     return out

@@ -4,10 +4,10 @@ Both sets of a comparison have the same size N; a caller with a larger set
 subsamples it first, and should report N so finite-sample bias stays
 interpretable.  Exact mode solves the optimal assignment on the
 squared-Euclidean cost matrix (cubic time, capped at N = 2048); at d = 1 the
-sorted matching is the same optimum.  Larger sets are subsampled to the cap,
-as ``pgglmc sample`` does, rather than replaced by a sliced surrogate: every
-1-D projection is 1-Lipschitz, so sliced W2 is at most W2 and cannot certify
-that a measured distance lies below a bound.
+sorted matching is the same optimum.  ``w2_to_gaussian`` subsamples larger
+sets to the cap and reports the size used, rather than switching to a sliced
+surrogate: every 1-D projection is 1-Lipschitz, so sliced W2 is at most W2
+and cannot certify that a measured distance lies below a bound.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ class W2GaussianResult:
     mean: float
     std: float
     values: np.ndarray
+    n: int                  # points compared, after subsampling to the cap
 
 
 def w2_to_gaussian(a, variance: float, resamples: int = 5,
@@ -106,9 +107,10 @@ def w2_to_gaussian(a, variance: float, resamples: int = 5,
 
     Draws ``resamples`` equal-size reference samples from a dedicated stream
     and reports the mean and spread of the exact distances; the spread tracks
-    the finite-sample noise floor of the comparison.  At d = 1 the optimum is
-    the sorted matching (``w2_exact_1d``), so the assignment solver is used
-    only for d >= 2.
+    the finite-sample noise floor of the comparison.  A set of more than
+    ``ASSIGNMENT_CAP`` points is first subsampled to the cap, without
+    replacement, from ``rng``.  At d = 1 the optimum is the sorted matching
+    (``w2_exact_1d``), so the assignment solver is used only for d >= 2.
     """
     a = _as_samples(a)
     if not variance > 0:
@@ -116,6 +118,8 @@ def w2_to_gaussian(a, variance: float, resamples: int = 5,
     if resamples < 1:
         raise ParameterError(f"resamples must be >= 1, got {resamples}")
     rng = rng if rng is not None else np.random.default_rng(0)
+    if a.n > ASSIGNMENT_CAP:
+        a = SampleSet(a.points[rng.choice(a.n, ASSIGNMENT_CAP, replace=False)])
     scale = np.sqrt(variance)
     exact = w2_exact_1d if a.d == 1 else w2_exact_assignment
     vals = np.empty(resamples)
@@ -123,4 +127,4 @@ def w2_to_gaussian(a, variance: float, resamples: int = 5,
         ref = scale * rng.standard_normal((a.n, a.d))
         vals[r] = exact(a, SampleSet(ref))
     return W2GaussianResult(mean=float(vals.mean()), std=float(vals.std(ddof=1)) if resamples > 1 else 0.0,
-                            values=vals)
+                            values=vals, n=a.n)

@@ -215,10 +215,38 @@ class TestRunChain:
 
     def test_trajectory_thinning(self):
         pot, scfg, lcfg = self._setup(steps=100, chains=3)
-        res = run_chain(pot, scfg, lcfg, store_trajectory=True, thin=10)
+        res = run_chain(pot, scfg, lcfg, thin=10)
         assert res.trajectory.shape == (3, 10, 2)
         assert np.array_equal(res.trajectory_steps, np.arange(10, 101, 10))
         assert np.array_equal(res.trajectory[:, -1], res.final_states)
+        # thin alone selects the trajectory
+        plain = run_chain(pot, scfg, lcfg)
+        assert plain.trajectory is None and plain.trajectory_steps is None
+        assert np.array_equal(plain.final_states, res.final_states)
+        with pytest.raises(ParameterError, match="thinning"):
+            run_chain(pot, scfg, lcfg, thin=0)
+
+    def test_failing_group_stops_the_others(self, monkeypatch):
+        # chains 0-1 form the first thread group and chain 2 the second; the
+        # second group's black box fails on its second step, and the first
+        # group must stop at its next one-step chunk instead of running on
+        monkeypatch.setattr(lmc, "_CHUNK_ELEMS", 1)
+        steps = 20_000
+        calls = {1: 0, 2: 0}
+
+        def value(x):
+            calls[x.shape[0]] += 1
+            if x.shape[0] == 1 and calls[1] > 2:
+                raise RuntimeError("black box failed")
+            return np.zeros(x.shape[:-1])
+
+        pot = regularize(Potential(name="flaky", d=1, L=1.0, alpha=1.0, value=value), 1.0)
+        scfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
+        lcfg = LmcConfig(eta=0.05, steps=steps, chains=3, seed=0)
+        with pytest.raises(RuntimeError, match="black box failed"):
+            run_chain(pot, scfg, lcfg, threads=2)
+        # two evaluations per step: the base points, then the perturbed points
+        assert calls[2] // 2 < steps // 2
 
     def test_divergence_aborts_only_offending_chain(self):
         # potential blows up outside a small ball; some chains step out and
@@ -264,7 +292,7 @@ class TestRunChain:
         faulty = Potential(name="faulty", d=d, L=1.0, alpha=1.0, value=faulty_value)
         scfg = SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(1.5, d))
         lcfg = LmcConfig(eta=0.05, steps=steps, chains=6, seed=11)
-        ref = run_chain(regularize(healthy_base, 1.0), scfg, lcfg, store_trajectory=True, thin=1)
+        ref = run_chain(regularize(healthy_base, 1.0), scfg, lcfg, thin=1)
         res = run_chain(regularize(faulty, 1.0), scfg, lcfg)
 
         bad = np.zeros(6, dtype=bool)
@@ -364,7 +392,7 @@ class TestContraction:
         pot = quadratic_target(1)
         scfg = SmoothingConfig(mu=0.01, n=1, pgg=PggSpec(2.0, 1))
         lcfg = LmcConfig(eta=eta, steps=steps, chains=chains, seed=31)
-        res = run_chain(pot, scfg, lcfg, exact_gradient=True, store_trajectory=True, thin=1)
+        res = run_chain(pot, scfg, lcfg, exact_gradient=True, thin=1)
 
         # quantile coupling against the target law N(0, 1/lam)
         from scipy.stats import norm

@@ -2,6 +2,8 @@
 deliberate API change that must update this list.  The internal names that the
 benchmark's tracer wraps must stay importable too."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -41,6 +43,15 @@ def test_exported_names_are_pinned():
     exported = {name for name in dir(pgglmc) if not name.startswith("_")
                 and not isinstance(getattr(pgglmc, name), types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def test_run_surface_is_pinned():
+    # a new chain knob or stored record is a deliberate API change too
+    params = inspect.signature(pgglmc.run_chain).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
+        "exact_gradient", "thin", "threads"]
+    assert [f.name for f in dataclasses.fields(pgglmc.ChainResult)] == [
+        "final_states", "trajectory", "trajectory_steps", "evals_total", "divergence_step"]
 
 
 def test_benchmark_tracer_installs():

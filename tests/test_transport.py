@@ -153,6 +153,13 @@ class TestToGaussian:
                                      rng=np.random.default_rng(8)).mean
         assert vals[1024] < vals[64]
 
+    def test_subsamples_above_the_cap(self):
+        # one point more than the assignment solver takes
+        pts = np.random.default_rng(12).standard_normal((ASSIGNMENT_CAP + 1, 2))
+        res = w2_to_gaussian(SampleSet(pts), 1.0, resamples=1, rng=np.random.default_rng(13))
+        assert res.n == ASSIGNMENT_CAP
+        assert np.isfinite(res.mean) and res.values.shape == (1,)
+
     def test_degenerate_variance(self):
         a = SampleSet(np.zeros((128, 1)))
         res = w2_to_gaussian(a, 1e-12, resamples=2, rng=np.random.default_rng(9))
