@@ -5,7 +5,8 @@ problem (parse error, unknown key, unknown suite, bad --seed, --threads or
 $PGGLMC_THREADS, report file names outside --out or not two separate files, a
 config whose bounds overflow a float), 3 a ``sample`` chain diverged (its
 state became non-finite, a non-finite black-box value included, or its norm
-passed 1e8), 4 theory-gate violation (step-size cap).
+passed 1e8), 4 theory-gate violation (step-size cap), 130 interrupted
+(Ctrl-C; no report is written).
 
 Reports are JSON with full config echo; final states go to CSV with the
 fixed header ``chain,coordinate_0,...`` (UTF-8, LF).  Floats are written in
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_GATE = 4
+EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a process it interrupted
 
 
 def _jsonable(obj):
@@ -278,6 +280,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":

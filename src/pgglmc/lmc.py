@@ -129,16 +129,18 @@ def outside_guard(states: np.ndarray) -> np.ndarray:
 
 
 def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.ndarray,
-          xi: Optional[np.ndarray], noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+          xi: Optional[np.ndarray], noise: np.ndarray,
+          work: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """One update of a (chains, d) batch; returns the candidates and the guard's flags.
 
     xi holds the (chains, n, d) smoothing draws, or is None for the exact
-    smoothed gradient; noise holds the (chains, d) standard Gaussian draws.
+    smoothed gradient; noise holds the (chains, d) standard Gaussian draws;
+    work, if given, is the estimator's scratch, of xi's shape and layout.
     """
     if xi is None:
         g = pot.smoothed_grad(x, scfg.mu, scfg.pgg)
     else:
-        g = grad_estimate_from_draws(pot, scfg.mu, scfg.pgg.p, x, xi)
+        g = grad_estimate_from_draws(pot, scfg.mu, scfg.pgg.p, x, xi, work=work)
     cand = x - eta * g + math.sqrt(2.0 * eta) * noise
     return cand, outside_guard(cand)
 
@@ -207,7 +209,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         # written into blocks that are reused across chunks
         xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
         noise = np.empty((len(indices), chunk, d))
-        xi_view = None
+        xi_view = work = None
         if xi is not None:
             # each step's draws are copied once into a step-major (n, chains, d)
             # buffer, so the estimator runs long contiguous inner loops instead
@@ -218,6 +220,8 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             xi_step = np.empty((n, len(indices), d))
             xi_step_rows = xi_step.view(row)[..., 0]
             xi_view = xi_step.transpose(1, 0, 2)
+            # the estimator's points and summands, in the draws' layout
+            work = np.empty_like(xi_view)
         k = 0
         while k < steps and not stop.is_set():
             m = min(chunk, steps - k)
@@ -231,7 +235,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
                 for j in range(m):
                     if xi is not None:
                         xi_step_rows[...] = xi_rows[:, j].T
-                    cand, bad = _step(pot, scfg, lcfg.eta, x, xi_view, noise[:, j])
+                    cand, bad = _step(pot, scfg, lcfg.eta, x, xi_view, noise[:, j], work)
                     newly = alive & bad
                     step_no = k + j + 1
                     if newly.any():

@@ -7,9 +7,10 @@ The single-batch gradient estimate from n fresh draws is
     w(xi) = xi o |xi|^(p-2)  componentwise,
 
 which costs exactly n + 1 potential evaluations.  The Hadamard weight is
-computed as sign(xi_j) * |xi_j|^(p-1): the factored form |xi|^(p-2) diverges
-at 0 for p < 2 but the product is continuous (0 for p > 1, sign for p = 1),
-and we define it as 0 at xi_j = 0, a probability-zero event.  p = 2 and p = 1
+computed as copysign(|xi_j|^(p-1), xi_j), the value of sign(xi_j) *
+|xi_j|^(p-1): the factored form |xi|^(p-2) diverges at 0 for p < 2 but the
+product is continuous (0 for p > 1, sign for p = 1), and we define it as 0
+at xi_j = 0, a probability-zero event.  p = 2 and p = 1
 short-circuit to xi and sign(xi), which are exact and keep the p = 2 path
 bit-identical to a classical Gaussian-smoothing estimator on shared draws.
 
@@ -87,13 +88,19 @@ class BiasVarianceReport:
     trials: int
 
 
-def hadamard_weight(xi: np.ndarray, p: float) -> np.ndarray:
-    """Componentwise xi o |xi|^(p-2), computed as sign(xi) |xi|^(p-1)."""
+def hadamard_weight(xi: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Componentwise xi o |xi|^(p-2), computed as copysign(|xi|^(p-1), xi).
+
+    The values equal sign(xi) |xi|^(p-1).  At p = 2 xi itself is returned;
+    otherwise the weight is written into ``out`` when given (it may not be xi).
+    """
     if p == 2.0:
         return xi
     if p == 1.0:
-        return np.sign(xi)
-    return np.sign(xi) * np.abs(xi) ** (p - 1.0)
+        return np.sign(xi, out=out)
+    w = np.abs(xi, out=out)
+    np.power(w, p - 1.0, out=w)
+    return np.copysign(w, xi, out=w)
 
 
 # Draw bytes per block in _by_row_blocks: small enough that a block's draws and
@@ -127,38 +134,48 @@ def _as_point(x, cfg: SmoothingConfig, batched: bool = False) -> np.ndarray:
 
 
 def _two_point(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
-               xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               xi: np.ndarray, work: np.ndarray | None = None,
+               ) -> tuple[np.ndarray, np.ndarray]:
     """The summand's factors (U_bar(x + mu*xi) - U_bar(x)) / mu, shape (..., m), and w(xi).
 
     xi has shape (..., m, d) against x of shape (..., d); callers reduce.
-    The points and coefficients are built in place where x broadcasts into
-    the draws' shape; the arithmetic is that of (U(x + mu*xi) - U(x)) / mu.
+    The points x + mu*xi are built in ``work``, an array of xi's shape (a
+    fresh one when None), where x broadcasts into the draws' shape, and at
+    p < 2 the weight then overwrites them; the coefficients are built in
+    place.  The arithmetic is that of (U(x + mu*xi) - U(x)) / mu.
     """
     base = pot.value(x)
-    y = mu * xi
+    y = np.multiply(mu, xi, out=work)
     fits = np.broadcast_shapes(y.shape, x[..., None, :].shape) == y.shape
     y = np.add(y, x[..., None, :], out=y if fits else None)
     coef = pot.value(y)
     coef -= np.expand_dims(base, -1)
     coef /= mu
-    # once evaluated the points are dead, so at p = 1 their buffer takes w
-    return coef, np.sign(xi, out=y) if p == 1.0 and fits else hadamard_weight(xi, p)
+    # once evaluated the points are dead, so at p < 2 their buffer takes w
+    return coef, hadamard_weight(xi, p, out=y if fits else None)
 
 
 def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
-                             x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+                             x: np.ndarray, xi: np.ndarray, *,
+                             work: np.ndarray | None = None) -> np.ndarray:
     """Estimator applied to given draws; xi has shape (..., n, d), x (..., d).
 
     Leading axes broadcast, so a (trials, n, d) block of draws against a
     single point yields (trials, d) independent estimates in one call.
-    The summands overwrite the Hadamard weight when it is a fresh array of
-    the draws' shape (p < 2); the draw-axis sum over n is bitwise np.mean.
-    The black box must not keep the points it is passed: their buffer is reused.
+    The perturbed points x + mu*xi are built in ``work`` when it is given, a
+    float64 array of xi's shape that a caller reuses across calls; its
+    contents on return are unspecified.  The summands overwrite the Hadamard
+    weight when it is written in the points' buffer (p < 2); the draw-axis
+    sum over n is bitwise np.mean.  The black box must not keep the points
+    it is passed: their buffer is reused.
     """
     xi = np.asarray(xi, dtype=float)
-    coef, w = _two_point(pot, mu, p, np.asarray(x, dtype=float), xi)
-    if w is xi or coef.shape != xi.shape[:-1]:
+    coef, w = _two_point(pot, mu, p, np.asarray(x, dtype=float), xi, work)
+    if coef.shape != xi.shape[:-1]:
         w = coef[..., None] * w
+    elif w is xi:
+        # p = 2: the points are dead, so their buffer takes the summands
+        w = np.multiply(coef[..., None], xi, out=work)
     else:
         w *= coef[..., None]
     return np.add.reduce(w, axis=-2) / xi.shape[-2]

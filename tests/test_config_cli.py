@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +421,31 @@ class TestCliExitCodes:
         assert not out.exists()
         assert not (tmp_path / "escaped.txt").exists()
         assert not (tmp_path / "elsewhere").exists()
+
+    def test_interrupted_sample_exits_130_and_writes_nothing(self, tmp_path):
+        # Ctrl-C used to end in a KeyboardInterrupt traceback and death by the signal
+        doc = base_doc(potential={"name": "l1", "d": 16, "lambda": 1.0, "params": {}})
+        doc["smoothing"].update(n=32, p=1.0)
+        doc["lmc"].update(eta="auto", steps=1_000_000, chains=64)
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code = ("import sys; from pgglmc.cli import main; print('ready', flush=True); "
+                "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "sample", "--config", cfg_path, "--out", str(out),
+             "--threads", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            time.sleep(1.0)  # into the chains
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert err.splitlines() == ["error: interrupted"]
+        assert not (out / "report.json").exists() and not (out / "samples.csv").exists()
 
     @pytest.mark.parametrize("csv, json_name", [
         ("report.json", "report.json"), ("./out.txt", "out.txt"), ("sub", "sub/report.json"),

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 from scipy.stats import kstest
 
 from pgglmc import (
@@ -18,6 +20,7 @@ from pgglmc import (
     pgg_sq_norm_moment_bound,
     sample_pgg,
 )
+from pgglmc import pgg
 
 
 def coord_abs_moment(p, n):
@@ -25,6 +28,27 @@ def coord_abs_moment(p, n):
     num = quad(lambda t: t**n * math.exp(-(t**p) / p), 0, 80)[0]
     den = quad(lambda t: math.exp(-(t**p) / p), 0, 80)[0]
     return num / den
+
+
+def rejection_reference(p, rng, total, rnd):
+    """The documented 1 < p < 2 recipe, written out round by round.
+
+    Proposals E = -log(1 - U1), A = -log(1 - U2); accepted iff A >= t(E),
+    t(E) = E^p / p - E + c with c = 1 - 1/p, evaluated as
+    E^p (1/p) - E - A <= -c; positive iff A - t(E) >= ln 2.
+    """
+    c = 1.0 - 1.0 / p
+    acc = math.exp(gammaln(1.0 / p) - c * math.log(p) - c)
+    draws = []
+    while len(draws) < total:
+        m = min(rnd, total - len(draws))
+        k = int(m / acc + 2.0 * math.sqrt(m)) + 8
+        e = -np.log(1.0 - rng.random(k))
+        a = -np.log(1.0 - rng.random(k))
+        w = e**p * (1.0 / p) - e - a
+        x = np.copysign(e, -(c + math.log(2.0)) - w)
+        draws.extend(x[w <= -c][:m])
+    return np.array(draws)
 
 
 def kappa_quadrature_1d(p):
@@ -122,22 +146,75 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_gamma_transform_structure(self):
-        # 1 < p < 2: draws replicate as V * G^(1/p) with the documented block
-        # order: one Gamma(1 + 1/p, p) block, then one Uniform(-1, 1) block
-        spec = PggSpec(1.5, 2)
-        got = sample_pgg(spec, np.random.default_rng(7), size=5)
-        rng = np.random.default_rng(7)
-        g = rng.gamma(1 + 1 / 1.5, 1.5, size=(5, 2))
-        v = rng.uniform(-1.0, 1.0, size=(5, 2))
-        assert np.array_equal(got, v * g ** (1 / 1.5))
+        # 1 < p < 2: Laplace-envelope rejection in rounds of at most _ROUND
+        # outputs; each round draws a block of k U1 and then a block of k U2,
+        # and keeps its first m accepted proposals in order.  A round size of
+        # 7 makes the 15 draws below take at least three rounds.
+        spec = PggSpec(1.5, 3)
+        for rnd in (7, 16_384):
+            with patch.object(pgg, "_ROUND", rnd):
+                got = sample_pgg(spec, np.random.default_rng(7), size=5)
+            want = rejection_reference(1.5, np.random.default_rng(7), 15, rnd)
+            assert np.array_equal(got.ravel(), want)
 
     def test_laplace_recipe_structure(self):
-        # p = 1: log((1 - U1) / (1 - U2)) from two random blocks, U1 first
-        got = sample_pgg(PggSpec(1.0, 2), np.random.default_rng(7), size=5)
+        # p = 1: copysign(-log(1 - |V|), V) with V = 2U - (1 - 2^-53) from one
+        # random block, whatever the round size
         rng = np.random.default_rng(7)
-        u1 = rng.random((5, 2))
-        u2 = rng.random((5, 2))
-        assert np.array_equal(got, np.log((1.0 - u1) / (1.0 - u2)))
+        v = 2.0 * rng.random((5, 2)) - (1.0 - 2.0**-53)
+        want = np.copysign(-np.log(1.0 - np.abs(v)), v)
+        for rnd in (3, 16_384):
+            with patch.object(pgg, "_ROUND", rnd):
+                got = sample_pgg(PggSpec(1.0, 2), np.random.default_rng(7), size=5)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [1.0, 1.01, 1.5, 1.99])
+    def test_edge_uniforms_give_finite_draws(self, p):
+        # numpy's uniforms run from 0 to 1 - 2^-53.  The stub's blocks are
+        # 1 - 2^-53 but for a 0 in front, except that the U2 block of a
+        # rejection round (every second call) is all 1 - 2^-53.
+        top = 1.0 - 2.0**-53
+
+        class EdgeUniforms:
+            calls = 0
+
+            def random(self, out):
+                if self.calls > 50:
+                    raise RuntimeError("no round filled the output")
+                out[...] = top
+                if p == 1.0 or self.calls % 2 == 0:
+                    out.reshape(-1)[0] = 0.0
+                self.calls += 1
+                return out
+
+        rng = EdgeUniforms()
+        x = sample_pgg(PggSpec(p, 2), rng, size=3).ravel()
+        assert np.isfinite(x).all()
+        if p == 1.0:
+            # the two edges give draws of opposite sign and magnitude 53 ln 2
+            assert x[0] == -x[1] < 0
+            assert x[1] == pytest.approx(53 * math.log(2.0), rel=1e-15)
+        elif p == 1.01:
+            # E = 53 ln 2 is accepted there
+            assert x.max() == pytest.approx(53 * math.log(2.0), rel=1e-15)
+        else:
+            # E = 53 ln 2 is rejected there, so each round keeps one E = 0
+            # proposal: six short rounds of two blocks each
+            assert rng.calls == 12 and not x.any()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_scratch_is_bounded(self, p):
+        # the draws work in bounded rounds, so filling an 8 MB output takes a
+        # fixed amount of scratch, not a full-size temporary
+        buf = np.empty((200_000, 5))
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            sample_pgg(PggSpec(p, 5), rng, size=200_000, out=buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("size", [None, 4, (3, 5)])

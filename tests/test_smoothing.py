@@ -54,6 +54,18 @@ class TestHadamardWeight:
     def test_finite_at_zero(self, p):
         assert hadamard_weight(np.zeros(3), p) == pytest.approx(np.zeros(3))
 
+    @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+    def test_equals_sign_times_power(self, p):
+        # copysign(|xi|^(p-1), xi), in place, against the textbook form; zeros
+        # of either sign give a zero weight, and NaN stays NaN
+        edges = [-4.0, -0.0, 0.0, 0.25, 5e-324, -np.inf, np.inf, np.nan]
+        xi = np.concatenate([edges, np.random.default_rng(0).normal(size=64)])
+        want = np.sign(xi) * np.abs(xi) ** (p - 1.0)
+        assert np.array_equal(hadamard_weight(xi, p), want, equal_nan=True)
+        out = np.empty_like(xi)
+        assert hadamard_weight(xi, p, out=out) is out
+        assert np.array_equal(out, want, equal_nan=True)
+
 
 class TestSmoothingConfig:
     def test_validation(self):
@@ -93,11 +105,13 @@ class TestGradEstimate:
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("layout", ["step_major", "contiguous", "one_point", "shared_draws"])
+    @pytest.mark.parametrize("layout", ["step_major", "step_major_work", "contiguous",
+                                        "one_point", "shared_draws"])
     def test_matches_mean_of_summands_bitwise(self, p, layout, d):
         # the in-place kernel against the summand written out and np.mean,
-        # on the step-major view run_chain passes and on the other broadcasts;
-        # at d = 1 the draw-axis sum order depends on the memory layout
+        # on the step-major view run_chain passes (with and without its work
+        # buffer) and on the other broadcasts; at d = 1 the draw-axis sum
+        # order depends on the memory layout
         pot = regularize(get_potential("l1", d), 0.5)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(6, d))
@@ -111,7 +125,9 @@ class TestGradEstimate:
         mu = 0.2
         coef = (pot.value(x[..., None, :] + mu * xi) - pot.value(x)[..., None]) / mu
         want = np.mean(coef[..., None] * hadamard_weight(xi, p), axis=-2)
-        assert np.array_equal(grad_estimate_from_draws(pot, mu, p, x, xi), want)
+        work = np.full_like(xi, np.nan) if layout == "step_major_work" else None
+        assert np.array_equal(grad_estimate_from_draws(pot, mu, p, x, xi, work=work), want)
+        assert work is None or not np.isnan(work).all()
 
     def test_constant_potential_gives_zero(self):
         flat = SimpleNamespace(value=lambda x: np.full(np.shape(x)[:-1], 3.7))
