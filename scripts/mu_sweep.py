@@ -89,7 +89,7 @@ def main() -> int:
                "theorem1_total": t1["w2_mixing"]}
         row.update({f"term_{k}": v for k, v in t1["terms"].items()})
         if args.run_chains:
-            if not pot.has_exact_smoothing:
+            if pot.target_variance is None:
                 print("known-law W2 needs a quadratic-family potential; skipping "
                       "measurement", file=sys.stderr)
             else:

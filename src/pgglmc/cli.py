@@ -103,16 +103,19 @@ def cmd_sample(args) -> int:
             "final_coordinate_variance": finals.var(axis=0, ddof=1) if lcfg.chains > 1 else None,
             "final_mean_sq_norm": float(np.mean(np.sum(finals**2, axis=1))),
         }
-    # a diverged chain's last state says nothing about the target, and a
-    # state beyond the step guard (only an init beyond it, with steps: 0)
-    # overflows the transport costs
-    known = pot.has_exact_smoothing and lcfg.chains > 1
-    if known and res.diverged.any():
+    # one point is no sample of a law, a diverged chain's last state says
+    # nothing about the target, and a state beyond the step guard (only an
+    # init beyond it, with steps: 0) overflows the transport costs
+    variance = pot.target_variance
+    known = variance is not None
+    if known and lcfg.chains == 1:
+        metrics["empirical_w2_to_target_skipped"] = "a single chain"
+    elif known and res.diverged.any():
         metrics["empirical_w2_to_target_skipped"] = "a chain diverged"
     elif known and outside_guard(finals).any():
         metrics["empirical_w2_to_target_skipped"] = "a final state lies beyond the step guard"
     elif known:
-        w2 = w2_to_gaussian(finals, pot.target_variance,
+        w2 = w2_to_gaussian(finals, variance,
                             resamples=cfg.report.resamples,
                             rng=np.random.default_rng(lcfg.seed + 1))
         metrics["empirical_w2_to_target"] = {

@@ -291,11 +291,10 @@ class Lemma3Bound:
 
 @dataclass(frozen=True)
 class TheoryBound:
-    """Itemized mixing bound; w2_mixing is the seven-term sum."""
+    """Itemized mixing bound; w2_mixing is the seven-term sum, lemma3 gives smoothing_w2."""
 
     w2_mixing: float
-    w2_smoothing: float
-    a: float
+    lemma3: Lemma3Bound
     M: float
     C: float
     terms: dict
@@ -356,7 +355,6 @@ def theorem1_bound(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcCo
     check_step_size(pot, mu, p, eta)
     M = smoothness_constant_M(pot, mu, p)
     l3 = lemma3_w2_bound(pot, mu, p, xstar_norm_sq)
-    a = l3.a
 
     geometric = geometric_factor(lam, eta, steps) * w2_init
     discretization = 1.9 * (M + lam) / lam * math.sqrt(eta * d)
@@ -397,8 +395,7 @@ def theorem1_bound(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcCo
     }
     return TheoryBound(
         w2_mixing=float(sum(terms.values())),
-        w2_smoothing=float(smoothing_w2),
-        a=float(a),
+        lemma3=l3,
         M=float(M),
         C=float(C),
         terms=terms,
@@ -419,9 +416,9 @@ def initial_w2(pot: RegularizedPotential, init: InitSpec) -> float:
     # hypot of the center's coordinates and the spread term: the root of the
     # sum of squares, without overflowing where the squares would
     center = _init_center(init, d).tolist()
-    if pot.has_exact_smoothing:
-        sigma = math.sqrt(pot.target_variance)
-        return math.hypot(*center, math.sqrt(d) * (spread - sigma))
+    variance = pot.target_variance
+    if variance is not None:
+        return math.hypot(*center, math.sqrt(d) * (spread - math.sqrt(variance)))
     return math.hypot(*center, math.sqrt(d) * spread) + math.sqrt(d / pot.lam)
 
 
@@ -429,22 +426,21 @@ def bounds_table(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConf
     """Every closed-form bound at one config, with ``initial_w2`` as w2_init.
 
     M, a, the step-size cap, the Lemma-1 gap, both Lemma-3 forms and the
-    itemized Theorem-1 terms at x* = 0 and C = 0.
+    itemized Theorem-1 terms at x* = 0 and C = 0: the one Theorem-1 composition.
     """
     mu, p = scfg.mu, scfg.pgg.p
     w2_init = initial_w2(pot, lcfg.init)
     theorem = theorem1_bound(pot, scfg, lcfg, w2_init=w2_init, xstar_norm_sq=0.0, C=0.0)
-    lemma3 = lemma3_w2_bound(pot, mu, p, xstar_norm_sq=0.0)
     return {
         "M": theorem.M,
-        "a": theorem.a,
+        "a": theorem.lemma3.a,
         "max_step_size": max_step_size(pot, mu, p),
         "lemma1_gap_bound": lemma1_gap_bound(pot.base, mu, p),
-        "lemma3": asdict(lemma3),
+        "lemma3": asdict(theorem.lemma3),
         "theorem1": {
             "w2_mixing": theorem.w2_mixing,
             "w2_init": w2_init,
-            "w2_init_kind": ("exact (Gaussian target)" if pot.has_exact_smoothing
+            "w2_init_kind": ("exact (Gaussian target)" if pot.target_variance is not None
                              else "upper bound via d/lam second moment"),
             "C": theorem.C,
             "terms": theorem.terms,

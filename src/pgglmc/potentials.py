@@ -57,9 +57,9 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
 class Potential:
     """Convex potential with declared (L, alpha) weak-smoothness certificate.
 
-    ``quad_curvature`` is set only for the quadratic family U = (c/2)||x||^2
-    (c = 0 for the flat potential); it unlocks closed-form smoothing and a
-    known Gaussian target downstream.
+    ``quad_curvature`` is set only by the registry, for the quadratic family
+    U = (c/2)||x||^2 (c = 0 for the flat potential); it unlocks closed-form
+    smoothing and a known Gaussian target downstream.
     """
 
     name: str
@@ -117,9 +117,9 @@ class RegularizedPotential:
         return self.base.quad_curvature + self.lam
 
     @property
-    def target_variance(self) -> float:
-        """Per-coordinate variance of the known Gaussian target exp(-U_bar)."""
-        return 1.0 / self.total_curvature
+    def target_variance(self) -> Optional[float]:
+        """v when the target exp(-U_bar) is known to be N(0, v I_d), else None."""
+        return None if self.base.quad_curvature is None else 1.0 / self.total_curvature
 
     def smoothed_value(self, x, mu: float, pgg: PggSpec) -> np.ndarray:
         """Exact U_bar_mu for the quadratic family: U_bar + (c+lam)/2 mu^2 E||xi||^2."""
@@ -336,11 +336,10 @@ def certify_holder(pot: Potential, rng: np.random.Generator, pairs: int = 1000,
 
 
 def make_potential(name: str, d: int, L: float, alpha: float, value, subgrad=None,
-                   quad_curvature=None, check: bool = True,
-                   rng: Optional[np.random.Generator] = None) -> Potential:
-    """Register a user potential; spot-checks the certificate and warns on failure."""
+                   check: bool = True, rng: Optional[np.random.Generator] = None) -> Potential:
+    """Register a user potential (a black box: no known target law); warns on a bad certificate."""
     pot = Potential(name=name, d=d, L=float(L), alpha=float(alpha), value=value,
-                    subgrad=subgrad, quad_curvature=quad_curvature)
+                    subgrad=subgrad)
     if check and subgrad is not None:
         worst = certify_holder(pot, rng or np.random.default_rng(0), pairs=256)
         if worst > pot.L * (1.0 + 1e-9):

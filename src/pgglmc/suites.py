@@ -16,7 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ParameterError
-from .lmc import InitSpec, LmcConfig, initial_w2, run_chain, theorem1_bound
+from .lmc import InitSpec, LmcConfig, bounds_table, run_chain
 from .pgg import PggSpec, pgg_norm_moment, sample_pgg
 from .potentials import get_potential, lemma1_gap_envelope, regularize, smoothness_constant_M
 from .smoothing import (SmoothingConfig, _two_point, measure_bias_variance,
@@ -86,16 +86,15 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000, **_) -> SuiteResult:
     block is overwritten in place, in row blocks, with the running sum of
     |xi_j|^p over j, so column d - 1 holds ||xi||_p^p for that d.  Checks in
     the same p therefore share draws; each still uses all ``draws`` rows and
-    a 4-SE test.  ``draws`` >= 2, else ``ParameterError``.
+    a 4-SE test.  Each p has its own child generator of ``seed``.  ``draws``
+    >= 2, else ``ParameterError``.
     """
     if draws < 2:
         raise ParameterError(f"moment draw count must be >= 2, got {draws}")
-    rng = np.random.default_rng(seed)
     result = SuiteResult(suite="moments")
-    orders = (1.0, 2.0, 4.0)
-    dims = (1, 3, 5)
+    ps, orders, dims = (1.0, 1.5, 2.0), (1.0, 2.0, 4.0), (1, 3, 5)
 
-    for p in (1.0, 1.5, 2.0):
+    for p, rng in zip(ps, np.random.default_rng(seed).spawn(len(ps))):
         xi = sample_pgg(PggSpec(p=p, d=dims[-1]), rng, size=draws)
         for start in range(0, draws, _MOMENT_ROWS):
             block = xi[start:start + _MOMENT_ROWS]
@@ -155,13 +154,14 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000, **_) -> SuiteResult:
 
 def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
                  pairs: int = 1000, lipschitz_draws: int = 4000, **_) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    # one child generator per p serves that p's gap and Lipschitz parts for every base
+    rngs = dict(zip((1.0, 2.0), np.random.default_rng(seed).spawn(2)))
     result = SuiteResult(suite="lemma1")
     d, lam = 3, 0.5
 
     for base in _lemma1_corpus(d):
         pot = regularize(base, lam)
-        for p in (1.0, 2.0):
+        for p, rng in rngs.items():
             for mu in (0.5, 0.1):
                 X = rng.normal(scale=1.5, size=(points, d))
                 cfg = SmoothingConfig(mu=mu, n=1, pgg=PggSpec(p=p, d=d))
@@ -185,7 +185,7 @@ def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
 
         # Smoothed-gradient Lipschitz constant M + lam at mu = 0.1.
         mu = 0.1
-        for p in (1.0, 2.0):
+        for p, rng in rngs.items():
             spec = PggSpec(p=p, d=d)
             M = smoothness_constant_M(pot, mu, p)
             x = rng.normal(scale=2.0, size=(pairs, d))
@@ -344,8 +344,7 @@ DOMINANCE_STEPS = 2000
 DOMINANCE_CHAINS = 1024
 
 
-def suite_mixing_dominance(seed: int = 1004, threads: int = 1, resamples: int = 5,
-                           **_) -> SuiteResult:
+def suite_mixing_dominance(seed: int = 1004, threads: int = 1, **_) -> SuiteResult:
     """Measured W2 to the known Gaussian target never exceeds the Theorem-1 bound."""
     result = SuiteResult(suite="mixing")
     lam, eta, steps, chains = DOMINANCE_LAM, DOMINANCE_ETA, DOMINANCE_STEPS, DOMINANCE_CHAINS
@@ -356,18 +355,16 @@ def suite_mixing_dominance(seed: int = 1004, threads: int = 1, resamples: int = 
         scfg = SmoothingConfig(mu=mu, n=n, pgg=PggSpec(p=p, d=d))
         lcfg = LmcConfig(eta=eta, steps=steps, chains=chains, init=InitSpec(),
                          seed=seed + 100 + i)
-        bound = theorem1_bound(pot, scfg, lcfg, w2_init=initial_w2(pot, lcfg.init),
-                               xstar_norm_sq=0.0, C=0.0)
+        bound = bounds_table(pot, scfg, lcfg)["theorem1"]
         res = run_chain(pot, scfg, lcfg, threads=threads)
-        measured = w2_to_gaussian(SampleSet(res.final_states), pot.target_variance,
-                                  resamples=resamples,
+        measured = w2_to_gaussian(res.final_states, pot.target_variance, resamples=5,
                                   rng=np.random.default_rng(seed + 500 + i))
         result.checks.append(Check(
             name=f"theorem1_dominance[{label}]",
-            passed=measured.mean <= bound.w2_mixing,
-            observed=measured.mean, limit=bound.w2_mixing,
+            passed=measured.mean <= bound["w2_mixing"],
+            observed=measured.mean, limit=bound["w2_mixing"],
             detail=f"measured W2 {measured.mean:.4f} +- {measured.std:.4f} vs bound "
-                   f"{bound.w2_mixing:.4f}; {bound.notes['batch_size_gate']}",
+                   f"{bound['w2_mixing']:.4f}; {bound['notes']['batch_size_gate']}",
         ))
     return result
 

@@ -269,6 +269,16 @@ class TestCliSample:
         assert "empirical_w2_to_target" not in metrics
         assert "empirical_w2_to_target_skipped" in metrics
 
+    def test_single_chain_on_known_law_says_why_w2_is_skipped(self, tmp_path):
+        doc = base_doc()
+        doc["lmc"].update(steps=50, chains=1)
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["sample", "--config", cfg_path, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        metrics = load_strict_json(tmp_path / "report.json")["metrics"]
+        assert "empirical_w2_to_target" not in metrics
+        assert metrics["empirical_w2_to_target_skipped"] == "a single chain"
+
     def test_known_law_above_assignment_cap_is_subsampled(self, tmp_path):
         # 2,100 chains exceed the 2,048-point exact-assignment cap, so W2 is
         # measured on a subsample; a spread-out init keeps the solve fast

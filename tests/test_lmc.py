@@ -461,7 +461,7 @@ class TestTheorem1:
         M, lam, mu, d, p, eta, n, K = 1.0, 0.1, 0.01, 4, 2.0, 0.1, 100, 500
         a = 1.0 * mu**2 * d / 2 + 0.5 * lam * mu**2 * (d + 1)
         assert tb.M == pytest.approx(M, rel=1e-12)
-        assert tb.a == pytest.approx(a, rel=1e-12)
+        assert tb.lemma3.a == pytest.approx(a, rel=1e-12)
         expected = {
             "geometric": (1 - 0.5 * lam * eta) ** (K / 2),
             "discretization": 1.9 * (M + lam) / lam * math.sqrt(eta * d),
@@ -519,7 +519,7 @@ class TestTheorem1:
         for mu in (0.1, 0.01, 0.001):
             scfg = SmoothingConfig(mu=mu, n=16, pgg=PggSpec(2.0, 3))
             lcfg = LmcConfig(eta=0.01, steps=10, chains=1, seed=0)
-            values.append(theorem1_bound(pot, scfg, lcfg, w2_init=1.0).a)
+            values.append(theorem1_bound(pot, scfg, lcfg, w2_init=1.0).lemma3.a)
         assert values[0] > values[1] > values[2]
 
     def test_n_sweep_halves_variance_terms(self):

@@ -4,6 +4,7 @@ benchmark's tracer wraps must stay importable too."""
 
 import dataclasses
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -54,13 +55,27 @@ def test_run_surface_is_pinned():
         "final_states", "trajectory", "trajectory_steps", "evals_total", "divergence_step"]
 
 
-def test_benchmark_tracer_installs():
+def test_benchmark_tracer_installs(tmp_path):
     # perfbench/spans.py wraps module-level names such as suites.sample_pgg and
     # smoothing.grad_estimate_from_draws; a fresh process sees the package as
-    # the benchmark does
-    code = ("import sys; sys.path.insert(0, 'perfbench'); "
-            "from spans import Tracer; Tracer('t').install()")
+    # the benchmark does.  A traced known-law sample must pass through the
+    # wrapped cli bindings, or the benchmark's lmc and transport layers read 0.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "potential": {"name": "quadratic", "d": 2, "lambda": 1.0, "params": {}},
+        "smoothing": {"mu": 0.1, "n": 4, "p": 2.0},
+        "lmc": {"eta": 0.05, "steps": 20, "chains": 8,
+                "init": {"kind": "point", "value": 0.0}, "seed": 1},
+    }), encoding="utf-8")
+    argv = ["sample", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]
+    code = ("import json, sys; sys.path.insert(0, 'perfbench'); "
+            "from spans import Tracer; tracer = Tracer('t'); tracer.install(); "
+            "from pgglmc import cli; "
+            f"assert cli.main({argv!r}) == 0; "
+            "print(json.dumps(sorted({s['name'] for s in tracer.records()})))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    spans = set(json.loads(proc.stdout))
+    assert {"lmc.run_chain", "transport.w2_to_gaussian"} <= spans, spans

@@ -31,6 +31,8 @@ def test_mu_sweep_totals_match_bounds_command(tmp_path, potential):
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
+    # only the known-law potential has a measured W2
+    assert all(("measured_w2" in row) == (potential == "quadratic") for row in rows)
     for i, row in enumerate(rows):
         doc = {
             "potential": {"name": potential, "d": d, "lambda": lam, "params": {}},

@@ -20,8 +20,8 @@ class TestMomentSuite:
         res = suite_moments(seed=1001, draws=draws)
         assert res.passed
         observed = {c.name: c.observed for c in res.checks}
-        rng = np.random.default_rng(1001)
-        for p in (1.0, 1.5, 2.0):
+        ps = (1.0, 1.5, 2.0)
+        for p, rng in zip(ps, np.random.default_rng(1001).spawn(len(ps))):
             terms = np.abs(sample_pgg(PggSpec(p, 5), rng, size=draws)) ** p
             partial = np.zeros(draws)
             for d in range(1, 6):
@@ -32,3 +32,23 @@ class TestMomentSuite:
                 for order in (1.0, 2.0, 4.0):
                     name = f"mc_moment[p={p},d={d},n={order:g}]"
                     assert observed[name] == float((norms**order).mean()), name
+
+    def test_p2_values_do_not_move_with_the_p_below_2_streams(self, monkeypatch):
+        # each p draws from its own generator: a p < 2 stream that consumes
+        # one extra block leaves the p = 2 Monte Carlo values bitwise alone
+        def p2_values():
+            res = suite_moments(draws=1000)
+            return {c.name: c.observed for c in res.checks
+                    if c.name.startswith("mc_moment[p=2.0,")}
+
+        before = p2_values()
+
+        def greedy(spec, rng, size=None, out=None):
+            if spec.p < 2:
+                rng.random(spec.d)
+            return sample_pgg(spec, rng, size=size, out=out)
+
+        monkeypatch.setattr(suites, "sample_pgg", greedy)
+        after = p2_values()
+        assert len(before) == 9
+        assert after == before
