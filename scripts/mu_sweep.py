@@ -22,7 +22,6 @@ from pgglmc import (
     InitSpec,
     LmcConfig,
     PggSpec,
-    SampleSet,
     SmoothingConfig,
     bounds_table,
     get_potential,
@@ -94,7 +93,7 @@ def main() -> int:
                       "measurement", file=sys.stderr)
             else:
                 res = run_chain(pot, scfg, lcfg)
-                w2 = w2_to_gaussian(SampleSet(res.final_states), pot.target_variance,
+                w2 = w2_to_gaussian(res.final_states, pot.target_variance,
                                     resamples=3, rng=np.random.default_rng(args.seed + 1))
                 row["measured_w2"] = w2.mean
                 row["measured_w2_std"] = w2.std

@@ -56,7 +56,6 @@ from .lmc import (
     theorem1_bound,
 )
 from .transport import (
-    SampleSet,
     W2GaussianResult,
     w2_exact_1d,
     w2_exact_assignment,

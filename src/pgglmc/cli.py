@@ -1,9 +1,13 @@
 """Command-line harness: ``pgglmc {sample, verify, bounds}``.
 
+``sample`` and ``bounds`` read ``--config``; ``verify`` runs its suites at
+their own seeds or at ``--seed``.  Each creates ``--out`` before any work.
+
 Exit codes: 0 success, 1 a ``verify`` check failed, 2 config or usage
 problem (parse error, unknown key, unknown suite, bad --seed, --threads or
 $PGGLMC_THREADS, report file names outside --out or not two separate files, a
-config whose bounds overflow a float), 3 a ``sample`` chain diverged (its
+config whose bounds overflow a float, an --out or report path that cannot be
+created or written), 3 a ``sample`` chain diverged (its
 state became non-finite, a non-finite black-box value included, or its norm
 passed 1e8), 4 theory-gate violation (step-size cap), 130 interrupted
 (Ctrl-C; no report is written).
@@ -57,15 +61,21 @@ def _jsonable(obj):
     return obj
 
 
+def _report_paths(out: str, *names: str) -> list[Path]:
+    """The report files under ``out``, with their directories created before any work."""
+    paths = [Path(out) / name for name in names]
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return paths
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def _write_states_csv(path: Path, states: np.ndarray) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     d = states.shape[1]
     header = "chain," + ",".join(f"coordinate_{j}" for j in range(d))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -79,15 +89,14 @@ def cmd_sample(args) -> int:
     pot = cfg.build_potential()
     scfg = cfg.build_smoothing()
     lcfg = cfg.build_lmc(pot, seed_override=args.seed)
-    out_dir = Path(args.out)
     # the bounds go first, so a config they reject writes nothing
     bounds = bounds_table(pot, scfg, lcfg)
+    csv_path, json_path = _report_paths(args.out, cfg.report.csv, cfg.report.json_path)
 
     t0 = time.perf_counter()
     res = run_chain(pot, scfg, lcfg, threads=args.threads)
     runtime = time.perf_counter() - t0
 
-    csv_path = out_dir / cfg.report.csv
     _write_states_csv(csv_path, res.final_states)
 
     finals = res.final_states
@@ -135,11 +144,10 @@ def cmd_sample(args) -> int:
         "metrics": metrics,
         "bounds": bounds,
     }
-    _write_json(out_dir / cfg.report.json_path, report)
+    _write_json(json_path, report)
 
     if not args.quiet:
-        print(f"wrote {csv_path} ({lcfg.chains} chains, d = {pot.d}) and "
-              f"{out_dir / cfg.report.json_path}")
+        print(f"wrote {csv_path} ({lcfg.chains} chains, d = {pot.d}) and {json_path}")
     if res.diverged.any():
         bad = np.flatnonzero(res.diverged)
         for c in bad:
@@ -154,6 +162,7 @@ def cmd_bounds(args) -> int:
     scfg = cfg.build_smoothing()
     lcfg = cfg.build_lmc(pot, seed_override=args.seed)
     payload = bounds_table(pot, scfg, lcfg)
+    json_path = _report_paths(args.out, cfg.report.json_path)[0]
 
     if not args.quiet:
         print(f"M = {payload['M']:.9g}   a = {payload['a']:.9g}   "
@@ -173,17 +182,13 @@ def cmd_bounds(args) -> int:
               "config": cfg.echo(),
               "resolved": {"eta": lcfg.eta, "seed": lcfg.seed},
               "bounds": payload}
-    _write_json(Path(args.out) / cfg.report.json_path, report)
+    _write_json(json_path, report)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
-    if args.config is not None:
-        cfg = ExperimentConfig.from_file(args.config)
-        if seed is None:
-            seed = cfg.seed
-    results = run_suites(args.suite, seed=seed, threads=args.threads)
+    json_path = _report_paths(args.out, f"verify_{args.suite}.json")[0]
+    results = run_suites(args.suite, seed=args.seed, threads=args.threads)
 
     all_passed = all(r.passed for r in results)
     if not args.quiet:
@@ -198,9 +203,9 @@ def cmd_verify(args) -> int:
         print(f"== verify {args.suite}: {'PASS' if all_passed else 'FAIL'}")
 
     report = {"tool": "pgglmc", "version": __version__, "command": "verify",
-              "suite": args.suite, "seed": seed, "all_passed": all_passed,
+              "suite": args.suite, "seed": args.seed, "all_passed": all_passed,
               "suites": [r.to_dict() for r in results]}
-    _write_json(Path(args.out) / f"verify_{args.suite}.json", report)
+    _write_json(json_path, report)
     return EXIT_OK if all_passed else 1
 
 
@@ -223,10 +228,9 @@ def _check_args(args) -> None:
         raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
 
 
-def build_parser(threads_default: int | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``threads_default`` defaults to $PGGLMC_THREADS or 1."""
-    if threads_default is None:
-        threads_default = _env_threads()
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; ``--threads`` defaults to $PGGLMC_THREADS or 1."""
+    threads_default = _env_threads()
     parser = argparse.ArgumentParser(
         prog="pgglmc",
         description="Black-box Langevin Monte Carlo with p-generalized Gaussian "
@@ -235,29 +239,26 @@ def build_parser(threads_default: int | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pgglmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_config: bool):
-        if needs_config:
-            sp.add_argument("--config", required=True, help="experiment config JSON")
-        else:
-            sp.add_argument("--config", default=None, help="optional config JSON (seed source)")
+    def common(sp):
         sp.add_argument("--out", default=".", help="output directory (default: .)")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="override the seed (the config's, or each suite's own)")
         sp.add_argument("--threads", type=int, default=threads_default,
                         help="chain groups to run in parallel (default: "
                              "$PGGLMC_THREADS or 1)")
         sp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
 
-    sp = sub.add_parser("sample", help="run LMC chains, write CSV states + JSON report")
-    common(sp, needs_config=True)
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("bounds", help="print itemized Theorem-1 / Lemma-3 bounds, no chains")
-    common(sp, needs_config=True)
-    sp.set_defaults(func=cmd_bounds)
+    for name, func, help_ in (
+            ("sample", cmd_sample, "run LMC chains, write CSV states + JSON report"),
+            ("bounds", cmd_bounds, "print itemized Theorem-1 / Lemma-3 bounds, no chains")):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--config", required=True, help="experiment config JSON")
+        common(sp)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("verify", help="run a bound-verification suite")
     sp.add_argument("suite", choices=sorted(SUITE_NAMES) + ["all"])
-    common(sp, needs_config=False)
+    common(sp)
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -265,23 +266,19 @@ def build_parser(threads_default: int | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        threads_default = _env_threads()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    parser = build_parser(threads_default)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits with 2 on bad usage
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         return args.func(args)
+    except SystemExit as exc:  # argparse exits with 2 on bad usage, 0 after --help
+        return int(exc.code or 0)
     except StepSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GATE
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # config reads raise ConfigError, so this is --out or a report
+        print(f"error: cannot write the reports: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

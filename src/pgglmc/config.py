@@ -18,14 +18,15 @@ Schema (see README for the full description)::
     }
 
 "eta": "auto" resolves to 0.9 * (2 / (M + 2 lam)) once the potential and
-smoothing parameters are known.
+smoothing parameters are known.  Left-out ``lmc.init`` and ``report`` keys
+take the defaults of ``InitSpec()`` and ``ReportConfig()``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -90,16 +91,16 @@ class ExperimentConfig:
     potential_name: str
     d: int
     lam: float
-    potential_params: dict = field(default_factory=dict)
-    mu: float = 0.1
-    n: int = 1
-    p: float = 2.0
-    eta: float | str = "auto"
-    steps: int = 1
-    chains: int = 1
-    init: InitSpec = field(default_factory=InitSpec)
-    seed: int = 0
-    report: ReportConfig = field(default_factory=ReportConfig)
+    potential_params: dict
+    mu: float
+    n: int
+    p: float
+    eta: float | str
+    steps: int
+    chains: int
+    init: InitSpec
+    seed: int
+    report: ReportConfig
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -137,16 +138,17 @@ class ExperimentConfig:
         steps = _number(lmc, "lmc", "steps", integer=True, minimum=0)
         chains = _number(lmc, "lmc", "chains", integer=True, minimum=1)
         seed = _number(lmc, "lmc", "seed", integer=True, minimum=0)
-        init = cls._parse_init(lmc.get("init", {"kind": "point", "value": 0.0}), d)
+        init = cls._parse_init(lmc["init"], d) if "init" in lmc else InitSpec()
 
         rep = doc.get("report", {})
         _check_keys(rep, "report", required=(), optional=("thinning", "resamples", "csv", "json"))
-        thinning = rep.get("thinning", "auto")
+        default = ReportConfig()
+        thinning = rep.get("thinning", default.thinning)
         if thinning != "auto":
             thinning = _number(rep, "report", "thinning", integer=True, minimum=1)
         resamples = (_number(rep, "report", "resamples", integer=True, minimum=1)
-                     if "resamples" in rep else 5)
-        names = {"csv": rep.get("csv", "samples.csv"), "json": rep.get("json", "report.json")}
+                     if "resamples" in rep else default.resamples)
+        names = {"csv": rep.get("csv", default.csv), "json": rep.get("json", default.json_path)}
         for key, name in names.items():
             if not isinstance(name, str):
                 raise ConfigError(f"report.{key}: expected a string, got {name!r}")
@@ -172,18 +174,20 @@ class ExperimentConfig:
     def _parse_init(doc, d: int) -> InitSpec:
         _require_mapping(doc, "lmc.init")
         kind = doc.get("kind")
-        if kind == "point":
-            _check_keys(doc, "lmc.init", required=("kind",), optional=("value",))
-            point = _point(doc, "lmc.init", "value", d) if "value" in doc else 0.0
-            return InitSpec(kind="point", point=point)
-        if kind == "gaussian":
-            _check_keys(doc, "lmc.init", required=("kind",), optional=("mean", "scale"))
-            scale = doc.get("scale", 1.0)
+        if kind not in ("point", "gaussian"):
+            raise ConfigError(f"lmc.init.kind: expected 'point' or 'gaussian', got {kind!r}")
+        _check_keys(doc, "lmc.init", required=("kind",),
+                    optional=("value",) if kind == "point" else ("mean", "scale"))
+        fields = {}  # keys left out keep InitSpec's defaults
+        if "scale" in doc:
+            scale = doc["scale"]
             if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale > 0:
                 raise ConfigError(f"lmc.init.scale: expected a positive number, got {scale!r}")
-            mean = _point(doc, "lmc.init", "mean", d) if "mean" in doc else 0.0
-            return InitSpec(kind="gaussian", mean=mean, scale=float(scale))
-        raise ConfigError(f"lmc.init.kind: expected 'point' or 'gaussian', got {kind!r}")
+            fields["scale"] = float(scale)
+        for key, field in (("value", "point"), ("mean", "mean")):
+            if key in doc:
+                fields[field] = _point(doc, "lmc.init", key, d)
+        return InitSpec(kind=kind, **fields)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

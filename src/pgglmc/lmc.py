@@ -138,7 +138,7 @@ def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.nd
     work, if given, is the estimator's scratch, of xi's shape and layout.
     """
     if xi is None:
-        g = pot.smoothed_grad(x, scfg.mu, scfg.pgg)
+        g = pot.smoothed_grad(x)
     else:
         g = grad_estimate_from_draws(pot, scfg.mu, scfg.pgg.p, x, xi, work=work)
     cand = x - eta * g + math.sqrt(2.0 * eta) * noise
@@ -400,7 +400,7 @@ def theorem1_bound(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcCo
         C=float(C),
         terms=terms,
         notes=notes,
-        geometric_alt=float(max(0.0, 1.0 - 0.5 * lam * eta) ** steps * w2_init),
+        geometric_alt=geometric_factor(lam, eta, 2 * steps) * w2_init,
     )
 
 

@@ -121,13 +121,8 @@ class RegularizedPotential:
         """v when the target exp(-U_bar) is known to be N(0, v I_d), else None."""
         return None if self.base.quad_curvature is None else 1.0 / self.total_curvature
 
-    def smoothed_value(self, x, mu: float, pgg: PggSpec) -> np.ndarray:
-        """Exact U_bar_mu for the quadratic family: U_bar + (c+lam)/2 mu^2 E||xi||^2."""
-        shift = 0.5 * self.total_curvature * mu * mu * pgg_sq_norm_moment_bound(pgg).exact
-        return self.value(x) + shift
-
-    def smoothed_grad(self, x, mu: float, pgg: PggSpec) -> np.ndarray:
-        """Exact grad U_bar_mu for the quadratic family: (c + lam) x."""
+    def smoothed_grad(self, x) -> np.ndarray:
+        """Exact grad U_bar_mu for the quadratic family: (c + lam) x, whatever mu and p."""
         c = self.total_curvature
         return c * np.asarray(x, dtype=float)
 
@@ -184,14 +179,15 @@ def lemma1_gap_envelope(pot, mu: float, p: float) -> float:
 def perturbation_scale_a(pot: RegularizedPotential, mu: float, p: float) -> float:
     """a = lemma1_gap_bound + (lam/2) mu^2 (d+1)^(2/p).
 
-    Controls how far the smoothed target exp(-U_bar_mu) drifts from
+    (d+1)^(2/p) is ``pgg_sq_norm_moment_bound``'s bound on E||xi||^2.  a
+    controls how far the smoothed target exp(-U_bar_mu) drifts from
     exp(-U_bar) in 2-Wasserstein distance.
     """
     try:
         gap = lemma1_gap_bound(pot, mu, p)
     except OverflowError:
         gap = math.inf
-    a = gap + 0.5 * pot.lam * mu * mu * (pot.d + 1.0) ** (2.0 / p)
+    a = gap + 0.5 * pot.lam * mu * mu * pgg_sq_norm_moment_bound(PggSpec(p, pot.d)).bound
     if not math.isfinite(a):
         raise ParameterError(f"perturbation scale a overflows a float at mu = {mu}, "
                              f"lam = {pot.lam}")

@@ -212,7 +212,7 @@ def smoothed_gradient_reference(pot: RegularizedPotential, cfg: SmoothingConfig,
         raise ParameterError(f"reference draw count must be >= 2, got {m}")
     x = _as_point(x, cfg)
     if pot.has_exact_smoothing:
-        return pot.smoothed_grad(x, cfg.mu, cfg.pgg), np.zeros(cfg.pgg.d)
+        return pot.smoothed_grad(x), np.zeros(cfg.pgg.d)
     xi = sample_pgg(cfg.pgg, rng, size=m)
 
     def summands_of(block):

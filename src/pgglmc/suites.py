@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .lmc import InitSpec, LmcConfig, bounds_table, run_chain
-from .pgg import PggSpec, pgg_norm_moment, sample_pgg
+from .pgg import PggSpec, pgg_norm_moment, pgg_sq_norm_moment_bound, sample_pgg
 from .potentials import get_potential, lemma1_gap_envelope, regularize, smoothness_constant_M
 from .smoothing import (SmoothingConfig, _two_point, measure_bias_variance,
                         smoothed_gradient_reference, smoothed_value_mc)
-from .transport import SampleSet, w2_exact_1d, w2_exact_assignment, w2_to_gaussian
+from .transport import w2_exact_1d, w2_exact_assignment, w2_to_gaussian
 
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suites",
            "suite_moments", "suite_lemma1", "suite_lemma2", "suite_mixing",
@@ -78,7 +78,7 @@ def _lemma1_corpus(d: int):
 _MOMENT_ROWS = 16_384
 
 
-def suite_moments(seed: int = 1001, draws: int = 1_000_000, **_) -> SuiteResult:
+def suite_moments(seed: int = 1001, draws: int = 1_000_000) -> SuiteResult:
     """Monte Carlo vs the Gamma-ratio moment formula on the (p, d, n) grid.
 
     One ``(draws, 5)`` N_p block per p serves every d: the first d
@@ -152,8 +152,8 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000, **_) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
-                 pairs: int = 1000, lipschitz_draws: int = 4000, **_) -> SuiteResult:
+def suite_lemma1(seed: int = 1002) -> SuiteResult:
+    points, gap_draws, pairs, lipschitz_draws = 20, 20_000, 1000, 4000
     # one child generator per p serves that p's gap and Lipschitz parts for every base
     rngs = dict(zip((1.0, 2.0), np.random.default_rng(seed).spawn(2)))
     result = SuiteResult(suite="lemma1")
@@ -169,7 +169,8 @@ def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
                 gap = smoothed - pot.value(X)
                 # Regularizer contributes exactly (lam/2) mu^2 E||xi||^2,
                 # covered by the same (d+1)^(2/p) envelope used inside a.
-                bound = lemma1_gap_envelope(base, mu, p) + 0.5 * lam * mu**2 * (d + 1) ** (2 / p)
+                bound = (lemma1_gap_envelope(base, mu, p)
+                         + 0.5 * lam * mu**2 * pgg_sq_norm_moment_bound(cfg.pgg).bound)
                 worst_low = float((gap + 4 * se).min())
                 worst_high = float((gap - 4 * se - bound).max())
                 result.checks.append(Check(
@@ -192,8 +193,7 @@ def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
             y = x + rng.normal(size=(pairs, d)) * rng.uniform(0.01, 3.0, size=(pairs, 1))
             dist = np.linalg.norm(x - y, axis=1)
             if pot.has_exact_smoothing:
-                delta = np.linalg.norm(pot.smoothed_grad(x, mu, spec)
-                                       - pot.smoothed_grad(y, mu, spec), axis=1)
+                delta = np.linalg.norm(pot.smoothed_grad(x) - pot.smoothed_grad(y), axis=1)
                 tol = np.full(pairs, 1e-9)
             else:
                 # shared draws make differences of references nearly noise-free
@@ -220,8 +220,9 @@ def suite_lemma1(seed: int = 1002, points: int = 20, gap_draws: int = 20_000,
 # ---------------------------------------------------------------------------
 
 
-def suite_lemma2(seed: int = 1003, trials: int = 10_000, **_) -> SuiteResult:
+def suite_lemma2(seed: int = 1003) -> SuiteResult:
     rng = np.random.default_rng(seed)
+    trials = 10_000
     result = SuiteResult(suite="lemma2")
     d, p, mu, lam = 4, 2.0, 0.1, 0.5
     spec = PggSpec(p=p, d=d)
@@ -283,7 +284,7 @@ def _stationary_variance_oracle(lam: float, eta: float) -> float:
     return 1.0 / (lam * (1.0 - eta * lam / 2.0))
 
 
-def suite_mixing_variance(seed: int = 1004, threads: int = 1, **_) -> SuiteResult:
+def suite_mixing_variance(seed: int = 1004, threads: int = 1) -> SuiteResult:
     """Stationary variance against the exact discretized-OU oracle.
 
     Target curvature comes from the regularizer alone (flat base), so the
@@ -344,7 +345,7 @@ DOMINANCE_STEPS = 2000
 DOMINANCE_CHAINS = 1024
 
 
-def suite_mixing_dominance(seed: int = 1004, threads: int = 1, **_) -> SuiteResult:
+def suite_mixing_dominance(seed: int = 1004, threads: int = 1) -> SuiteResult:
     """Measured W2 to the known Gaussian target never exceeds the Theorem-1 bound."""
     result = SuiteResult(suite="mixing")
     lam, eta, steps, chains = DOMINANCE_LAM, DOMINANCE_ETA, DOMINANCE_STEPS, DOMINANCE_CHAINS
@@ -369,7 +370,7 @@ def suite_mixing_dominance(seed: int = 1004, threads: int = 1, **_) -> SuiteResu
     return result
 
 
-def suite_mixing(seed: int = 1004, threads: int = 1, **_) -> SuiteResult:
+def suite_mixing(seed: int = 1004, threads: int = 1) -> SuiteResult:
     """Both mixing parts: stationary-variance oracle plus Theorem-1 dominance."""
     part1 = suite_mixing_variance(seed=seed, threads=threads)
     part2 = suite_mixing_dominance(seed=seed, threads=threads)
@@ -381,32 +382,32 @@ def suite_mixing(seed: int = 1004, threads: int = 1, **_) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_transport(seed: int = 1005, instances: int = 100, **_) -> SuiteResult:
+def suite_transport(seed: int = 1005) -> SuiteResult:
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="transport")
 
     worst_gap = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         n = int(rng.integers(2, 9))
         d = int(rng.integers(1, 4))
         a = rng.normal(size=(n, d))
         b = rng.normal(size=(n, d))
         cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
         brute = min(cost[np.arange(n), perm].sum() for perm in permutations(range(n)))
-        solver = w2_exact_assignment(SampleSet(a), SampleSet(b))
+        solver = w2_exact_assignment(a, b)
         gap = abs(solver - math.sqrt(brute / n))
         worst_gap = max(worst_gap, gap)
     result.checks.append(Check(
         name="assignment_equals_bruteforce",
         passed=worst_gap == 0.0, observed=worst_gap, limit=0.0,
-        detail=f"{instances} random instances with N <= 8",
+        detail="100 random instances with N <= 8",
     ))
 
     worst_rel = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 258))
-        a = SampleSet(rng.normal(size=(n, 1)))
-        b = SampleSet(rng.normal(size=(n, 1)) + rng.normal())
+        a = rng.normal(size=(n, 1))
+        b = rng.normal(size=(n, 1)) + rng.normal()
         v1, v2 = w2_exact_1d(a, b), w2_exact_assignment(a, b)
         worst_rel = max(worst_rel, abs(v1 - v2) / max(v1, 1e-300))
     result.checks.append(Check(
@@ -418,7 +419,7 @@ def suite_transport(seed: int = 1005, instances: int = 100, **_) -> SuiteResult:
     for _ in range(25):
         n = int(rng.integers(4, 65))
         d = int(rng.integers(1, 4))
-        sets = [SampleSet(rng.normal(size=(n, d))) for _ in range(3)]
+        sets = [rng.normal(size=(n, d)) for _ in range(3)]
         ab = w2_exact_assignment(sets[0], sets[1])
         ba = w2_exact_assignment(sets[1], sets[0])
         bc = w2_exact_assignment(sets[1], sets[2])
@@ -450,9 +451,9 @@ def run_suites(name: str, seed: int | None = None, threads: int = 1) -> list[Sui
     names = list(SUITE_NAMES) if name == "all" else [name]
     out = []
     for key in names:
-        kwargs = {"threads": threads}
-        if seed is not None:
-            kwargs["seed"] = seed
+        kwargs = {} if seed is None else {"seed": seed}
+        if key == "mixing":  # the one suite that runs chains
+            kwargs["threads"] = threads
         t0 = time.perf_counter()
         result = SUITE_NAMES[key](**kwargs)
         result.seconds = time.perf_counter() - t0

@@ -95,7 +95,7 @@ def test_criterion_3_lemma1_suite():
 
 def test_criterion_4_lemma2_suite():
     t0 = time.perf_counter()
-    res = suite_lemma2(seed=20_004, trials=10_000)
+    res = suite_lemma2(seed=20_004)
     bad = failed_checks(res)
     finish("criterion 4: estimator bias/variance envelopes (1e4 trials)",
            not bad, time.perf_counter() - t0, 300, detail=f"failed: {bad}" if bad else "")
@@ -206,7 +206,7 @@ def test_criterion_7_bound_dominance(mixing_dominance_result):
 
 def test_criterion_8_transport_correctness():
     t0 = time.perf_counter()
-    res = suite_transport(seed=20_008, instances=100)
+    res = suite_transport(seed=20_008)
     bad = failed_checks(res)
     finish("criterion 8: assignment solver vs N! brute force, 1-D closed form, axioms",
            not bad, time.perf_counter() - t0, 60, detail=f"failed: {bad}" if bad else "")

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgglmc import ConfigError, ExperimentConfig, max_step_size
+from pgglmc import cli
 from pgglmc.cli import main
 
 
@@ -431,6 +432,28 @@ class TestCliExitCodes:
         assert not out.exists()
         assert not (tmp_path / "escaped.txt").exists()
         assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    @pytest.mark.parametrize("command", ["sample", "bounds", "verify"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, under_file):
+        # an --out naming a file, or a path under one, used to end in a
+        # FileExistsError or NotADirectoryError traceback, and sample only
+        # failed after running every chain
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was created")
+
+        monkeypatch.setattr(cli, "run_chain", no_work)
+        monkeypatch.setattr(cli, "run_suites", no_work)
+        argv = (["verify", "transport"] if command == "verify"
+                else [command, "--config", write_config(tmp_path, base_doc())])
+        out = afile / "x" if under_file else afile
+        code = main(argv + ["--out", str(out), "--quiet"])
+        self.assert_config_error(code, capsys, "afile")
+        assert afile.read_text(encoding="utf-8") == "kept\n"
 
     def test_interrupted_sample_exits_130_and_writes_nothing(self, tmp_path):
         # Ctrl-C used to end in a KeyboardInterrupt traceback and death by the signal

@@ -1,7 +1,9 @@
 """The set of public names the package exports is pinned: adding or removing one is a
-deliberate API change that must update this list.  The internal names that the
+deliberate API change that must update this list.  The chain driver's keywords and
+the command-line options are pinned the same way.  The internal names that the
 benchmark's tracer wraps must stay importable too."""
 
+import argparse
 import dataclasses
 import inspect
 import json
@@ -12,6 +14,7 @@ import types
 from pathlib import Path
 
 import pgglmc
+from pgglmc.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,7 +36,7 @@ PUBLIC_NAMES = {
     "check_step_size", "geometric_factor", "initial_w2", "lemma3_w2_bound",
     "outside_guard", "run_chain", "theorem1_bound",
     # transport
-    "SampleSet", "W2GaussianResult", "w2_exact_1d", "w2_exact_assignment", "w2_to_gaussian",
+    "W2GaussianResult", "w2_exact_1d", "w2_exact_assignment", "w2_to_gaussian",
     # config
     "ExperimentConfig", "ReportConfig",
 }
@@ -53,6 +56,20 @@ def test_run_surface_is_pinned():
         "exact_gradient", "thin", "threads"]
     assert [f.name for f in dataclasses.fields(pgglmc.ChainResult)] == [
         "final_states", "trajectory", "trajectory_steps", "evals_total", "divergence_step"]
+
+
+def test_cli_surface_is_pinned():
+    # a new flag is a deliberate change too; verify takes no --config
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [opt for a in sp._actions for opt in a.option_strings or [a.dest]]
+               for name, sp in commands.choices.items()}
+    with_config = ["-h", "--help", "--config", "--out", "--seed", "--threads", "--quiet"]
+    assert surface == {
+        "sample": with_config,
+        "bounds": with_config,
+        "verify": ["-h", "--help", "suite", "--out", "--seed", "--threads", "--quiet"],
+    }
 
 
 def test_benchmark_tracer_installs(tmp_path):

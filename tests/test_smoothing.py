@@ -189,7 +189,6 @@ class TestSmoothedValue:
         cfg = SmoothingConfig(mu=1.0, n=1, pgg=PggSpec(1.0, 2))
         val, se = smoothed_value_mc(pot, cfg, np.zeros(2), 200_000, np.random.default_rng(6))
         assert abs(val - 2.0) <= 4 * se
-        assert val == pytest.approx(pot.smoothed_value(np.zeros(2), 1.0, cfg.pgg), abs=4 * se)
 
     def test_degenerate_radius_recovers_value(self):
         pot = regularize(get_potential("l1", 3), 0.5)

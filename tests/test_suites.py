@@ -3,7 +3,13 @@ import pytest
 
 from pgglmc import ParameterError, PggSpec, sample_pgg
 from pgglmc import suites
-from pgglmc.suites import suite_moments
+from pgglmc.suites import suite_moments, suite_transport
+
+
+def test_misspelt_suite_keyword_raises():
+    # a suite used to swallow unknown keywords and run at its default size
+    with pytest.raises(TypeError):
+        suite_transport(instancs=1)
 
 
 class TestMomentSuite:
