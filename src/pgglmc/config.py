@@ -25,6 +25,7 @@ take the defaults of ``InitSpec()`` and ``ReportConfig()``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,13 +69,14 @@ def _number(doc, path, key, *, integer=False, minimum=None, strict_min=None):
 
 
 def _point(doc, path, key, d):
-    """A number or a list of d numbers, returned as given (the echo keeps it)."""
+    """A finite number or a list of d finite numbers, returned as given (the echo keeps it)."""
     val = doc[key]
     items = val if isinstance(val, list) else [val]
     if ((isinstance(val, list) and len(val) != d)
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in items)):
-        raise ConfigError(f"{path}.{key}: expected a number or a list of {d} numbers, "
-                          f"got {val!r}")
+            or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   or not math.isfinite(v) for v in items)):
+        raise ConfigError(f"{path}.{key}: expected a finite number or a list of {d} "
+                          f"finite numbers, got {val!r}")
     return val
 
 
@@ -181,8 +183,10 @@ class ExperimentConfig:
         fields = {}  # keys left out keep InitSpec's defaults
         if "scale" in doc:
             scale = doc["scale"]
-            if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not scale > 0:
-                raise ConfigError(f"lmc.init.scale: expected a positive number, got {scale!r}")
+            if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+                    or not 0 < scale < math.inf):
+                raise ConfigError(f"lmc.init.scale: expected a positive finite number, "
+                                  f"got {scale!r}")
             fields["scale"] = float(scale)
         for key, field in (("value", "point"), ("mean", "mean")):
             if key in doc:

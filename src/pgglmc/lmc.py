@@ -141,8 +141,11 @@ def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.nd
         g = pot.smoothed_grad(x)
     else:
         g = grad_estimate_from_draws(pot, scfg.mu, scfg.pgg.p, x, xi, work=work)
-    cand = x - eta * g + math.sqrt(2.0 * eta) * noise
-    return cand, outside_guard(cand)
+    # the candidate x - eta g + sqrt(2 eta) noise, built in g's buffer
+    g *= eta
+    np.subtract(x, g, out=g)
+    g += math.sqrt(2.0 * eta) * noise
+    return g, outside_guard(g)
 
 
 def _init_center(init: InitSpec, d: int) -> np.ndarray:
@@ -236,12 +239,16 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
                     if xi is not None:
                         xi_step_rows[...] = xi_rows[:, j].T
                     cand, bad = _step(pot, scfg, lcfg.eta, x, xi_view, noise[:, j], work)
-                    newly = alive & bad
                     step_no = k + j + 1
-                    if newly.any():
-                        div_step[indices[newly]] = step_no
-                    alive &= ~bad
-                    np.copyto(x, cand, where=alive[:, None])
+                    if bad.any():
+                        newly = alive & bad
+                        if newly.any():
+                            div_step[indices[newly]] = step_no
+                        alive &= ~bad
+                    if alive.all():
+                        x = cand
+                    else:
+                        np.copyto(x, cand, where=alive[:, None])
                     if traj is not None and step_no % thin == 0:
                         traj[indices, step_no // thin - 1] = x
             k += m

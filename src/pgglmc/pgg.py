@@ -11,12 +11,13 @@ moments stay finite for dimensions up to at least 1e4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from .errors import ParameterError
 
@@ -48,18 +49,19 @@ class PggSpec:
         object.__setattr__(self, "d", int(self.d))
 
 
-# Outputs per round of the p != 2 samplers: the round's uniforms and scratch
-# (under 1 MB at 1 < p < 2) stay in a per-core cache, and a call's extra
-# memory does not grow with its size.
+# Outputs per round of the p != 2 samplers: the round's words and scratch
+# (under 1 MB) stay in a per-core cache, and a call's extra memory does not
+# grow with its size.
 _ROUND = 16_384
 # 1 - 2^-53: 2U - (1 - 2^-53) maps numpy's uniforms k 2^-53, k < 2^53, exactly
 # onto the odd multiples of 2^-53 in (-1, 1), a grid symmetric about 0.
 _ONE_MINUS_ULP = 1.0 - 2.0**-53
-
-
-def _proposals(m: int, acc: float) -> int:
-    """Proposal pairs drawn for a round of m outputs at acceptance rate acc."""
-    return int(m / acc + 2.0 * math.sqrt(m)) + 8
+# Layers of the 1 < p < 2 ziggurat; a word's low 8 bits pick one.
+_LAYERS = 256
+# Rejected candidates held before they are completed together: about 2% of
+# candidates fail the fast test, so a call of a few rounds completes them all
+# at once, and a large call's held positions stay small.
+_HELD = 2048
 
 
 def _fill_laplace(rng: np.random.Generator, flat: np.ndarray) -> None:
@@ -78,34 +80,160 @@ def _fill_laplace(rng: np.random.Generator, flat: np.ndarray) -> None:
         np.copysign(s, v, out=v)
 
 
-def _fill_rejection(p: float, rng: np.random.Generator, flat: np.ndarray) -> None:
-    """N_p draws at 1 < p < 2 into the 1-D array flat, by Laplace-envelope rejection."""
-    c = 1.0 - 1.0 / p
-    acc = math.exp(gammaln(1.0 / p) - c * math.log(p) - c)
-    sign_cut = -(c + math.log(2.0))
-    e, a, w = np.empty((3, _proposals(min(flat.size, _ROUND), acc)))
-    pos = 0
-    while pos < flat.size:
-        m = min(_ROUND, flat.size - pos)
-        k = _proposals(m, acc)
-        ek, ak, wk = e[:k], a[:k], w[:k]
-        rng.random(out=ek)
-        rng.random(out=ak)
-        np.subtract(1.0, ek, out=ek)
-        np.log(ek, out=ek)
-        np.negative(ek, out=ek)                # E
-        np.subtract(1.0, ak, out=ak)
-        np.log(ak, out=ak)                     # -A
-        np.power(ek, p, out=wk)
-        wk *= 1.0 / p
-        wk -= ek
-        wk += ak                               # t(E) - A - c
-        keep = np.flatnonzero(wk <= -c)[:m]    # A >= t(E)
-        np.subtract(sign_cut, wk, out=wk)      # >= 0 iff A - t(E) >= ln 2
-        np.copysign(ek, wk, out=ek)
-        # "clip" writes straight into out; the default mode buffers it
-        np.take(ek, keep, out=flat[pos:pos + keep.size], mode="clip")
-        pos += keep.size
+class _Ziggurat(NamedTuple):
+    """The 256 equal-area layers under f(x) = exp(-x^p / p), x >= 0.
+
+    Layer i >= 1 is the rectangle [0, x_i] x [f(x_i), f(x_{i+1})], with edges
+    r = x_1 > ... > x_255 > x_256 = 0; layer 0 is [0, r] x [0, f(r)] plus the
+    tail beyond r, stretched to the virtual width x_0 = v / f(r).  Every
+    layer has the area v.
+    """
+
+    p: float
+    r: float
+    v: float
+    edges: np.ndarray   # x_0 .. x_256, so x_i is layer i's width
+    inner: np.ndarray   # x_{i+1} / x_i, the fast-accept share of layer i
+    f_low: np.ndarray   # f(x_i): the bottom of layer i >= 1
+    f_rise: np.ndarray  # f(x_{i+1}) - f(x_i): its height
+
+
+def _layer_edges(p: float, r: float) -> tuple[float, list[float] | None, float]:
+    """The area v of base edge r, the edges x_0 .. x_255 it gives, and where the top layer ends.
+
+    Each layer stacks on the last: f(x_{i+1}) = f(x_i) + v / x_i.  The edges
+    are None when the stack passes f(0) = 1 before the top layer, so r is
+    too small; the top layer ends at f(x_255) + v / x_255, which is 1 at
+    the right r and below 1 when r is too large.
+    """
+    f_r = math.exp(-r**p / p)
+    # the integral of f beyond r: p^(1/p - 1) Gamma(1/p) Q(1/p, r^p / p)
+    tail = math.exp((1.0 / p - 1.0) * math.log(p) + gammaln(1.0 / p))
+    tail *= gammaincc(1.0 / p, r**p / p)
+    v = r * f_r + tail
+    edges, y = [v / f_r, r], f_r
+    for _ in range(_LAYERS - 2):
+        y += v / edges[-1]
+        if y >= 1.0:
+            return v, None, y
+        edges.append((-p * math.log(y)) ** (1.0 / p))
+    return v, edges, y + v / edges[-1]
+
+
+@functools.lru_cache(maxsize=16)
+def _ziggurat(p: float) -> _Ziggurat:
+    """The layers for 1 < p < 2: the base edge r, bisected until the top layer closes at f = 1."""
+    low, high = 1.0, 16.0
+    while True:
+        mid = 0.5 * (low + high)
+        if mid in (low, high):
+            break
+        _, edges, top = _layer_edges(p, mid)
+        if edges is None or top > 1.0:
+            low = mid
+        else:
+            high = mid
+    v, edges, _ = _layer_edges(p, high)
+    x = np.array(edges + [0.0])
+    f = np.exp(-x**p / p)
+    tables = dict(edges=x, inner=x[1:] / x[:-1], f_low=f[:-1], f_rise=f[1:] - f[:-1])
+    for table in tables.values():
+        table.flags.writeable = False
+    return _Ziggurat(p=p, r=high, v=v, **tables)
+
+
+def _candidates(t: _Ziggurat, words: np.ndarray, z: np.ndarray, layer: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """Write each word's candidate V x_i into z and its layer i into layer.
+
+    Returns the positions that the fast test |V| < x_{i+1} / x_i rejects.
+    words is overwritten; z, layer and scratch have its size.
+    """
+    np.bitwise_and(words.view(np.int64), _LAYERS - 1, out=layer)
+    np.right_shift(words, 11, out=words)
+    # word >> 11 < 2^53 converts faster from int64, and exactly
+    np.multiply(words.view(np.int64), 2.0**-52, out=z)
+    z -= _ONE_MINUS_ULP                                # V
+    # "clip" writes straight into out; the default mode buffers it
+    np.take(t.inner, layer, out=scratch, mode="clip")
+    rejected = np.abs(z) >= scratch
+    np.take(t.edges, layer, out=scratch, mode="clip")
+    z *= scratch
+    return np.flatnonzero(rejected)
+
+
+def _tail(t: _Ziggurat, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+    """Draws from f beyond r, one for each uniform in u.
+
+    A proposal is x = r + E / r^(p-1), E = -log(1 - U), from the exponential
+    envelope tangent to f at r; it is accepted iff a fresh Exponential(1)
+    A >= x^p / p - r^p / p - r^(p-1) (x - r), which is >= 0 because x^p is
+    convex.  A rejected proposal is redrawn, with a fresh U then a fresh A.
+    """
+    p, r = t.p, t.r
+    slope = r ** (p - 1.0)
+    x = np.empty(u.size)
+    todo = np.arange(u.size)
+    while todo.size:
+        prop = r - np.log(1.0 - u) / slope
+        a = -np.log(1.0 - rng.random(todo.size))
+        ok = a >= (prop**p - r**p) / p - slope * (prop - r)
+        x[todo[ok]] = prop[ok]
+        todo = todo[~ok]
+        u = rng.random(todo.size)
+    return x
+
+
+def _finish(t: _Ziggurat, rng: np.random.Generator, z: np.ndarray, pos: np.ndarray,
+            layer: np.ndarray) -> None:
+    """Complete the candidates z[pos] of the given layers that the fast test rejected.
+
+    Each takes one uniform U.  In layer 0 it starts a tail draw, signed as
+    the candidate.  In layer i >= 1 the candidate stands iff f(x_i) + U
+    (f(x_{i+1}) - f(x_i)) < f(|z|); otherwise a fresh word makes a new
+    candidate, which passes the fast test or comes back here.
+    """
+    p = t.p
+    while pos.size:
+        cand = z[pos]
+        u = rng.random(pos.size)
+        base = layer == 0
+        if base.any():
+            z[pos[base]] = np.copysign(_tail(t, rng, u[base]), cand[base])
+        height = np.take(t.f_rise, layer, mode="clip")
+        height *= u
+        height += np.take(t.f_low, layer, mode="clip")
+        np.abs(cand, out=cand)
+        cand **= p
+        cand *= -1.0 / p
+        np.exp(cand, out=cand)
+        pos = pos[~(base | (height < cand))]
+        k = pos.size
+        fresh, layer = np.empty(k), np.empty(k, dtype=np.intp)
+        again = _candidates(t, rng.bit_generator.random_raw(k), fresh, layer, np.empty(k))
+        z[pos] = fresh
+        pos, layer = pos[again], layer[again]
+
+
+def _fill_ziggurat(p: float, rng: np.random.Generator, flat: np.ndarray) -> None:
+    """N_p draws at 1 < p < 2 into the 1-D array flat, one 64-bit word per candidate.
+
+    The positions that fail the fast test are held across rounds and
+    completed together once _HELD or more are held, and after the last round.
+    """
+    t = _ziggurat(p)
+    n = min(flat.size, _ROUND)
+    layer, scratch = np.empty(n, dtype=np.intp), np.empty(n)
+    held, count = [], 0
+    for start in range(0, flat.size, _ROUND):
+        z = flat[start:start + _ROUND]
+        k = z.size
+        pos = _candidates(t, rng.bit_generator.random_raw(k), z, layer[:k], scratch[:k])
+        held.append((pos + start, layer[pos]))
+        count += pos.size
+        if count >= _HELD or start + k == flat.size:
+            _finish(t, rng, flat, *(np.concatenate(part) for part in zip(*held)))
+            held, count = [], 0
 
 
 def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None, *,
@@ -119,15 +247,18 @@ def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None, *,
       symmetric about 0 inside (-1, 1)), X = copysign(-log(1 - |V|), V).
       -log(1 - |V|) is Exponential(1) by the inverse CDF and V's sign is
       independent of it, so X is Laplace(1); |X| <= 53 ln 2.
-    - 1 < p < 2: rejection from the Laplace envelope.  A proposal is a pair
-      E = -log(1 - U1), A = -log(1 - U2) of Exponential(1) draws; it is
-      accepted iff A >= t(E) = E^p / p - E + (1 - 1/p), which happens with
-      probability exp(-t(E)) (t >= 0, with t(1) = 0), so an accepted E has
-      density proportional to exp(-E^p / p).  Given acceptance, A - t(E) is
-      Exponential(1) and independent of E, so it also gives the sign: X = E
-      if A - t(E) >= ln 2, else -E.  The acceptance rate is
-      Gamma(1/p) p^(1/p - 1) e^(1/p - 1), 0.848 at p = 1.5 and above 0.76 on
-      [1, 2].
+    - 1 < p < 2: a 256-layer ziggurat for f(x) = exp(-x^p / p), x >= 0
+      (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000).  Each candidate
+      takes one 64-bit word: its low 8 bits pick the layer i, and its top 53
+      bits give V = (word >> 11) 2^-52 - (1 - 2^-53), on the p = 1 grid.  The
+      candidate z = V x_i stands at once iff |V| < x_{i+1} / x_i, about 98%
+      of the time.  The rest take one more uniform U: in a layer i >= 1, z
+      stands iff f(x_i) + U (f(x_{i+1}) - f(x_i)) < f(|z|), and otherwise a
+      fresh word makes a new candidate; in the base layer 0, sign(V) times a
+      draw from f beyond r = x_1, by rejection from the exponential envelope
+      of rate r^(p-1) tangent to f at r (exact: x^p is convex).  All layers
+      have the same area, so the draws are exact.  The layers are built once
+      per p, by bisection on r.
 
     Returns shape ``size + (d,)``; a bare ``(d,)`` vector when size is None.
     With ``out``, a C-contiguous float64 array of exactly that shape, the
@@ -136,12 +267,14 @@ def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None, *,
     p != 2 laws work in rounds of at most 16,384 outputs, so the memory a
     call needs beyond its output is bounded: at p = 1 a round reads its
     uniforms in order, so the call consumes one block of ``size + (d,)``
-    uniforms; at 1 < p < 2 a round of m outputs draws a block of
-    k = floor(m / acc + 2 sqrt(m)) + 8 uniforms U1, then a block of k U2, and
-    keeps the first m accepted proposals in order, and rounds repeat until the
-    output is full.  There the number of uniforms consumed depends on the
-    draws, but it is still a pure function of (generator state, size).
-    Splitting one call into several is NOT stream-equivalent in general.
+    uniforms; at 1 < p < 2 a round of m outputs reads a block of m words, and
+    the positions whose candidates fail the fast test are held until 2,048
+    or more are, or the output is full, and then completed together: a block
+    of one U each, the tail draws' further uniforms, then a block of fresh
+    words for the rejected wedge candidates, again until none is left.
+    There the number of words consumed depends on the draws, but it is still
+    a pure function of (generator state, size).  Splitting one call into
+    several is NOT stream-equivalent in general.
     """
     if size is None:
         shape = (spec.d,)
@@ -160,7 +293,7 @@ def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None, *,
     if p == 1.0:
         _fill_laplace(rng, out.reshape(-1))
     else:
-        _fill_rejection(p, rng, out.reshape(-1))
+        _fill_ziggurat(p, rng, out.reshape(-1))
     return out
 
 

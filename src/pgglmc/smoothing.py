@@ -108,14 +108,15 @@ def hadamard_weight(xi: np.ndarray, p: float, out: np.ndarray | None = None) -> 
 _BLOCK_BYTES = 1 << 18
 
 
-def _by_row_blocks(fn, rows: np.ndarray) -> np.ndarray:
+def _by_row_blocks(fn, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """fn applied to consecutive cache-sized blocks of rows, stacked along axis 0.
 
     fn must act on each row independently, so the result is bitwise the
-    one-call result fn(rows); callers reduce over rows themselves.
+    one-call result fn(rows); callers reduce over rows themselves.  The
+    result is written into ``out`` when given, which may be rows itself: a
+    block is read before its result is written.
     """
     step = max(1, _BLOCK_BYTES // rows[0].nbytes)
-    out = None
     for start in range(0, len(rows), step):
         block = fn(rows[start:start + step])
         if out is None:
@@ -149,7 +150,7 @@ def _two_point(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
     fits = np.broadcast_shapes(y.shape, x[..., None, :].shape) == y.shape
     y = np.add(y, x[..., None, :], out=y if fits else None)
     coef = pot.value(y)
-    coef -= np.expand_dims(base, -1)
+    coef -= base[..., None]
     coef /= mu
     # once evaluated the points are dead, so at p < 2 their buffer takes w
     return coef, hadamard_weight(xi, p, out=y if fits else None)
@@ -206,7 +207,8 @@ def smoothed_gradient_reference(pot: RegularizedPotential, cfg: SmoothingConfig,
     variance and takes no draws.  Otherwise the reference is the mean of the
     gradient-identity summands over m >= 2 draws, with the variance of that
     mean; neither depends on the batch size cfg.n.  The summands are
-    evaluated in cache-sized row blocks, then reduced over all m at once.
+    evaluated in cache-sized row blocks and written over their draws, then
+    reduced over all m at once.
     """
     if m < 2:
         raise ParameterError(f"reference draw count must be >= 2, got {m}")
@@ -219,7 +221,7 @@ def smoothed_gradient_reference(pot: RegularizedPotential, cfg: SmoothingConfig,
         coef, w = _two_point(pot, cfg.mu, cfg.pgg.p, x, block)
         return coef[:, None] * w
 
-    summands = _by_row_blocks(summands_of, xi)
+    summands = _by_row_blocks(summands_of, xi, out=xi)
     return summands.mean(axis=0), summands.var(axis=0, ddof=1) / m
 
 

@@ -82,20 +82,21 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000) -> SuiteResult:
     """Monte Carlo vs the Gamma-ratio moment formula on the (p, d, n) grid.
 
     One ``(draws, 5)`` N_p block per p serves every d: the first d
-    coordinates of an N_p(0, I_5) row are an exact N_p(0, I_d) draw.  The
-    block is overwritten in place, in row blocks, with the running sum of
-    |xi_j|^p over j, so column d - 1 holds ||xi||_p^p for that d.  Checks in
-    the same p therefore share draws; each still uses all ``draws`` rows and
-    a 4-SE test.  Each p has its own child generator of ``seed``.  ``draws``
-    >= 2, else ``ParameterError``.
+    coordinates of an N_p(0, I_5) row are an exact N_p(0, I_d) draw.  Every
+    p refills one buffer, which is overwritten in place, in row blocks, with
+    the running sum of |xi_j|^p over j, so column d - 1 holds ||xi||_p^p for
+    that d.  Checks in the same p therefore share draws; each still uses all
+    ``draws`` rows and a 4-SE test.  Each p has its own child generator of
+    ``seed``.  ``draws`` >= 2, else ``ParameterError``.
     """
     if draws < 2:
         raise ParameterError(f"moment draw count must be >= 2, got {draws}")
     result = SuiteResult(suite="moments")
     ps, orders, dims = (1.0, 1.5, 2.0), (1.0, 2.0, 4.0), (1, 3, 5)
 
+    xi = np.empty((draws, dims[-1]))
     for p, rng in zip(ps, np.random.default_rng(seed).spawn(len(ps))):
-        xi = sample_pgg(PggSpec(p=p, d=dims[-1]), rng, size=draws)
+        sample_pgg(PggSpec(p=p, d=dims[-1]), rng, size=draws, out=xi)
         for start in range(0, draws, _MOMENT_ROWS):
             block = xi[start:start + _MOMENT_ROWS]
             np.abs(block, out=block)

@@ -372,6 +372,26 @@ class TestCliExitCodes:
         code = main(["sample", "--config", cfg_path, "--out", str(tmp_path)])
         self.assert_config_error(code, capsys, "lmc.init.value")
 
+    @pytest.mark.parametrize("key, init", [
+        ("value", {"kind": "point", "value": math.nan}),
+        ("value", {"kind": "point", "value": [0.0, math.inf]}),
+        ("mean", {"kind": "gaussian", "mean": -math.inf, "scale": 1.0}),
+        ("mean", {"kind": "gaussian", "mean": [math.nan, 0.0], "scale": 1.0}),
+        ("scale", {"kind": "gaussian", "mean": 0.0, "scale": math.inf}),
+        ("scale", {"kind": "gaussian", "mean": 0.0, "scale": math.nan}),
+    ])
+    def test_non_finite_init_exits_2_naming_the_key(self, tmp_path, capsys, key, init):
+        # json writes and reads NaN and Infinity; they used to reach the
+        # bounds and fail there as "w2_init must be finite"
+        doc = base_doc()
+        doc["lmc"]["init"] = init
+        cfg_path = write_config(tmp_path, doc)
+        for command in ("sample", "bounds"):
+            out = tmp_path / command
+            code = main([command, "--config", cfg_path, "--out", str(out)])
+            self.assert_config_error(code, capsys, f"lmc.init.{key}")
+            assert not out.exists()
+
     def test_non_numeric_param_exits_2(self, tmp_path, capsys):
         doc = base_doc()
         doc["potential"] = {"name": "power", "d": 2, "lambda": 0.5, "params": {"alpha": "x"}}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaincc
 from scipy.stats import kstest
 
 from pgglmc import (
@@ -30,25 +30,90 @@ def coord_abs_moment(p, n):
     return num / den
 
 
-def rejection_reference(p, rng, total, rnd):
+def ziggurat_reference(p, rng, total, rnd, held):
     """The documented 1 < p < 2 recipe, written out round by round.
 
-    Proposals E = -log(1 - U1), A = -log(1 - U2); accepted iff A >= t(E),
-    t(E) = E^p / p - E + c with c = 1 - 1/p, evaluated as
-    E^p (1/p) - E - A <= -c; positive iff A - t(E) >= ln 2.
+    A round of m outputs reads m 64-bit words; a word's low 8 bits pick the
+    layer i and its top 53 bits V = (word >> 11) 2^-52 - (1 - 2^-53); the
+    candidate V x_i stands iff |V| < x_{i+1} / x_i.  The rejected positions
+    are held until `held` or more are, or the last round is done, and then
+    completed: a block of one uniform U each; in layer 0 a tail draw
+    x = r - log(1 - U) / r^(p-1), accepted iff -log(1 - U2) >= x^p/p - r^p/p
+    - r^(p-1)(x - r) with a block of U2 for the layer-0 positions, then fresh
+    U and U2 blocks for those rejected; in layer i >= 1 the candidate stands
+    iff f(x_i) + U (f(x_{i+1}) - f(x_i)) < f(|z|), and otherwise a block of
+    fresh words gives new candidates, which are tested the same way.
+    Returns the draws and the number of tail draws.
     """
-    c = 1.0 - 1.0 / p
-    acc = math.exp(gammaln(1.0 / p) - c * math.log(p) - c)
-    draws = []
-    while len(draws) < total:
-        m = min(rnd, total - len(draws))
-        k = int(m / acc + 2.0 * math.sqrt(m)) + 8
-        e = -np.log(1.0 - rng.random(k))
-        a = -np.log(1.0 - rng.random(k))
-        w = e**p * (1.0 / p) - e - a
-        x = np.copysign(e, -(c + math.log(2.0)) - w)
-        draws.extend(x[w <= -c][:m])
-    return np.array(draws)
+    t = pgg._ziggurat(p)
+    x = t.edges
+    f = np.exp(-x**p / p)
+    r, slope = x[1], x[1] ** (p - 1.0)
+    out = np.empty(total)
+
+    def candidates(words):
+        layer = (words & np.uint64(255)).astype(np.intp)
+        v = (words >> np.uint64(11)).astype(float) * 2.0**-52 - (1.0 - 2.0**-53)
+        return layer, v * x[layer], np.abs(v) >= x[layer + 1] / x[layer]
+
+    def tail(u):
+        draws = np.empty(u.size)
+        todo = np.arange(u.size)
+        while todo.size:
+            prop = r - np.log(1.0 - u) / slope
+            a = -np.log(1.0 - rng.random(todo.size))
+            ok = a >= (prop**p - r**p) / p - slope * (prop - r)
+            draws[todo[ok]] = prop[ok]
+            todo = todo[~ok]
+            u = rng.random(todo.size)
+        return draws
+
+    def complete(pos, layer):
+        tails = 0
+        while pos.size:
+            u = rng.random(pos.size)
+            base = layer == 0
+            out[pos[base]] = np.copysign(tail(u[base]), out[pos[base]])
+            tails += base.sum()
+            height = (f[layer + 1] - f[layer]) * u + f[layer]
+            redo = pos[~base & ~(height < np.exp(np.abs(out[pos]) ** p * (-1.0 / p)))]
+            layer, out[redo], rejected = candidates(rng.bit_generator.random_raw(redo.size))
+            pos, layer = redo[rejected], layer[rejected]
+        return tails
+
+    pos, layer, tails = [], [], 0
+    for start in range(0, total, rnd):
+        m = min(rnd, total - start)
+        lay, out[start:start + m], rejected = candidates(rng.bit_generator.random_raw(m))
+        pos.extend(start + np.flatnonzero(rejected))
+        layer.extend(lay[rejected])
+        if len(pos) >= held or start + m == total:
+            tails += complete(np.array(pos, dtype=np.intp), np.array(layer, dtype=np.intp))
+            pos, layer = [], []
+    return out, tails
+
+
+class EdgeWords:
+    """A generator stub whose 64-bit words cycle through the given ones.
+
+    It hands them out as raw words and, like numpy's generators, as the
+    uniforms (word >> 11) 2^-53.
+    """
+
+    def __init__(self, cycle):
+        self.cycle = np.array(cycle, dtype=np.uint64)
+        self.bit_generator = self
+        self.words = 0
+
+    def random_raw(self, size):
+        if self.words > 10_000:
+            raise RuntimeError("the draws do not finish")
+        at = (self.words + np.arange(size)) % self.cycle.size
+        self.words += size
+        return self.cycle[at]
+
+    def random(self, size):
+        return (self.random_raw(size) >> np.uint64(11)) * 2.0**-53
 
 
 def kappa_quadrature_1d(p):
@@ -145,17 +210,17 @@ class TestSampling:
         b = sample_pgg(spec, np.random.default_rng(42), size=8)
         assert np.array_equal(a, b)
 
-    def test_gamma_transform_structure(self):
-        # 1 < p < 2: Laplace-envelope rejection in rounds of at most _ROUND
-        # outputs; each round draws a block of k U1 and then a block of k U2,
-        # and keeps its first m accepted proposals in order.  A round size of
-        # 7 makes the 15 draws below take at least three rounds.
-        spec = PggSpec(1.5, 3)
-        for rnd in (7, 16_384):
-            with patch.object(pgg, "_ROUND", rnd):
-                got = sample_pgg(spec, np.random.default_rng(7), size=5)
-            want = rejection_reference(1.5, np.random.default_rng(7), 15, rnd)
-            assert np.array_equal(got.ravel(), want)
+    @pytest.mark.parametrize("rnd, held", [(7, 1), (7, 2048), (16_384, 2048)])
+    def test_ziggurat_structure(self, rnd, held):
+        # 1 < p < 2: ziggurat rounds of at most _ROUND words, the rejected
+        # positions held until _HELD or more are, or the output is full.
+        # 40,000 draws take a few tail draws and wedge rejections.
+        spec = PggSpec(1.5, 4)
+        with patch.object(pgg, "_ROUND", rnd), patch.object(pgg, "_HELD", held):
+            got = sample_pgg(spec, np.random.default_rng(7), size=10_000)
+        want, tails = ziggurat_reference(1.5, np.random.default_rng(7), 40_000, rnd, held)
+        assert tails > 0
+        assert np.array_equal(got.ravel(), want)
 
     def test_laplace_recipe_structure(self):
         # p = 1: copysign(-log(1 - |V|), V) with V = 2U - (1 - 2^-53) from one
@@ -168,49 +233,68 @@ class TestSampling:
                 got = sample_pgg(PggSpec(1.0, 2), np.random.default_rng(7), size=5)
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("p", [1.0, 1.01, 1.5, 1.99])
-    def test_edge_uniforms_give_finite_draws(self, p):
-        # numpy's uniforms run from 0 to 1 - 2^-53.  The stub's blocks are
-        # 1 - 2^-53 but for a 0 in front, except that the U2 block of a
-        # rejection round (every second call) is all 1 - 2^-53.
-        top = 1.0 - 2.0**-53
-
+    def test_edge_uniforms_give_finite_draws(self):
+        # p = 1: numpy's uniforms run from 0 to 1 - 2^-53, and the stub's
+        # blocks are 1 - 2^-53 but for a 0 in front
         class EdgeUniforms:
-            calls = 0
-
             def random(self, out):
-                if self.calls > 50:
-                    raise RuntimeError("no round filled the output")
-                out[...] = top
-                if p == 1.0 or self.calls % 2 == 0:
-                    out.reshape(-1)[0] = 0.0
-                self.calls += 1
+                out[...] = 1.0 - 2.0**-53
+                out.reshape(-1)[0] = 0.0
                 return out
 
-        rng = EdgeUniforms()
-        x = sample_pgg(PggSpec(p, 2), rng, size=3).ravel()
+        x = sample_pgg(PggSpec(1.0, 2), EdgeUniforms(), size=3).ravel()
+        # the two edges give draws of opposite sign and magnitude 53 ln 2
+        assert x[0] == -x[1] < 0
+        assert x[1] == pytest.approx(53 * math.log(2.0), rel=1e-15)
         assert np.isfinite(x).all()
-        if p == 1.0:
-            # the two edges give draws of opposite sign and magnitude 53 ln 2
-            assert x[0] == -x[1] < 0
-            assert x[1] == pytest.approx(53 * math.log(2.0), rel=1e-15)
-        elif p == 1.01:
-            # E = 53 ln 2 is accepted there
-            assert x.max() == pytest.approx(53 * math.log(2.0), rel=1e-15)
-        else:
-            # E = 53 ln 2 is rejected there, so each round keeps one E = 0
-            # proposal: six short rounds of two blocks each
-            assert rng.calls == 12 and not x.any()
 
-    @pytest.mark.parametrize("p", [1.0, 1.5])
-    def test_scratch_is_bounded(self, p):
-        # the draws work in bounded rounds, so filling an 8 MB output takes a
-        # fixed amount of scratch, not a full-size temporary
-        buf = np.empty((200_000, 5))
+    @pytest.mark.parametrize("p", [1.01, 1.5, 1.99])
+    def test_edge_words_give_finite_draws(self, p):
+        r = pgg._ziggurat(p).r
+        # all-zero words: layer 0 at V = -(1 - 2^-53), so a tail draw at U = 0
+        # and U2 = 0, which is exactly -r
+        x = sample_pgg(PggSpec(p, 2), EdgeWords([0]), size=3)
+        assert (x == -r).all()
+        # all-ones words: the top layer at V = 1 - 2^-53, and U = 1 - 2^-53;
+        # with zero words between them the draws still finish, and the
+        # largest tail draw takes E = 53 ln 2
+        rng = EdgeWords([2**64 - 1, 2**64 - 1, 0])
+        x = sample_pgg(PggSpec(p, 2), rng, size=3)
+        assert np.isfinite(x).all()
+        assert np.abs(x).max() <= r + 53 * math.log(2.0) / r ** (p - 1.0)
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 1.99])
+    def test_ziggurat_layers_have_equal_area(self, p):
+        t = pgg._ziggurat(p)
+        x = t.edges
+        f = np.exp(-x**p / p)
+        # the top layer closes at f(0) = 1 and every layer's area is v
+        assert x[-1] == 0.0 and f[-1] == 1.0
+        np.testing.assert_allclose(x[1:-1] * (f[2:] - f[1:-1]), t.v, rtol=1e-12, atol=0)
+        assert x[0] * f[1] == pytest.approx(t.v, rel=1e-12)
+        # the base layer: r f(r) plus the tail beyond r, by quadrature
+        tail = quad(lambda s: math.exp(-(s**p) / p), t.r, np.inf, epsabs=0, epsrel=1e-12)[0]
+        assert t.r * f[1] + tail == pytest.approx(t.v, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 1.99])
+    def test_tail_mass(self, p):
+        # P(|X| > r) = Q(1/p, r^p / p), the regularized upper gamma
+        r = pgg._ziggurat(p).r
+        exact = gammaincc(1.0 / p, r**p / p)
+        n = 2_000_000
+        x = sample_pgg(PggSpec(p, 1), np.random.default_rng(41), size=n)
+        frac = np.count_nonzero(np.abs(x) > r) / n
+        assert abs(frac - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n)
+
+    @pytest.mark.parametrize("p, rows", [(1.0, 200_000), (1.5, 200_000), (1.5, 1_000_000)])
+    def test_scratch_is_bounded(self, p, rows):
+        # the draws work in bounded rounds, so filling an 8 MB or a 40 MB
+        # output takes a fixed amount of scratch, not a full-size temporary
+        buf = np.empty((rows, 5))
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            sample_pgg(PggSpec(p, 5), rng, size=200_000, out=buf)
+            sample_pgg(PggSpec(p, 5), rng, size=rows, out=buf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
