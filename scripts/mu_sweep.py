@@ -21,7 +21,6 @@ import numpy as np
 from pgglmc import (
     InitSpec,
     LmcConfig,
-    PggSpec,
     SmoothingConfig,
     bounds_table,
     get_potential,
@@ -76,7 +75,7 @@ def main() -> int:
             print(f"mu={mu:g}: eta {eta:g} violates cap {cap:g}, skipping",
                   file=sys.stderr)
             continue
-        scfg = SmoothingConfig(mu=mu, n=args.n, pgg=PggSpec(p=args.p, d=args.d))
+        scfg = SmoothingConfig(mu=mu, n=args.n, p=args.p)
         lcfg = LmcConfig(eta=eta, steps=args.steps, chains=args.chains,
                          init=InitSpec(), seed=args.seed)
         table = bounds_table(pot, scfg, lcfg)

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from pgglmc import (
-    PggSpec,
     SmoothingConfig,
     get_potential,
     measure_bias_variance,
@@ -47,17 +46,15 @@ def main() -> int:
     pot = regularize(get_potential(args.potential, args.d, **params), args.lam)
     rng = np.random.default_rng(args.seed)
     x = rng.normal(size=args.d)
-    spec = PggSpec(p=args.p, d=args.d)
 
     print(f"potential={args.potential} d={args.d} p={args.p} mu={args.mu} "
           f"lam={args.lam} trials={args.trials} x||={np.linalg.norm(x):.3f}")
     print(f"{'n':>6}  {'variance':>12}  {'4*SE':>10}  {'envelope':>12}  {'bias^2':>11}")
     # one reference serves every n
-    reference = smoothed_gradient_reference(
-        pot, SmoothingConfig(mu=args.mu, n=1, pgg=spec), x, 100 * args.trials, rng)
+    reference = smoothed_gradient_reference(pot, args.mu, args.p, x, 100 * args.trials, rng)
     variances = []
     for n in args.ns:
-        cfg = SmoothingConfig(mu=args.mu, n=n, pgg=spec)
+        cfg = SmoothingConfig(mu=args.mu, n=n, p=args.p)
         rep = measure_bias_variance(pot, cfg, x, trials=args.trials, rng=rng,
                                     reference=reference)
         variances.append(rep.empirical_variance)

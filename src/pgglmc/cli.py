@@ -4,7 +4,8 @@
 their own seeds or at ``--seed``.  Each creates ``--out`` before any work.
 
 Exit codes: 0 success, 1 a ``verify`` check failed, 2 config or usage
-problem (parse error, unknown key, unknown suite, bad --seed, --threads or
+problem (parse error, unknown key or potential parameter, a number that is
+not finite, unknown suite, bad --seed, --threads or
 $PGGLMC_THREADS, report file names outside --out or not two separate files, a
 config whose bounds overflow a float, an --out or report path that cannot be
 created or written), 3 a ``sample`` chain diverged (its
@@ -244,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the seed (the config's, or each suite's own)")
         sp.add_argument("--threads", type=int, default=threads_default,
-                        help="chain groups to run in parallel (default: "
-                             "$PGGLMC_THREADS or 1)")
+                        help="chain groups to run in parallel, at most one per core "
+                             "and per chain (default: $PGGLMC_THREADS or 1)")
         sp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
 
     for name, func, help_ in (

@@ -18,25 +18,28 @@ Schema (see README for the full description)::
     }
 
 "eta": "auto" resolves to 0.9 * (2 / (M + 2 lam)) once the potential and
-smoothing parameters are known.  Left-out ``lmc.init`` and ``report`` keys
-take the defaults of ``InitSpec()`` and ``ReportConfig()``.
+smoothing parameters are known.  Every number must be finite.  The init is
+``InitSpec(center=value or mean, scale)``, scale 0 at a point and 1 by default
+for a Gaussian; left-out ``lmc.init`` and ``report`` keys take the defaults of
+``InitSpec()`` and ``ReportConfig()``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 from .lmc import InitSpec, LmcConfig
-from .pgg import PggSpec
 from .potentials import RegularizedPotential, get_potential, max_step_size, regularize
 from .smoothing import SmoothingConfig
 
 __all__ = ["ExperimentConfig", "ReportConfig"]
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _require_mapping(doc, path):
@@ -59,6 +62,9 @@ def _number(doc, path, key, *, integer=False, minimum=None, strict_min=None):
     val = doc[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
+    # JSON reads 1e309 as inf; an integer past the float range is no finite float either
+    if not -_FLOAT_MAX <= val <= _FLOAT_MAX:
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
     if integer and isinstance(val, float) and not val.is_integer():
         raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
     if minimum is not None and val < minimum:
@@ -74,7 +80,7 @@ def _point(doc, path, key, d):
     items = val if isinstance(val, list) else [val]
     if ((isinstance(val, list) and len(val) != d)
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not math.isfinite(v) for v in items)):
+                   or not -_FLOAT_MAX <= v <= _FLOAT_MAX for v in items)):
         raise ConfigError(f"{path}.{key}: expected a finite number or a list of {d} "
                           f"finite numbers, got {val!r}")
     return val
@@ -133,8 +139,10 @@ class ExperimentConfig:
         eta = lmc["eta"]
         if eta == "auto":
             pass
-        elif isinstance(eta, bool) or not isinstance(eta, (int, float)) or not eta > 0:
-            raise ConfigError(f'lmc.eta: expected a positive number or "auto", got {eta!r}')
+        elif (isinstance(eta, bool) or not isinstance(eta, (int, float))
+              or not 0 < eta <= _FLOAT_MAX):
+            raise ConfigError(f'lmc.eta: expected a positive finite number or "auto", '
+                              f'got {eta!r}')
         else:
             eta = float(eta)
         steps = _number(lmc, "lmc", "steps", integer=True, minimum=0)
@@ -181,17 +189,13 @@ class ExperimentConfig:
         _check_keys(doc, "lmc.init", required=("kind",),
                     optional=("value",) if kind == "point" else ("mean", "scale"))
         fields = {}  # keys left out keep InitSpec's defaults
-        if "scale" in doc:
-            scale = doc["scale"]
-            if (isinstance(scale, bool) or not isinstance(scale, (int, float))
-                    or not 0 < scale < math.inf):
-                raise ConfigError(f"lmc.init.scale: expected a positive finite number, "
-                                  f"got {scale!r}")
-            fields["scale"] = float(scale)
-        for key, field in (("value", "point"), ("mean", "mean")):
-            if key in doc:
-                fields[field] = _point(doc, "lmc.init", key, d)
-        return InitSpec(kind=kind, **fields)
+        center = "value" if kind == "point" else "mean"
+        if center in doc:
+            fields["center"] = _point(doc, "lmc.init", center, d)
+        if kind == "gaussian":
+            fields["scale"] = (_number(doc, "lmc.init", "scale", strict_min=0.0)
+                               if "scale" in doc else 1.0)
+        return InitSpec(**fields)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -209,14 +213,11 @@ class ExperimentConfig:
     # -- builders -----------------------------------------------------------
 
     def build_potential(self) -> RegularizedPotential:
-        try:
-            base = get_potential(self.potential_name, self.d, **self.potential_params)
-        except TypeError as exc:
-            raise ConfigError(f"potential.params: {exc}") from exc
+        base = get_potential(self.potential_name, self.d, **self.potential_params)
         return regularize(base, self.lam)
 
     def build_smoothing(self) -> SmoothingConfig:
-        return SmoothingConfig(mu=self.mu, n=self.n, pgg=PggSpec(p=self.p, d=self.d))
+        return SmoothingConfig(mu=self.mu, n=self.n, p=self.p)
 
     def resolve_eta(self, pot: RegularizedPotential) -> float:
         if self.eta == "auto":
@@ -235,12 +236,10 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Lossless round-trip of every input parameter, in schema shape."""
-        init = {"kind": self.init.kind}
-        if self.init.kind == "point":
-            init["value"] = self.init.point
+        if self.init.scale:
+            init = {"kind": "gaussian", "mean": self.init.center, "scale": self.init.scale}
         else:
-            init["mean"] = self.init.mean
-            init["scale"] = self.init.scale
+            init = {"kind": "point", "value": self.init.center}
         return {
             "potential": {"name": self.potential_name, "d": self.d, "lambda": self.lam,
                           "params": dict(self.potential_params)},

@@ -12,15 +12,16 @@ bug, so they are named distinctly throughout (xi = smoothing draws,
 zeta/noise = injected diffusion).
 
 Chains are reproducible and scheduling-independent: chain c consumes only the
-generator spawned from (master seed, c), in a fixed order (optional init
-draw, then per chunk one smoothing block followed by one noise block), so the
-result is identical for any thread count.  Fresh draws are taken every
-iteration, never reused across steps.
+generator spawned from (master seed, c), in a fixed order (the init draw when
+the initial law has a positive scale, then per chunk one smoothing block
+followed by one noise block), so the result is identical for any thread
+count.  Fresh draws are taken every iteration, never reused across steps.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
@@ -32,7 +33,7 @@ from .errors import ParameterError, StepSizeError
 from .potentials import (RegularizedPotential, lemma1_gap_bound, max_step_size,
                          perturbation_scale_a, smoothness_constant_M)
 from .smoothing import SmoothingConfig, grad_estimate_from_draws
-from .pgg import sample_pgg
+from .pgg import PggSpec, sample_pgg
 
 __all__ = [
     "InitSpec",
@@ -58,18 +59,14 @@ _CHUNK_ELEMS = 8_000_000
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Initial law: point mass (default, at 0) or isotropic Gaussian."""
+    """Initial law N(center, scale^2 I_d); the default scale 0 is a point mass, drawing nothing."""
 
-    kind: str = "point"
-    point: float | list | np.ndarray = 0.0
-    mean: float | list | np.ndarray = 0.0
-    scale: float = 1.0
+    center: float | list | np.ndarray = 0.0
+    scale: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("point", "gaussian"):
-            raise ParameterError(f"init kind must be 'point' or 'gaussian', got {self.kind!r}")
-        if self.kind == "gaussian" and not self.scale > 0:
-            raise ParameterError(f"gaussian init scale must be > 0, got {self.scale}")
+        if not 0 <= self.scale < math.inf:
+            raise ParameterError(f"init scale must be finite and >= 0, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,7 @@ class LmcConfig:
 @dataclass
 class ChainResult:
     final_states: np.ndarray            # (chains, d)
-    trajectory: Optional[np.ndarray]    # (chains, slots, d) thinned, or None
-    trajectory_steps: Optional[np.ndarray]
+    trajectory: Optional[np.ndarray]    # (chains, steps // thin, d), slot k at step thin (k + 1)
     evals_total: int
     divergence_step: np.ndarray         # (chains,) int, -1 where healthy
 
@@ -140,7 +136,7 @@ def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.nd
     if xi is None:
         g = pot.smoothed_grad(x)
     else:
-        g = grad_estimate_from_draws(pot, scfg.mu, scfg.pgg.p, x, xi, work=work)
+        g = grad_estimate_from_draws(pot, scfg.mu, scfg.p, x, xi, work=work)
     # the candidate x - eta g + sqrt(2 eta) noise, built in g's buffer
     g *= eta
     np.subtract(x, g, out=g)
@@ -149,18 +145,16 @@ def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.nd
 
 
 def _init_center(init: InitSpec, d: int) -> np.ndarray:
-    """The init point or mean broadcast to (d,); ParameterError naming the field otherwise."""
-    name = "point" if init.kind == "point" else "mean"
-    value = getattr(init, name)
+    """The init center broadcast to (d,); ParameterError otherwise."""
     try:
-        return np.broadcast_to(np.asarray(value, dtype=float), (d,))
+        return np.broadcast_to(np.asarray(init.center, dtype=float), (d,))
     except (TypeError, ValueError):
-        raise ParameterError(f"init {name} must be a number or {d} numbers, "
-                             f"got {value!r}") from None
+        raise ParameterError(f"init center must be a number or {d} numbers, "
+                             f"got {init.center!r}") from None
 
 
 def _init_states(init: InitSpec, center: np.ndarray, rngs, indices) -> np.ndarray:
-    if init.kind == "point":
+    if not init.scale:
         return np.tile(center, (len(indices), 1))
     return np.stack([center + init.scale * rngs[c].standard_normal(len(center))
                      for c in indices])
@@ -177,14 +171,14 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     ``evals_total`` counts potential evaluations, (n + 1) per live chain per
     step in estimator mode and 0 in exact-gradient ablation mode.
     With ``thin``, every ``thin``-th state is kept as the trajectory;
-    without it, no trajectory is stored.  Each of the ``threads`` chain
-    groups runs on a worker thread; an interrupt or an exception in one
-    group stops every other group at its next chunk.
+    without it, no trajectory is stored.  The chains are split into
+    min(threads, chains, os.cpu_count()) groups, each run on a worker
+    thread; an interrupt or an exception in one group stops every other
+    group at its next chunk.
     """
     d = pot.d
-    if scfg.pgg.d != d:
-        raise ParameterError(f"smoothing dimension {scfg.pgg.d} != potential dimension {d}")
-    check_step_size(pot, scfg.mu, scfg.pgg.p, lcfg.eta)
+    spec = PggSpec(scfg.p, d)
+    check_step_size(pot, scfg.mu, scfg.p, lcfg.eta)
     if exact_gradient and not pot.has_exact_smoothing:
         raise ParameterError(
             f"potential {pot.base.name!r} has no registered exact smoothed gradient")
@@ -230,7 +224,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             m = min(chunk, steps - k)
             for i, c in enumerate(indices):
                 if xi is not None:
-                    sample_pgg(scfg.pgg, rngs[c], size=(m, n), out=xi[i, :m])
+                    sample_pgg(spec, rngs[c], size=(m, n), out=xi[i, :m])
                 rngs[c].standard_normal(out=noise[i, :m])
             # non-finite intermediates are expected on freshly diverged
             # chains; the step guard handles them
@@ -254,7 +248,8 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             k += m
         final[indices] = x
 
-    groups = [g for g in np.array_split(np.arange(chains), max(1, threads)) if len(g)]
+    # more groups than chains would be empty, and more than cores cannot overlap
+    groups = np.array_split(np.arange(chains), max(1, min(threads, chains, os.cpu_count() or 1)))
     with ThreadPoolExecutor(max_workers=len(groups)) as pool:
         try:
             for done in as_completed([pool.submit(advance, g) for g in groups]):
@@ -269,7 +264,6 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     return ChainResult(
         final_states=final,
         trajectory=traj,
-        trajectory_steps=np.arange(thin, slots * thin + 1, thin) if traj is not None else None,
         evals_total=0 if exact_gradient else (n + 1) * live_steps,
         divergence_step=div_step,
     )
@@ -356,7 +350,7 @@ def theorem1_bound(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcCo
         raise ParameterError(f"C must be >= 0, got {C}")
     if not 0.0 <= w2_init < math.inf:
         raise ParameterError(f"w2_init must be finite and >= 0, got {w2_init}")
-    mu, p = scfg.mu, scfg.pgg.p
+    mu, p = scfg.mu, scfg.p
     d, lam, n = pot.d, pot.lam, scfg.n
     eta, steps = lcfg.eta, lcfg.steps
     check_step_size(pot, mu, p, eta)
@@ -419,7 +413,7 @@ def initial_w2(pot: RegularizedPotential, init: InitSpec) -> float:
     the symmetric minimizer plus the d/lam second-moment envelope.
     """
     d = pot.d
-    spread = 0.0 if init.kind == "point" else float(init.scale)
+    spread = float(init.scale)
     # hypot of the center's coordinates and the spread term: the root of the
     # sum of squares, without overflowing where the squares would
     center = _init_center(init, d).tolist()
@@ -435,7 +429,7 @@ def bounds_table(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConf
     M, a, the step-size cap, the Lemma-1 gap, both Lemma-3 forms and the
     itemized Theorem-1 terms at x* = 0 and C = 0: the one Theorem-1 composition.
     """
-    mu, p = scfg.mu, scfg.pgg.p
+    mu, p = scfg.mu, scfg.p
     w2_init = initial_w2(pot, lcfg.init)
     theorem = theorem1_bound(pot, scfg, lcfg, w2_init=w2_init, xstar_norm_sq=0.0, C=0.0)
     return {

@@ -41,12 +41,17 @@ class PggSpec:
     d: int
 
     def __post_init__(self):
-        if not (1.0 <= self.p <= 2.0):
-            raise ParameterError(f"p must lie in [1, 2], got {self.p}")
+        object.__setattr__(self, "p", _check_p(self.p))
         if not (self.d >= 1 and float(self.d).is_integer()):
             raise ParameterError(f"d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "d", int(self.d))
+
+
+def _check_p(p) -> float:
+    """p as a float; ParameterError unless it lies in [1, 2], the range every bound assumes."""
+    if not (1.0 <= p <= 2.0):
+        raise ParameterError(f"p must lie in [1, 2], got {p}")
+    return float(p)
 
 
 # Outputs per round of the p != 2 samplers: the round's words and scratch

@@ -22,6 +22,7 @@ Callables are vectorized: value maps (..., d) -> (...), subgrad maps
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -73,8 +74,8 @@ class Potential:
     def __post_init__(self):
         if self.d < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.d}")
-        if not self.L > 0:
-            raise ParameterError(f"Hölder constant L must be > 0, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ParameterError(f"Hölder constant L must be finite and > 0, got {self.L}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"Hölder exponent alpha must lie in [0, 1], got {self.alpha}")
 
@@ -304,13 +305,17 @@ POTENTIAL_REGISTRY = {
 
 
 def get_potential(name: str, d: int, **params) -> Potential:
-    """Build a registry potential by key; unknown keys raise ParameterError."""
+    """Build a registry potential by key; an unknown key or parameter raises ParameterError."""
     try:
         builder = POTENTIAL_REGISTRY[name]
     except KeyError:
         raise ParameterError(
             f"unknown potential {name!r}; available: {sorted(POTENTIAL_REGISTRY)}"
         ) from None
+    allowed = sorted(inspect.signature(builder).parameters.keys() - {"d"})
+    unknown = sorted(params.keys() - set(allowed))
+    if unknown:
+        raise ParameterError(f"unknown parameter(s) {unknown} for {name!r}; allowed: {allowed}")
     return builder(d, **params)
 
 

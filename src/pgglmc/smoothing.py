@@ -1,7 +1,7 @@
 """Smoothing operator, black-box gradient estimator, and their error bounds.
 
-The smoothed potential is U_mu(x) = E_xi[U(x + mu*xi)] with xi ~ N_p(0, I_d).
-The single-batch gradient estimate from n fresh draws is
+The smoothed potential is U_mu(x) = E_xi[U(x + mu*xi)] with xi ~ N_p(0, I_d)
+at the potential's own d.  The single-batch estimate from n fresh draws is
 
     g(x) = (1/n) sum_i [(U_bar(x + mu*xi_i) - U_bar(x)) / mu] * w(xi_i),
     w(xi) = xi o |xi|^(p-2)  componentwise,
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .pgg import PggSpec, sample_pgg
+from .pgg import PggSpec, _check_p, sample_pgg
 from .potentials import RegularizedPotential, smoothness_constant_M
 
 __all__ = [
@@ -50,11 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Smoothing radius mu > 0, batch size n >= 1, and the driving N_p law."""
+    """Smoothing radius mu > 0, batch size n >= 1 and shape p in [1, 2]; d is the potential's."""
 
     mu: float
     n: int
-    pgg: PggSpec
+    p: float
 
     def __post_init__(self):
         if not self.mu > 0:
@@ -62,6 +62,7 @@ class SmoothingConfig:
         if not (self.n >= 1 and float(self.n).is_integer()):
             raise ParameterError(f"batch size must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "p", _check_p(self.p))
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,20 @@ def _by_row_blocks(fn, rows: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _as_point(x, cfg: SmoothingConfig, batched: bool = False) -> np.ndarray:
+def _as_point(x, d: int, batched: bool = False) -> np.ndarray:
     """x as floats; ParameterError unless its shape is (d,), or (..., d) when batched."""
     x = np.asarray(x, dtype=float)
-    if (x.shape[-1:] if batched else x.shape) != (cfg.pgg.d,):
+    if (x.shape[-1:] if batched else x.shape) != (d,):
         raise ParameterError(f"point has shape {x.shape}, expected "
-                             f"({'..., ' if batched else ''}{cfg.pgg.d},)")
+                             f"({'..., ' if batched else ''}{d},)")
     return x
+
+
+def _law(pot: RegularizedPotential, mu: float, p: float) -> PggSpec:
+    """N_p(0, I_d) at the potential's d; ParameterError unless mu > 0 and p lies in [1, 2]."""
+    if not mu > 0:
+        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+    return PggSpec(p, pot.d)
 
 
 def _two_point(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
@@ -182,7 +190,7 @@ def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
     return np.add.reduce(w, axis=-2) / xi.shape[-2]
 
 
-def smoothed_value_mc(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,
+def smoothed_value_mc(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
                       m: int, rng: np.random.Generator):
     """Monte Carlo estimate (1/m) sum U_bar(x + mu*xi_i) of U_bar_mu(x), and its SE.
 
@@ -192,13 +200,14 @@ def smoothed_value_mc(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.nda
     """
     if m < 2:
         raise ParameterError(f"sample count must be >= 2, got {m}")
-    x = _as_point(x, cfg, batched=True)
-    xi = sample_pgg(cfg.pgg, rng, size=m)
-    vals = pot.value(x[..., None, :] + cfg.mu * xi)
+    spec = _law(pot, mu, p)
+    x = _as_point(x, pot.d, batched=True)
+    xi = sample_pgg(spec, rng, size=m)
+    vals = pot.value(x[..., None, :] + mu * xi)
     return vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / np.sqrt(m)
 
 
-def smoothed_gradient_reference(pot: RegularizedPotential, cfg: SmoothingConfig,
+def smoothed_gradient_reference(pot: RegularizedPotential, mu: float, p: float,
                                 x: np.ndarray, m: int, rng: np.random.Generator,
                                 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference for grad U_bar_mu(x), and its per-coordinate variance.
@@ -206,19 +215,19 @@ def smoothed_gradient_reference(pot: RegularizedPotential, cfg: SmoothingConfig,
     The quadratic family returns its closed form (c + lam) x with zero
     variance and takes no draws.  Otherwise the reference is the mean of the
     gradient-identity summands over m >= 2 draws, with the variance of that
-    mean; neither depends on the batch size cfg.n.  The summands are
-    evaluated in cache-sized row blocks and written over their draws, then
-    reduced over all m at once.
+    mean; it has no batch size.  The summands are evaluated in cache-sized
+    row blocks and written over their draws, then reduced over all m at once.
     """
     if m < 2:
         raise ParameterError(f"reference draw count must be >= 2, got {m}")
-    x = _as_point(x, cfg)
+    spec = _law(pot, mu, p)
+    x = _as_point(x, pot.d)
     if pot.has_exact_smoothing:
-        return pot.smoothed_grad(x), np.zeros(cfg.pgg.d)
-    xi = sample_pgg(cfg.pgg, rng, size=m)
+        return pot.smoothed_grad(x), np.zeros(pot.d)
+    xi = sample_pgg(spec, rng, size=m)
 
     def summands_of(block):
-        coef, w = _two_point(pot, cfg.mu, cfg.pgg.p, x, block)
+        coef, w = _two_point(pot, mu, spec.p, x, block)
         return coef[:, None] * w
 
     summands = _by_row_blocks(summands_of, xi, out=xi)
@@ -244,15 +253,15 @@ def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
-    x = _as_point(x, cfg)
-    d = cfg.pgg.d
-    p = cfg.pgg.p
+    spec = _law(pot, cfg.mu, cfg.p)
+    d, p = spec.d, spec.p
+    x = _as_point(x, d)
     ref, ref_var = reference
     if np.shape(ref) != (d,) or np.shape(ref_var) != (d,):
         raise ParameterError(f"reference pair has shapes {np.shape(ref)} and "
                              f"{np.shape(ref_var)}, expected ({d},) each")
 
-    xi = sample_pgg(cfg.pgg, rng, size=(trials, cfg.n))
+    xi = sample_pgg(spec, rng, size=(trials, cfg.n))
     # (trials, d)
     g = _by_row_blocks(lambda block: grad_estimate_from_draws(pot, cfg.mu, p, x, block), xi)
     gbar = g.mean(axis=0)

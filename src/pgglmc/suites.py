@@ -165,13 +165,12 @@ def suite_lemma1(seed: int = 1002) -> SuiteResult:
         for p, rng in rngs.items():
             for mu in (0.5, 0.1):
                 X = rng.normal(scale=1.5, size=(points, d))
-                cfg = SmoothingConfig(mu=mu, n=1, pgg=PggSpec(p=p, d=d))
-                smoothed, se = smoothed_value_mc(pot, cfg, X, gap_draws, rng)
+                smoothed, se = smoothed_value_mc(pot, mu, p, X, gap_draws, rng)
                 gap = smoothed - pot.value(X)
                 # Regularizer contributes exactly (lam/2) mu^2 E||xi||^2,
                 # covered by the same (d+1)^(2/p) envelope used inside a.
-                bound = (lemma1_gap_envelope(base, mu, p)
-                         + 0.5 * lam * mu**2 * pgg_sq_norm_moment_bound(cfg.pgg).bound)
+                bound = (lemma1_gap_envelope(base, mu, p) + 0.5 * lam * mu**2
+                         * pgg_sq_norm_moment_bound(PggSpec(p=p, d=d)).bound)
                 worst_low = float((gap + 4 * se).min())
                 worst_high = float((gap - 4 * se - bound).max())
                 result.checks.append(Check(
@@ -226,18 +225,16 @@ def suite_lemma2(seed: int = 1003) -> SuiteResult:
     trials = 10_000
     result = SuiteResult(suite="lemma2")
     d, p, mu, lam = 4, 2.0, 0.1, 0.5
-    spec = PggSpec(p=p, d=d)
     x = rng.normal(size=d)
 
     for base_name, base in (("quadratic", get_potential("quadratic", d)),
                             ("power", get_potential("power", d, alpha=0.5))):
         pot = regularize(base, lam)
         # the reference does not depend on n: compute it once
-        reference = smoothed_gradient_reference(
-            pot, SmoothingConfig(mu=mu, n=1, pgg=spec), x, 100 * trials, rng)
+        reference = smoothed_gradient_reference(pot, mu, p, x, 100 * trials, rng)
         reports = {}
         for n in (1, 10, 20, 50, 100):
-            cfg = SmoothingConfig(mu=mu, n=n, pgg=spec)
+            cfg = SmoothingConfig(mu=mu, n=n, p=p)
             reports[n] = measure_bias_variance(pot, cfg, x, trials, rng, reference=reference)
         for n in (1, 10, 100):
             rep = reports[n]
@@ -297,7 +294,7 @@ def suite_mixing_variance(seed: int = 1004, threads: int = 1) -> SuiteResult:
     pot = regularize(get_potential("zero", 1, L=1.0, alpha=1.0), lam)
     oracle = _stationary_variance_oracle(lam, eta)
 
-    scfg = SmoothingConfig(mu=0.01, n=50, pgg=PggSpec(p=2.0, d=1))
+    scfg = SmoothingConfig(mu=0.01, n=50, p=2.0)
     lcfg = LmcConfig(eta=eta, steps=steps, chains=chains, init=InitSpec(), seed=seed)
     res = run_chain(pot, scfg, lcfg, exact_gradient=True, threads=threads)
     s2 = float(np.var(res.final_states[:, 0], ddof=1))
@@ -310,7 +307,7 @@ def suite_mixing_variance(seed: int = 1004, threads: int = 1) -> SuiteResult:
     ))
 
     for p in (1.0, 2.0):
-        scfg_p = SmoothingConfig(mu=0.01, n=50, pgg=PggSpec(p=p, d=1))
+        scfg_p = SmoothingConfig(mu=0.01, n=50, p=p)
         lcfg_p = LmcConfig(eta=eta, steps=steps, chains=chains, init=InitSpec(),
                            seed=seed + int(10 * p))
         res_p = run_chain(pot, scfg_p, lcfg_p, thin=10, threads=threads)
@@ -354,7 +351,7 @@ def suite_mixing_dominance(seed: int = 1004, threads: int = 1) -> SuiteResult:
         base = get_potential(name, d, **params)
         label = f"alpha={params.get('alpha', base.alpha)},p={p:g}"
         pot = regularize(base, lam)
-        scfg = SmoothingConfig(mu=mu, n=n, pgg=PggSpec(p=p, d=d))
+        scfg = SmoothingConfig(mu=mu, n=n, p=p)
         lcfg = LmcConfig(eta=eta, steps=steps, chains=chains, init=InitSpec(),
                          seed=seed + 100 + i)
         bound = bounds_table(pot, scfg, lcfg)["theorem1"]

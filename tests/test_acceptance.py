@@ -190,7 +190,7 @@ def test_criterion_7_bound_dominance(mixing_dominance_result):
             "regularization_m2": 0.0,
         }
         pot = regularize(get_potential(name, d, **params), lam)
-        scfg = SmoothingConfig(mu=mu, n=n, pgg=PggSpec(p, d))
+        scfg = SmoothingConfig(mu=mu, n=n, p=p)
         lcfg = LmcConfig(eta=eta, steps=steps, chains=DOMINANCE_CHAINS,
                          init=InitSpec(), seed=0)
         tb = theorem1_bound(pot, scfg, lcfg, w2_init=w2_init, xstar_norm_sq=0.0, C=0.0)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgglmc import ConfigError, ExperimentConfig, max_step_size
+from pgglmc import ConfigError, ExperimentConfig, InitSpec, max_step_size
 from pgglmc import cli
 from pgglmc.cli import main
 
@@ -133,7 +133,12 @@ class TestConfigParsing:
         doc = base_doc()
         doc["lmc"]["init"] = {"kind": "gaussian", "mean": 1.0, "scale": 2.0}
         cfg = ExperimentConfig.from_dict(doc)
-        assert cfg.init.kind == "gaussian" and cfg.init.scale == 2.0
+        assert cfg.init == InitSpec(center=1.0, scale=2.0)
+        # a Gaussian init without a scale has scale 1, and the echo says so
+        del doc["lmc"]["init"]["scale"]
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.init == InitSpec(center=1.0, scale=1.0)
+        assert cfg.echo()["lmc"]["init"] == {"kind": "gaussian", "mean": 1.0, "scale": 1.0}
 
     def test_bad_init_kind(self):
         doc = base_doc()
@@ -391,6 +396,42 @@ class TestCliExitCodes:
             code = main([command, "--config", cfg_path, "--out", str(out)])
             self.assert_config_error(code, capsys, f"lmc.init.{key}")
             assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, text, needle", [
+        ("potential", "lambda", "1e309", "potential.lambda"),
+        ("potential", "params", '{"curvature": 1e309}', "potential.params.curvature"),
+        ("potential", "params", '{"curvature": 1' + "0" * 400 + "}",
+         "potential.params.curvature"),
+        ("smoothing", "mu", "1e309", "smoothing.mu"),
+        ("lmc", "eta", "1e309", "lmc.eta"),
+        ("lmc", "eta", "1" + "0" * 400, "lmc.eta"),
+        ("lmc", "init", '{"kind": "point", "value": -1' + "0" * 400 + "}", "lmc.init.value"),
+        ("potential", "params", '{"delta": 1e-320}', "Hölder constant L"),
+    ])
+    def test_non_finite_number_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                      section, key, text, needle):
+        # JSON reads 1e309 as inf, and a 401-digit integer is past the float
+        # range; they used to exit 2 as a zero step size, or 4, or 1
+        doc = base_doc()
+        if key == "params":
+            doc["potential"]["name"] = "huber" if "delta" in text else "quadratic"
+        doc[section][key] = "@"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc).replace('"@"', text), encoding="utf-8")
+        for command in ("sample", "bounds"):
+            out = tmp_path / command
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+            self.assert_config_error(code, capsys, needle)
+            assert not out.exists()
+
+    def test_unknown_param_names_the_allowed_ones(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["potential"]["params"] = {"L": 2.0}
+        cfg_path = write_config(tmp_path, doc)
+        for command in ("sample", "bounds"):
+            code = main([command, "--config", cfg_path, "--out", str(tmp_path / command)])
+            self.assert_config_error(
+                code, capsys, "unknown parameter(s) ['L'] for 'quadratic'; allowed: ['curvature']")
 
     def test_non_numeric_param_exits_2(self, tmp_path, capsys):
         doc = base_doc()

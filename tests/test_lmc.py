@@ -34,8 +34,7 @@ def quadratic_target(d):
 
 def one_step(pot, scfg, x, eta, seed=0, exact_gradient=False):
     """One run_chain step of one chain from the point x."""
-    lcfg = LmcConfig(eta=eta, steps=1, chains=1, init=InitSpec(kind="point", point=x),
-                     seed=seed)
+    lcfg = LmcConfig(eta=eta, steps=1, chains=1, init=InitSpec(center=x), seed=seed)
     return run_chain(pot, scfg, lcfg, exact_gradient=exact_gradient)
 
 
@@ -52,11 +51,11 @@ class TestLmcStep:
         # the exact draws from the chain's own stream
         base = get_potential("zero", 2)
         pot = regularize(base, 1e-12)
-        cfg = SmoothingConfig(mu=0.1, n=3, pgg=PggSpec(1.5, 2))
+        cfg = SmoothingConfig(mu=0.1, n=3, p=1.5)
         x = np.array([1.0, -1.0])
         out = one_step(pot, cfg, x, 0.5, seed=21).final_states[0]
         rng = chain_stream(21)
-        g_draws = sample_pgg(cfg.pgg, rng, size=3)
+        g_draws = sample_pgg(PggSpec(1.5, 2), rng, size=3)
         g = grad_estimate_from_draws(pot, 0.1, 1.5, x, g_draws)
         expected = x - 0.5 * g + math.sqrt(1.0) * rng.standard_normal(2)
         assert np.array_equal(out, expected)
@@ -64,7 +63,7 @@ class TestLmcStep:
     def test_deterministic_contraction(self):
         # the chain step with the exact gradient and zero injected noise
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
+        cfg = SmoothingConfig(mu=0.1, n=1, p=2.0)
         cand, bad = lmc._step(pot, cfg, 0.1, np.array([[1.0]]), None, np.zeros((1, 1)))
         assert cand[0] == pytest.approx([0.9], rel=1e-15)
         assert not bad[0]
@@ -75,7 +74,7 @@ class TestLmcStep:
         # Var ~ 2 eta per coordinate; 1e5 single steps via a 1-step chain
         eta, chains = 0.05, 100_000
         pot = quadratic_target(1)
-        scfg = SmoothingConfig(mu=0.01, n=2, pgg=PggSpec(p, 1))
+        scfg = SmoothingConfig(mu=0.01, n=2, p=p)
         lcfg = LmcConfig(eta=eta, steps=1, chains=chains, seed=99)
         res = run_chain(pot, scfg, lcfg)
         x1 = res.final_states[:, 0]
@@ -87,7 +86,7 @@ class TestLmcStep:
     def test_divergence_is_marked_at_step_one(self):
         # the chain keeps its last finite state, here the init
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
+        cfg = SmoothingConfig(mu=0.1, n=1, p=2.0)
         res = one_step(pot, cfg, np.array([1e9]), 0.1, exact_gradient=True)
         assert res.diverged.tolist() == [True]
         assert res.divergence_step.tolist() == [1]
@@ -99,7 +98,7 @@ class TestLmcStep:
 
     def test_exact_mode_needs_closed_form(self):
         pot = regularize(get_potential("l1", 2), 1.0)
-        cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 2))
+        cfg = SmoothingConfig(mu=0.1, n=1, p=2.0)
         with pytest.raises(ParameterError, match="exact smoothed gradient"):
             one_step(pot, cfg, np.zeros(2), 0.01, exact_gradient=True)
 
@@ -111,12 +110,12 @@ class TestLmcStep:
         # inside a batch, so this only holds if run_chain's step-major copy
         # hands _step exactly those draws
         pot = regularize(get_potential("power", d, alpha=0.5), 1.0)
-        scfg = SmoothingConfig(mu=0.1, n=4, pgg=PggSpec(p, d))
+        scfg = SmoothingConfig(mu=0.1, n=4, p=p)
         eta = 0.5 * max_step_size(pot, 0.1, p)
         points = np.random.default_rng(17).normal(scale=2.0, size=(100, d))
         for seed, x in enumerate(points):
             rng = chain_stream(seed)
-            xi = sample_pgg(scfg.pgg, rng, size=(1, scfg.n))
+            xi = sample_pgg(PggSpec(p, d), rng, size=(1, scfg.n))
             cand, _ = lmc._step(pot, scfg, eta, x[None, :], xi, rng.standard_normal((1, d)))
             ref = one_step(pot, scfg, x, eta, seed=seed).final_states[0]
             assert np.array_equal(cand[0], ref), (seed, cand[0] - ref)
@@ -126,7 +125,7 @@ class TestLmcStep:
         base = Potential(name="nan", d=2, L=1.0, alpha=1.0,
                          value=lambda x: np.full(np.shape(x)[:-1], np.nan))
         pot = regularize(base, 1.0)
-        scfg = SmoothingConfig(mu=0.1, n=3, pgg=PggSpec(1.5, 2))
+        scfg = SmoothingConfig(mu=0.1, n=3, p=1.5)
         res = run_chain(pot, scfg, LmcConfig(eta=0.05, steps=3, chains=1, seed=0))
         assert res.diverged.tolist() == [True]
         assert res.divergence_step.tolist() == [1]
@@ -136,7 +135,7 @@ class TestLmcStep:
 class TestRunChain:
     def _setup(self, d=2, p=1.5, n=3, chains=6, steps=40, seed=5, eta=0.05):
         pot = quadratic_target(d)
-        scfg = SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(p, d))
+        scfg = SmoothingConfig(mu=0.1, n=n, p=p)
         lcfg = LmcConfig(eta=eta, steps=steps, chains=chains, seed=seed)
         return pot, scfg, lcfg
 
@@ -161,7 +160,7 @@ class TestRunChain:
     def test_zero_steps_returns_init(self):
         pot, scfg, _ = self._setup()
         lcfg = LmcConfig(eta=0.05, steps=0, chains=4,
-                         init=InitSpec(kind="point", point=[1.5, -2.0]), seed=0)
+                         init=InitSpec(center=[1.5, -2.0]), seed=0)
         res = run_chain(pot, scfg, lcfg)
         assert np.array_equal(res.final_states, np.tile([1.5, -2.0], (4, 1)))
         assert res.evals_total == 0
@@ -169,7 +168,7 @@ class TestRunChain:
     def test_gaussian_init_uses_chain_streams(self):
         pot, scfg, _ = self._setup()
         lcfg = LmcConfig(eta=0.05, steps=0, chains=3,
-                         init=InitSpec(kind="gaussian", mean=1.0, scale=0.5), seed=42)
+                         init=InitSpec(center=1.0, scale=0.5), seed=42)
         res = run_chain(pot, scfg, lcfg)
         children = np.random.SeedSequence(42).spawn(3)
         expected = np.stack([
@@ -190,38 +189,54 @@ class TestRunChain:
         bad = LmcConfig(eta=cap, steps=10, chains=2, seed=0)
         with pytest.raises(StepSizeError):
             run_chain(pot, scfg, bad)
-        assert check_step_size(pot, scfg.mu, scfg.pgg.p, 0.9 * cap) == pytest.approx(cap)
+        assert check_step_size(pot, scfg.mu, scfg.p, 0.9 * cap) == pytest.approx(cap)
 
-    def test_dimension_mismatch(self):
-        pot = quadratic_target(3)
-        scfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 2))
-        with pytest.raises(ParameterError):
-            run_chain(pot, scfg, LmcConfig(eta=0.01, steps=1, chains=1, seed=0))
+    def test_groups_are_capped_at_cores_and_chains(self, monkeypatch):
+        # 64 threads on a 2-core machine ask for 2 workers, not 64, and the
+        # final states do not depend on the group count
+        monkeypatch.setattr(lmc.os, "cpu_count", lambda: 2)
+        workers = []
+
+        class Spy(lmc.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(lmc, "ThreadPoolExecutor", Spy)
+        pot, scfg, lcfg = self._setup(chains=64, steps=5)
+        many = run_chain(pot, scfg, lcfg, threads=64)
+        one = run_chain(pot, scfg, lcfg, threads=1)
+        assert workers == [2, 1]
+        assert np.array_equal(many.final_states, one.final_states)
+        few = LmcConfig(eta=lcfg.eta, steps=lcfg.steps, chains=1, seed=lcfg.seed)
+        run_chain(pot, scfg, few, threads=64)
+        assert workers[-1] == 1
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("init", [
-        InitSpec(kind="point", point=[0.0, 0.0, 0.0]),
-        InitSpec(kind="gaussian", mean=[[1.0, 2.0]], scale=0.5),
-        InitSpec(kind="point", point="origin"),
+        InitSpec(center=[0.0, 0.0, 0.0]),
+        InitSpec(center=[[1.0, 2.0]], scale=0.5),
+        InitSpec(center="origin"),
     ], ids=["point", "mean", "text"])
     def test_init_shape_validated(self, init, threads):
-        # a point or mean that is not a number or d numbers used to raise
-        # numpy's broadcast ValueError, on a worker thread when threads > 1
+        # a center that is not a number or d numbers used to raise numpy's
+        # broadcast ValueError, on a worker thread when threads > 1
         pot, scfg, _ = self._setup(d=2)
         lcfg = LmcConfig(eta=0.05, steps=2, chains=4, init=init, seed=0)
-        name = "point" if init.kind == "point" else "mean"
-        with pytest.raises(ParameterError, match=f"init {name}"):
+        with pytest.raises(ParameterError, match="init center"):
             run_chain(pot, scfg, lcfg, threads=threads)
 
     def test_trajectory_thinning(self):
         pot, scfg, lcfg = self._setup(steps=100, chains=3)
         res = run_chain(pot, scfg, lcfg, thin=10)
         assert res.trajectory.shape == (3, 10, 2)
-        assert np.array_equal(res.trajectory_steps, np.arange(10, 101, 10))
+        # slot k holds the state after step 10 (k + 1)
+        every = run_chain(pot, scfg, lcfg, thin=1)
+        assert np.array_equal(res.trajectory, every.trajectory[:, 9::10])
         assert np.array_equal(res.trajectory[:, -1], res.final_states)
         # thin alone selects the trajectory
         plain = run_chain(pot, scfg, lcfg)
-        assert plain.trajectory is None and plain.trajectory_steps is None
+        assert plain.trajectory is None
         assert np.array_equal(plain.final_states, res.final_states)
         with pytest.raises(ParameterError, match="thinning"):
             run_chain(pot, scfg, lcfg, thin=0)
@@ -241,7 +256,7 @@ class TestRunChain:
             return np.zeros(x.shape[:-1])
 
         pot = regularize(Potential(name="flaky", d=1, L=1.0, alpha=1.0, value=value), 1.0)
-        scfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
+        scfg = SmoothingConfig(mu=0.1, n=1, p=2.0)
         lcfg = LmcConfig(eta=0.05, steps=steps, chains=3, seed=0)
         with pytest.raises(RuntimeError, match="black box failed"):
             run_chain(pot, scfg, lcfg, threads=2)
@@ -259,7 +274,7 @@ class TestRunChain:
             subgrad=lambda x: np.asarray(x, dtype=float),
         )
         pot = regularize(cliff, 0.5)
-        scfg = SmoothingConfig(mu=0.05, n=2, pgg=PggSpec(2.0, d))
+        scfg = SmoothingConfig(mu=0.05, n=2, p=2.0)
         lcfg = LmcConfig(eta=0.25, steps=25, chains=16, seed=3)
         res = run_chain(pot, scfg, lcfg)
         assert res.diverged.any() and not res.diverged.all()
@@ -290,7 +305,7 @@ class TestRunChain:
             return out
 
         faulty = Potential(name="faulty", d=d, L=1.0, alpha=1.0, value=faulty_value)
-        scfg = SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(1.5, d))
+        scfg = SmoothingConfig(mu=0.1, n=n, p=1.5)
         lcfg = LmcConfig(eta=0.05, steps=steps, chains=6, seed=11)
         ref = run_chain(regularize(healthy_base, 1.0), scfg, lcfg, thin=1)
         res = run_chain(regularize(faulty, 1.0), scfg, lcfg)
@@ -308,13 +323,13 @@ class TestRunChain:
     def _one_chain_at_a_time(pot, scfg, lcfg):
         # each chain alone, from its own stream in run_chain's order: the init
         # draw, then the chunk's smoothing block, then its noise block
-        d, n, mu, p = pot.d, scfg.n, scfg.mu, scfg.pgg.p
+        d, n, mu, p = pot.d, scfg.n, scfg.mu, scfg.p
         root2eta = math.sqrt(2.0 * lcfg.eta)
         finals = []
         for child in np.random.SeedSequence(lcfg.seed).spawn(lcfg.chains):
             rng = np.random.Generator(np.random.PCG64(child))
-            x = lcfg.init.mean + lcfg.init.scale * rng.standard_normal(d)
-            xi = sample_pgg(scfg.pgg, rng, size=(lcfg.steps, n))
+            x = lcfg.init.center + lcfg.init.scale * rng.standard_normal(d)
+            xi = sample_pgg(PggSpec(p, d), rng, size=(lcfg.steps, n))
             noise = rng.standard_normal((lcfg.steps, d))
             for j in range(lcfg.steps):
                 g = grad_estimate_from_draws(pot, mu, p, x, xi[j])
@@ -326,9 +341,9 @@ class TestRunChain:
         # l1 keeps transcendental functions out of the potential: numpy's
         # array and scalar pow may round differently
         pot = regularize(get_potential("l1", d), 0.5)
-        scfg = SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(p, d))
+        scfg = SmoothingConfig(mu=0.1, n=n, p=p)
         lcfg = LmcConfig(eta=0.5 * max_step_size(pot, 0.1, p), steps=6, chains=5,
-                         init=InitSpec(kind="gaussian", mean=0.5, scale=2.0), seed=17)
+                         init=InitSpec(center=0.5, scale=2.0), seed=17)
         return pot, scfg, lcfg
 
     @pytest.mark.parametrize("threads", [1, 3])
@@ -356,8 +371,11 @@ class TestRunChain:
             LmcConfig(eta=0.1, steps=-1, chains=1, seed=0)
         with pytest.raises(ParameterError):
             LmcConfig(eta=0.1, steps=1, chains=0, seed=0)
-        with pytest.raises(ParameterError):
-            InitSpec(kind="delta")
+
+    @pytest.mark.parametrize("scale", [-5.0, -math.inf, math.inf, math.nan])
+    def test_init_scale_must_be_finite_and_nonnegative(self, scale):
+        with pytest.raises(ParameterError, match="init scale"):
+            InitSpec(scale=scale)
 
     @pytest.mark.parametrize("steps,chains", [(math.nan, 1), (2.5, 1), (1, 1.5)])
     def test_counts_must_be_integers(self, steps, chains):
@@ -375,7 +393,7 @@ class TestOuStationarity:
     def test_exact_gradient_matches_discrete_oracle(self):
         lam, eta, steps, chains = 1.0, 0.01, 4000, 3000
         pot = quadratic_target(1)
-        scfg = SmoothingConfig(mu=0.01, n=1, pgg=PggSpec(2.0, 1))
+        scfg = SmoothingConfig(mu=0.01, n=1, p=2.0)
         lcfg = LmcConfig(eta=eta, steps=steps, chains=chains, seed=77)
         res = run_chain(pot, scfg, lcfg, exact_gradient=True)
         oracle = 1.0 / (lam * (1.0 - eta * lam / 2.0))
@@ -390,7 +408,7 @@ class TestContraction:
         # least as fast as the geometric factor of the mixing bound
         lam, eta, chains, steps = 1.0, 0.05, 4000, 100
         pot = quadratic_target(1)
-        scfg = SmoothingConfig(mu=0.01, n=1, pgg=PggSpec(2.0, 1))
+        scfg = SmoothingConfig(mu=0.01, n=1, p=2.0)
         lcfg = LmcConfig(eta=eta, steps=steps, chains=chains, seed=31)
         res = run_chain(pot, scfg, lcfg, exact_gradient=True, thin=1)
 
@@ -454,7 +472,7 @@ class TestTheorem1:
         # L=1, alpha=1, lam=0.1, mu=0.01, p=2, d=4, eta=0.1, n=100, K=500:
         # recompute every term with scalar arithmetic
         pot = regularize(get_potential("zero", 4, L=1.0, alpha=1.0), 0.1)
-        scfg = SmoothingConfig(mu=0.01, n=100, pgg=PggSpec(2.0, 4))
+        scfg = SmoothingConfig(mu=0.01, n=100, p=2.0)
         lcfg = LmcConfig(eta=0.1, steps=500, chains=1, seed=0)
         tb = theorem1_bound(pot, scfg, lcfg, w2_init=1.0, xstar_norm_sq=0.0, C=0.0)
 
@@ -480,7 +498,7 @@ class TestTheorem1:
     def test_limit_leaves_discretization_term(self):
         # K large, mu small, n large, C = 0: only 1.9 (M+lam)/lam sqrt(eta d)
         pot = regularize(get_potential("zero", 4, L=1.0, alpha=1.0), 0.1)
-        scfg = SmoothingConfig(mu=1e-12, n=10**12, pgg=PggSpec(2.0, 4))
+        scfg = SmoothingConfig(mu=1e-12, n=10**12, p=2.0)
         lcfg = LmcConfig(eta=0.1, steps=10**7, chains=1, seed=0)
         tb = theorem1_bound(pot, scfg, lcfg, w2_init=1.0, C=0.0)
         expected = 1.9 * (1.1 / 0.1) * math.sqrt(0.1 * 4)
@@ -493,7 +511,7 @@ class TestTheorem1:
 
     def test_both_exponent_forms_reported(self):
         pot = regularize(get_potential("zero", 2, L=1.0, alpha=1.0), 0.5)
-        scfg = SmoothingConfig(mu=0.01, n=4, pgg=PggSpec(2.0, 2))
+        scfg = SmoothingConfig(mu=0.01, n=4, p=2.0)
         lcfg = LmcConfig(eta=0.1, steps=100, chains=1, seed=0)
         tb = theorem1_bound(pot, scfg, lcfg, w2_init=2.0)
         base = 1 - 0.5 * 0.5 * 0.1
@@ -503,7 +521,7 @@ class TestTheorem1:
 
     def test_gate_and_validation(self):
         pot = regularize(get_potential("zero", 2, L=1.0, alpha=1.0), 0.5)
-        scfg = SmoothingConfig(mu=0.01, n=4, pgg=PggSpec(2.0, 2))
+        scfg = SmoothingConfig(mu=0.01, n=4, p=2.0)
         bad = LmcConfig(eta=1.0, steps=10, chains=1, seed=0)  # cap = 2/(1+1) = 1
         with pytest.raises(StepSizeError):
             theorem1_bound(pot, scfg, bad, w2_init=1.0)
@@ -517,7 +535,7 @@ class TestTheorem1:
         pot = regularize(get_potential("power", 3, alpha=0.5), 1.0)
         values = []
         for mu in (0.1, 0.01, 0.001):
-            scfg = SmoothingConfig(mu=mu, n=16, pgg=PggSpec(2.0, 3))
+            scfg = SmoothingConfig(mu=mu, n=16, p=2.0)
             lcfg = LmcConfig(eta=0.01, steps=10, chains=1, seed=0)
             values.append(theorem1_bound(pot, scfg, lcfg, w2_init=1.0).lemma3.a)
         assert values[0] > values[1] > values[2]
@@ -525,9 +543,9 @@ class TestTheorem1:
     def test_n_sweep_halves_variance_terms(self):
         pot = regularize(get_potential("zero", 3, L=1.0, alpha=1.0), 0.5)
         lcfg = LmcConfig(eta=0.1, steps=10, chains=1, seed=0)
-        t1 = theorem1_bound(pot, SmoothingConfig(mu=0.01, n=16, pgg=PggSpec(2.0, 3)),
+        t1 = theorem1_bound(pot, SmoothingConfig(mu=0.01, n=16, p=2.0),
                             lcfg, w2_init=1.0)
-        t4 = theorem1_bound(pot, SmoothingConfig(mu=0.01, n=64, pgg=PggSpec(2.0, 3)),
+        t4 = theorem1_bound(pot, SmoothingConfig(mu=0.01, n=64, p=2.0),
                             lcfg, w2_init=1.0)
         for term in ("variance_mu", "variance_grad"):
             assert t4.terms[term] == pytest.approx(t1.terms[term] / 2.0, rel=1e-12)
@@ -542,16 +560,15 @@ class TestInitialW2:
 
     def test_gaussian_init_equal_to_target_is_zero(self):
         pot = regularize(get_potential("quadratic", 3), 0.7)
-        init = InitSpec(kind="gaussian", mean=0.0, scale=math.sqrt(pot.target_variance))
+        init = InitSpec(scale=math.sqrt(pot.target_variance))
         assert initial_w2(pot, init) == 0.0
 
-    @pytest.mark.parametrize("init", [InitSpec(), InitSpec(kind="point", point=[3.0, 4.0]),
-                                      InitSpec(kind="gaussian", mean=[3.0, 4.0], scale=2.0)])
+    @pytest.mark.parametrize("init", [InitSpec(), InitSpec(center=[3.0, 4.0]),
+                                      InitSpec(center=[3.0, 4.0], scale=2.0)])
     def test_non_quadratic_adds_second_moment_envelope(self, init):
         d, lam = 2, 0.5
         pot = regularize(get_potential("l1", d), lam)
-        center = np.broadcast_to(init.point if init.kind == "point" else init.mean, (d,))
-        spread = 0.0 if init.kind == "point" else init.scale
-        to_point = math.sqrt(float(center @ center) + d * spread**2)
+        center = np.broadcast_to(init.center, (d,))
+        to_point = math.sqrt(float(center @ center) + d * init.scale**2)
         assert initial_w2(pot, init) == pytest.approx(to_point + math.sqrt(d / lam),
                                                       rel=1e-15)

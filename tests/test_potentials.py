@@ -182,6 +182,21 @@ class TestRegistry:
             get_potential("power", 2, alpha=1.5)
         with pytest.raises(ParameterError):
             get_potential("huber", 2, delta=0.0)
+        # L = 1/delta overflows to inf
+        with pytest.raises(ParameterError, match="Hölder constant L must be finite"):
+            get_potential("huber", 2, delta=1e-320)
+
+    @pytest.mark.parametrize("name,allowed", [
+        ("quadratic", ["curvature"]), ("power", ["alpha"]), ("l1", []),
+        ("huber", ["delta"]), ("zero", ["L", "alpha"]),
+    ])
+    def test_unknown_parameter_names_the_allowed_ones(self, name, allowed):
+        # it used to surface as a TypeError that named a private builder
+        with pytest.raises(ParameterError) as info:
+            get_potential(name, 2, beta=1.0)
+        assert str(info.value) == (f"unknown parameter(s) ['beta'] for {name!r}; "
+                                   f"allowed: {allowed}")
+        assert get_potential(name, 2, **{key: 0.5 for key in allowed}).name == name
 
     def test_quadratic_family_metadata(self):
         assert get_potential("quadratic", 2, curvature=3.0).quad_curvature == 3.0

@@ -55,7 +55,27 @@ def test_run_surface_is_pinned():
     assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
         "exact_gradient", "thin", "threads"]
     assert [f.name for f in dataclasses.fields(pgglmc.ChainResult)] == [
-        "final_states", "trajectory", "trajectory_steps", "evals_total", "divergence_step"]
+        "final_states", "trajectory", "evals_total", "divergence_step"]
+
+
+def test_run_inputs_are_pinned():
+    # each run input is stated once: the potential owns d, so no record or
+    # reference takes a second one, and the initial law is (center, scale)
+    fields = {record: [f.name for f in dataclasses.fields(getattr(pgglmc, record))]
+              for record in ("SmoothingConfig", "InitSpec", "LmcConfig")}
+    assert fields == {
+        "SmoothingConfig": ["mu", "n", "p"],
+        "InitSpec": ["center", "scale"],
+        "LmcConfig": ["eta", "steps", "chains", "init", "seed"],
+    }
+    signatures = {name: list(inspect.signature(getattr(pgglmc, name)).parameters)
+                  for name in ("smoothed_value_mc", "smoothed_gradient_reference",
+                               "measure_bias_variance")}
+    assert signatures == {
+        "smoothed_value_mc": ["pot", "mu", "p", "x", "m", "rng"],
+        "smoothed_gradient_reference": ["pot", "mu", "p", "x", "m", "rng"],
+        "measure_bias_variance": ["pot", "cfg", "x", "trials", "rng", "reference"],
+    }
 
 
 def test_cli_surface_is_pinned():

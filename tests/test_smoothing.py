@@ -22,6 +22,7 @@ from pgglmc import (
     sample_pgg,
     smoothed_gradient_reference,
     smoothed_value_mc,
+    smoothness_constant_M,
 )
 from pgglmc import smoothing
 
@@ -70,15 +71,21 @@ class TestHadamardWeight:
 class TestSmoothingConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            SmoothingConfig(mu=0.0, n=1, pgg=PggSpec(2.0, 1))
+            SmoothingConfig(mu=0.0, n=1, p=2.0)
         with pytest.raises(ParameterError):
-            SmoothingConfig(mu=0.1, n=0, pgg=PggSpec(2.0, 1))
+            SmoothingConfig(mu=0.1, n=0, p=2.0)
 
     @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5])
     def test_batch_size_must_be_an_integer(self, n):
         # n = inf used to raise OverflowError from int()
         with pytest.raises(ParameterError):
-            SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(2.0, 1))
+            SmoothingConfig(mu=0.1, n=n, p=2.0)
+
+    @pytest.mark.parametrize("p", [0.5, 2.5, math.nan])
+    def test_shape_validated_as_pgg_spec_does(self, p):
+        for make in (lambda: SmoothingConfig(mu=0.1, n=1, p=p), lambda: PggSpec(p, 1)):
+            with pytest.raises(ParameterError, match=r"p must lie in \[1, 2\]"):
+                make()
 
 
 class TestGradEstimate:
@@ -138,7 +145,7 @@ class TestGradEstimate:
     def test_rng_plumbing_and_budget(self):
         # one estimate from n fresh draws costs n + 1 evaluations
         pot = quadratic_target(2)
-        cfg = SmoothingConfig(mu=0.2, n=7, pgg=PggSpec(1.5, 2))
+        cfg = SmoothingConfig(mu=0.2, n=7, p=1.5)
         x = np.array([0.5, 0.5])
         points = []
 
@@ -147,10 +154,10 @@ class TestGradEstimate:
             return pot.value(y)
 
         counted = SimpleNamespace(value=value)
-        xi = sample_pgg(cfg.pgg, np.random.default_rng(3), size=cfg.n)
+        xi = sample_pgg(PggSpec(1.5, 2), np.random.default_rng(3), size=cfg.n)
         g = grad_estimate_from_draws(counted, 0.2, 1.5, x, xi)
         assert sum(points) == cfg.n + 1
-        again = sample_pgg(cfg.pgg, np.random.default_rng(3), size=cfg.n)
+        again = sample_pgg(PggSpec(1.5, 2), np.random.default_rng(3), size=cfg.n)
         assert np.array_equal(g, grad_estimate_from_draws(pot, 0.2, 1.5, x, again))
 
     def test_nonfinite_evaluation_reported(self):
@@ -158,8 +165,8 @@ class TestGradEstimate:
         # the step guard reports as a divergence
         bad = SimpleNamespace(value=lambda x: np.where(
             np.sum(np.square(x), axis=-1) > 0.5, np.inf, 0.0))
-        cfg = SmoothingConfig(mu=10.0, n=4, pgg=PggSpec(2.0, 2))
-        xi = sample_pgg(cfg.pgg, np.random.default_rng(4), size=cfg.n)
+        cfg = SmoothingConfig(mu=10.0, n=4, p=2.0)
+        xi = sample_pgg(PggSpec(2.0, 2), np.random.default_rng(4), size=cfg.n)
         with np.errstate(invalid="ignore"):
             g = grad_estimate_from_draws(bad, cfg.mu, 2.0, np.zeros(2), xi)
         assert not np.isfinite(g).all()
@@ -169,8 +176,8 @@ class TestGradEstimate:
         # the estimator checks nothing itself; a point and draws of
         # different dimensions do not broadcast
         pot = quadratic_target(2)
-        cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 2))
-        xi = sample_pgg(cfg.pgg, np.random.default_rng(0), size=cfg.n)
+        cfg = SmoothingConfig(mu=0.1, n=1, p=2.0)
+        xi = sample_pgg(PggSpec(2.0, 2), np.random.default_rng(0), size=cfg.n)
         with pytest.raises(ValueError):
             grad_estimate_from_draws(pot, cfg.mu, 2.0, np.zeros(3), xi)
 
@@ -179,38 +186,33 @@ class TestSmoothedValue:
     def test_quadratic_origin_p2(self):
         # U_bar_mu(0) = mu^2 d / 2 for the unit quadratic at p = 2
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.5, n=1, pgg=PggSpec(2.0, 1))
-        val, se = smoothed_value_mc(pot, cfg, np.zeros(1), 200_000, np.random.default_rng(5))
+        val, se = smoothed_value_mc(pot, 0.5, 2.0, np.zeros(1), 200_000, np.random.default_rng(5))
         assert abs(val - 0.125) <= 4 * se
 
     def test_quadratic_origin_p1_d2(self):
         # Laplace coordinate variance 2, so E||xi||^2 = 2d and the value is 2
         pot = quadratic_target(2)
-        cfg = SmoothingConfig(mu=1.0, n=1, pgg=PggSpec(1.0, 2))
-        val, se = smoothed_value_mc(pot, cfg, np.zeros(2), 200_000, np.random.default_rng(6))
+        val, se = smoothed_value_mc(pot, 1.0, 1.0, np.zeros(2), 200_000, np.random.default_rng(6))
         assert abs(val - 2.0) <= 4 * se
 
     def test_degenerate_radius_recovers_value(self):
         pot = regularize(get_potential("l1", 3), 0.5)
-        cfg = SmoothingConfig(mu=1e-12, n=1, pgg=PggSpec(1.5, 3))
         x = np.array([1.0, -2.0, 3.0])
-        val, _ = smoothed_value_mc(pot, cfg, x, 2000, np.random.default_rng(7))
+        val, _ = smoothed_value_mc(pot, 1e-12, 1.5, x, 2000, np.random.default_rng(7))
         assert val == pytest.approx(float(pot.value(x)), rel=1e-9)
 
     def test_sample_count_validated(self):
         # one draw has no standard error
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
         for m in (0, 1):
             with pytest.raises(ParameterError):
-                smoothed_value_mc(pot, cfg, np.zeros(1), m, np.random.default_rng(0))
+                smoothed_value_mc(pot, 0.1, 2.0, np.zeros(1), m, np.random.default_rng(0))
 
     def test_point_dimension_checked(self):
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
         for x in (np.zeros(3), np.zeros((4, 3)), np.float64(0.0)):
             with pytest.raises(ParameterError):
-                smoothed_value_mc(pot, cfg, x, 10, np.random.default_rng(0))
+                smoothed_value_mc(pot, 0.1, 2.0, x, 10, np.random.default_rng(0))
 
     @pytest.mark.parametrize("name,params", [("quadratic", {}), ("power", {"alpha": 0.5}),
                                              ("l1", {}), ("huber", {"delta": 0.5})])
@@ -218,31 +220,29 @@ class TestSmoothedValue:
     def test_batched_points_match_single_calls(self, name, params, p):
         # points sharing one draw block give bitwise each point's own call
         pot = regularize(get_potential(name, 3, **params), 0.5)
-        cfg = SmoothingConfig(mu=0.3, n=1, pgg=PggSpec(p, 3))
         X = np.random.default_rng(30).normal(scale=1.5, size=(5, 3))
-        means, ses = smoothed_value_mc(pot, cfg, X, 1000, np.random.default_rng(31))
+        means, ses = smoothed_value_mc(pot, 0.3, p, X, 1000, np.random.default_rng(31))
         assert means.shape == ses.shape == (5,)
         for i, x in enumerate(X):
-            mean, se = smoothed_value_mc(pot, cfg, x, 1000, np.random.default_rng(31))
+            mean, se = smoothed_value_mc(pot, 0.3, p, x, 1000, np.random.default_rng(31))
             assert mean == means[i] and se == ses[i]
 
 
 class TestGradientReference:
     def test_closed_form_quadratic(self):
         pot = quadratic_target(3)
-        cfg = SmoothingConfig(mu=0.3, n=1, pgg=PggSpec(1.5, 3))
         x = np.array([2.0, -1.0, 0.5])
         rng = np.random.default_rng(8)
-        ref, ref_var = smoothed_gradient_reference(pot, cfg, x, 10, rng)
+        ref, ref_var = smoothed_gradient_reference(pot, 0.3, 1.5, x, 10, rng)
         assert np.array_equal(ref, x)
         assert np.array_equal(ref_var, np.zeros(3))
         assert rng.random() == np.random.default_rng(8).random()  # no draws taken
 
     def test_mc_agrees_with_closed_form(self):
         pot = without_closed_form(regularize(get_potential("quadratic", 2), 0.5))
-        cfg = SmoothingConfig(mu=0.2, n=1, pgg=PggSpec(1.5, 2))
         x = np.array([1.0, -0.5])
-        mc, mc_var = smoothed_gradient_reference(pot, cfg, x, 400_000, np.random.default_rng(9))
+        mc, mc_var = smoothed_gradient_reference(pot, 0.2, 1.5, x, 400_000,
+                                                 np.random.default_rng(9))
         assert np.allclose(mc, 1.5 * x, atol=0.02)
         assert (np.abs(mc - 1.5 * x) <= 4 * np.sqrt(mc_var)).all()
 
@@ -279,8 +279,7 @@ class TestGradientReference:
         # the plus-sign reading: for the quadratic the reference points along
         # +x, not -x
         pot = without_closed_form(quadratic_target(1))
-        cfg = SmoothingConfig(mu=0.2, n=1, pgg=PggSpec(1.2, 1))
-        ref, _ = smoothed_gradient_reference(pot, cfg, np.array([3.0]), 100_000,
+        ref, _ = smoothed_gradient_reference(pot, 0.2, 1.2, np.array([3.0]), 100_000,
                                              np.random.default_rng(12))
         assert ref[0] > 2.5
 
@@ -288,18 +287,26 @@ class TestGradientReference:
         # m = 0 used to average an empty slice and return NaN; one draw has no
         # variance
         pot = regularize(get_potential("power", 2, alpha=0.5), 0.5)
-        cfg = SmoothingConfig(mu=0.2, n=1, pgg=PggSpec(1.5, 2))
         for m in (0, 1):
             with pytest.raises(ParameterError):
-                smoothed_gradient_reference(pot, cfg, np.zeros(2), m, np.random.default_rng(0))
+                smoothed_gradient_reference(pot, 0.2, 1.5, np.zeros(2), m,
+                                            np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mu,p", [(0.0, 1.5), (-0.2, 1.5), (0.2, 2.5), (0.2, 0.5)])
+    @pytest.mark.parametrize("name", ["quadratic", "power"])
+    def test_radius_and_shape_validated(self, name, mu, p):
+        # the closed form takes no draws, and still checks (mu, p)
+        pot = regularize(get_potential(name, 2), 0.5)
+        for reference in (smoothed_value_mc, smoothed_gradient_reference):
+            with pytest.raises(ParameterError):
+                reference(pot, mu, p, np.zeros(2), 100, np.random.default_rng(0))
 
     @pytest.mark.parametrize("name", ["quadratic", "power"])
     def test_point_dimension_checked(self, name):
         # a point of the wrong dimension used to broadcast silently
         pot = regularize(get_potential(name, 1), 0.5)
-        cfg = SmoothingConfig(mu=0.2, n=1, pgg=PggSpec(1.5, 1))
         with pytest.raises(ParameterError):
-            smoothed_gradient_reference(pot, cfg, np.zeros(3), 100, np.random.default_rng(0))
+            smoothed_gradient_reference(pot, 0.2, 1.5, np.zeros(3), 100, np.random.default_rng(0))
 
 
 class TestLemma1Bounds:
@@ -342,9 +349,9 @@ class TestLemma1Bounds:
 class TestBiasVariance:
     def test_quadratic_unbiased_and_bounded(self):
         pot = quadratic_target(4)
-        cfg = SmoothingConfig(mu=0.1, n=5, pgg=PggSpec(2.0, 4))
+        cfg = SmoothingConfig(mu=0.1, n=5, p=2.0)
         x = np.array([0.5, -0.3, 0.8, 0.1])
-        reference = smoothed_gradient_reference(pot, cfg, x, 2, np.random.default_rng(0))
+        reference = smoothed_gradient_reference(pot, cfg.mu, cfg.p, x, 2, np.random.default_rng(0))
         rep = measure_bias_variance(pot, cfg, x, trials=4000, rng=np.random.default_rng(13),
                                     reference=reference)
         assert abs(rep.empirical_bias_norm_sq) <= 4 * rep.bias_se
@@ -353,14 +360,30 @@ class TestBiasVariance:
         assert np.array_equal(rep.reference_gradient, x)
         assert rep.trials == 4000
 
+    def test_bounds_take_the_potential_dimension(self):
+        # the law is N_p(0, I_d) at the potential's d = 3: the reference is a
+        # 3-vector and the bias bound reads M and d^(2/p) at d = 3 alike
+        pot = regularize(get_potential("l1", 3), 0.5)
+        cfg = SmoothingConfig(mu=0.2, n=4, p=1.5)
+        x = np.array([0.7, -0.4, 0.2])
+        reference = smoothed_gradient_reference(pot, cfg.mu, cfg.p, x, 1000,
+                                                np.random.default_rng(0))
+        assert reference[0].shape == reference[1].shape == (3,)
+        rep = measure_bias_variance(pot, cfg, x, 10, np.random.default_rng(1),
+                                    reference=reference)
+        M = smoothness_constant_M(pot, cfg.mu, cfg.p)
+        assert rep.bias_bound == pytest.approx((M + 0.5) ** 2 * 0.2**2 * 3 ** (2 / 1.5),
+                                               rel=1e-12)
+
     def test_variance_scales_inversely_with_n(self):
         pot = quadratic_target(2)
         x = np.array([1.0, -1.0])
         rng = np.random.default_rng(14)
         reps = {}
         for n in (8, 16):
-            cfg = SmoothingConfig(mu=0.1, n=n, pgg=PggSpec(1.5, 2))
-            reference = smoothed_gradient_reference(pot, cfg, x, 2, np.random.default_rng(0))
+            cfg = SmoothingConfig(mu=0.1, n=n, p=1.5)
+            reference = smoothed_gradient_reference(pot, cfg.mu, cfg.p, x, 2,
+                                                    np.random.default_rng(0))
             reps[n] = measure_bias_variance(pot, cfg, x, trials=6000, rng=rng,
                                             reference=reference)
         ratio = reps[8].empirical_variance / reps[16].empirical_variance
@@ -383,9 +406,10 @@ class TestBiasVariance:
 
     def test_nonquadratic_uses_mc_reference(self):
         pot = regularize(get_potential("power", 2, alpha=0.5), 0.5)
-        cfg = SmoothingConfig(mu=0.2, n=4, pgg=PggSpec(1.5, 2))
+        cfg = SmoothingConfig(mu=0.2, n=4, p=1.5)
         x = np.array([0.7, -0.4])
-        reference = smoothed_gradient_reference(pot, cfg, x, 100_000, np.random.default_rng(116))
+        reference = smoothed_gradient_reference(pot, cfg.mu, cfg.p, x, 100_000,
+                                                np.random.default_rng(116))
         rep = measure_bias_variance(pot, cfg, x, trials=2000, rng=np.random.default_rng(16),
                                     reference=reference)
         assert rep.empirical_bias_norm_sq <= rep.bias_bound + 4 * rep.bias_se
@@ -393,7 +417,7 @@ class TestBiasVariance:
 
     def test_trials_validated(self):
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=1, pgg=PggSpec(2.0, 1))
+        cfg = SmoothingConfig(mu=0.1, n=1, p=2.0)
         with pytest.raises(ParameterError):
             measure_bias_variance(pot, cfg, np.zeros(1), trials=1,
                                   rng=np.random.default_rng(0),
@@ -401,7 +425,7 @@ class TestBiasVariance:
 
     def test_point_dimension_checked(self):
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=2, pgg=PggSpec(2.0, 1))
+        cfg = SmoothingConfig(mu=0.1, n=2, p=2.0)
         with pytest.raises(ParameterError):
             measure_bias_variance(pot, cfg, np.zeros(3), trials=10,
                                   rng=np.random.default_rng(0),
@@ -411,7 +435,7 @@ class TestBiasVariance:
     def test_reference_shape_validated(self, wrong):
         # a d = 3 pair at d = 1 used to broadcast and return a report
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=2, pgg=PggSpec(2.0, 1))
+        cfg = SmoothingConfig(mu=0.1, n=2, p=2.0)
         pair = {"ref": np.zeros(1), "ref_var": np.zeros(1)}
         pair[wrong] = np.zeros(3)
         with pytest.raises(ParameterError, match="reference"):
@@ -422,12 +446,12 @@ class TestBiasVariance:
 
 class TestSharedReference:
     pot = regularize(get_potential("power", 3, alpha=0.5), 0.5)
-    cfg = SmoothingConfig(mu=0.2, n=4, pgg=PggSpec(1.5, 3))
+    cfg = SmoothingConfig(mu=0.2, n=4, p=1.5)
     x = np.array([0.7, -0.4, 0.2])
     trials = 300
 
     def test_report_uses_the_supplied_pair(self):
-        reference = smoothed_gradient_reference(self.pot, self.cfg, self.x, 1000,
+        reference = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, 1000,
                                                 np.random.default_rng(18))
         shared = measure_bias_variance(self.pot, self.cfg, self.x, self.trials,
                                        np.random.default_rng(17), reference=reference)
@@ -441,13 +465,13 @@ class TestSharedReference:
         assert wider.empirical_variance == shared.empirical_variance
 
     def test_supplied_reference_draws_only_the_trials_block(self):
-        reference = smoothed_gradient_reference(self.pot, self.cfg, self.x, 1000,
+        reference = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, 1000,
                                                 np.random.default_rng(18))
         rng = np.random.default_rng(19)
         measure_bias_variance(self.pot, self.cfg, self.x, self.trials, rng,
                               reference=reference)
         expected = np.random.default_rng(19)
-        sample_pgg(self.cfg.pgg, expected, size=(self.trials, self.cfg.n))
+        sample_pgg(PggSpec(1.5, 3), expected, size=(self.trials, self.cfg.n))
         assert rng.random() == expected.random()
 
 
@@ -455,7 +479,7 @@ class TestRowBlocks:
     """Cache-sized row blocks give bitwise the results of one whole-array call."""
 
     pot = regularize(get_potential("power", 3, alpha=0.5), 0.5)
-    cfg = SmoothingConfig(mu=0.2, n=8, pgg=PggSpec(1.5, 3))
+    cfg = SmoothingConfig(mu=0.2, n=8, p=1.5)
     x = np.array([0.7, -0.4, 0.2])
 
     @staticmethod
@@ -468,7 +492,8 @@ class TestRowBlocks:
         trials = 3 * self.rows_per_block(self.cfg.n * 3 * 8) + 101
         m = 4 * self.rows_per_block(3 * 8) + 7
         def report(rng):
-            reference = smoothed_gradient_reference(self.pot, self.cfg, self.x, m, rng)
+            reference = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, m,
+                                                    rng)
             return measure_bias_variance(self.pot, self.cfg, self.x, trials, rng,
                                          reference=reference)
 
@@ -480,10 +505,10 @@ class TestRowBlocks:
 
     def test_mc_reference_matches_one_call(self, monkeypatch):
         m = 5 * self.rows_per_block(3 * 8) + 13
-        blocked = smoothed_gradient_reference(self.pot, self.cfg, self.x, m,
+        blocked = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, m,
                                               np.random.default_rng(22))
         monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1 << 40)
-        whole = smoothed_gradient_reference(self.pot, self.cfg, self.x, m,
+        whole = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, m,
                                             np.random.default_rng(22))
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)
