@@ -245,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the seed (the config's, or each suite's own)")
         sp.add_argument("--threads", type=int, default=threads_default,
-                        help="chain groups to run in parallel, at most one per core "
-                             "and per chain (default: $PGGLMC_THREADS or 1)")
+                        help="chain groups to run in parallel, at most one per chain "
+                             "and per usable core, as suits a CPU-bound potential "
+                             "(default: $PGGLMC_THREADS or 1)")
         sp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
 
     for name, func, help_ in (

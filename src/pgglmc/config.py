@@ -58,12 +58,17 @@ def _check_keys(doc, path, required, optional=()):
         raise ConfigError(f"{path}: missing required key(s) {missing}")
 
 
+def _finite(val) -> bool:
+    """A number within the float range: JSON reads 1e309 as inf, and an
+    integer past the float range is no finite float either."""
+    return -_FLOAT_MAX <= val <= _FLOAT_MAX
+
+
 def _number(doc, path, key, *, integer=False, minimum=None, strict_min=None):
     val = doc[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-    # JSON reads 1e309 as inf; an integer past the float range is no finite float either
-    if not -_FLOAT_MAX <= val <= _FLOAT_MAX:
+    if not _finite(val):
         raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
     if integer and isinstance(val, float) and not val.is_integer():
         raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
@@ -80,7 +85,7 @@ def _point(doc, path, key, d):
     items = val if isinstance(val, list) else [val]
     if ((isinstance(val, list) and len(val) != d)
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not -_FLOAT_MAX <= v <= _FLOAT_MAX for v in items)):
+                   or not _finite(v) for v in items)):
         raise ConfigError(f"{path}.{key}: expected a finite number or a list of {d} "
                           f"finite numbers, got {val!r}")
     return val
@@ -137,14 +142,8 @@ class ExperimentConfig:
         lmc = doc["lmc"]
         _check_keys(lmc, "lmc", required=("eta", "steps", "chains", "seed"), optional=("init",))
         eta = lmc["eta"]
-        if eta == "auto":
-            pass
-        elif (isinstance(eta, bool) or not isinstance(eta, (int, float))
-              or not 0 < eta <= _FLOAT_MAX):
-            raise ConfigError(f'lmc.eta: expected a positive finite number or "auto", '
-                              f'got {eta!r}')
-        else:
-            eta = float(eta)
+        if eta != "auto":
+            eta = _number(lmc, "lmc", "eta", strict_min=0.0)
         steps = _number(lmc, "lmc", "steps", integer=True, minimum=0)
         chains = _number(lmc, "lmc", "chains", integer=True, minimum=1)
         seed = _number(lmc, "lmc", "seed", integer=True, minimum=0)

@@ -144,6 +144,13 @@ def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.nd
     return g, outside_guard(g)
 
 
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _init_center(init: InitSpec, d: int) -> np.ndarray:
     """The init center broadcast to (d,); ParameterError otherwise."""
     try:
@@ -172,9 +179,10 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     step in estimator mode and 0 in exact-gradient ablation mode.
     With ``thin``, every ``thin``-th state is kept as the trajectory;
     without it, no trajectory is stored.  The chains are split into
-    min(threads, chains, os.cpu_count()) groups, each run on a worker
-    thread; an interrupt or an exception in one group stops every other
-    group at its next chunk.
+    min(threads, chains, cores) groups, cores being the CPUs this process
+    may run on, each run on a worker thread; the cap assumes a CPU-bound
+    black box.  An interrupt or an exception in one group stops every
+    other group at its next chunk.
     """
     d = pot.d
     spec = PggSpec(scfg.p, d)
@@ -248,8 +256,9 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             k += m
         final[indices] = x
 
-    # more groups than chains would be empty, and more than cores cannot overlap
-    groups = np.array_split(np.arange(chains), max(1, min(threads, chains, os.cpu_count() or 1)))
+    # more groups than chains would be empty, and a CPU-bound black box
+    # gains nothing from more groups than cores
+    groups = np.array_split(np.arange(chains), max(1, min(threads, chains, _cores())))
     with ThreadPoolExecutor(max_workers=len(groups)) as pool:
         try:
             for done in as_completed([pool.submit(advance, g) for g in groups]):

@@ -48,6 +48,12 @@ __all__ = [
 ]
 
 
+def _check_mu(mu) -> None:
+    """ParameterError unless the smoothing radius mu is > 0."""
+    if not mu > 0:
+        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+
+
 @dataclass(frozen=True)
 class SmoothingConfig:
     """Smoothing radius mu > 0, batch size n >= 1 and shape p in [1, 2]; d is the potential's."""
@@ -57,8 +63,7 @@ class SmoothingConfig:
     p: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ParameterError(f"smoothing radius must be > 0, got {self.mu}")
+        _check_mu(self.mu)
         if not (self.n >= 1 and float(self.n).is_integer()):
             raise ParameterError(f"batch size must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
@@ -137,8 +142,7 @@ def _as_point(x, d: int, batched: bool = False) -> np.ndarray:
 
 def _law(pot: RegularizedPotential, mu: float, p: float) -> PggSpec:
     """N_p(0, I_d) at the potential's d; ParameterError unless mu > 0 and p lies in [1, 2]."""
-    if not mu > 0:
-        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+    _check_mu(mu)
     return PggSpec(p, pot.d)
 
 
@@ -253,7 +257,7 @@ def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
-    spec = _law(pot, cfg.mu, cfg.p)
+    spec = PggSpec(cfg.p, pot.d)
     d, p = spec.d, spec.p
     x = _as_point(x, d)
     ref, ref_var = reference

@@ -29,6 +29,7 @@ from pgglmc import (
     sample_pgg,
     theorem1_bound,
 )
+from pgglmc import lmc
 from pgglmc.cli import main
 from pgglmc.suites import (
     DOMINANCE_CHAINS,
@@ -48,6 +49,15 @@ from pgglmc.suites import (
 # run_chain results do not depend on the thread count (criterion 9), so the
 # mixing fixtures use every core.
 THREADS = os.cpu_count() or 1
+
+
+@pytest.fixture(autouse=True, scope="module")
+def eight_cores():
+    # run_chain caps its groups at the cores; a fixed count keeps the
+    # 4-group run of criterion 9 a 4-group run on any host
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmc, "_cores", lambda: 8)
+        yield
 
 
 def finish(name, ok, elapsed, budget, detail=""):

@@ -27,6 +27,16 @@ from pgglmc import (
 )
 from pgglmc import lmc
 
+HOST_CORES = lmc._cores
+
+@pytest.fixture(autouse=True, scope="module")
+def eight_cores():
+    # run_chain caps its groups at the cores; a fixed count keeps the 2-,
+    # 3- and 4-group splits these tests check on any host
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmc, "_cores", lambda: 8)
+        yield
+
 
 def quadratic_target(d):
     return regularize(get_potential("zero", d), 1.0)
@@ -194,7 +204,7 @@ class TestRunChain:
     def test_groups_are_capped_at_cores_and_chains(self, monkeypatch):
         # 64 threads on a 2-core machine ask for 2 workers, not 64, and the
         # final states do not depend on the group count
-        monkeypatch.setattr(lmc.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(lmc, "_cores", lambda: 2)
         workers = []
 
         class Spy(lmc.ThreadPoolExecutor):
@@ -211,6 +221,14 @@ class TestRunChain:
         few = LmcConfig(eta=lcfg.eta, steps=lcfg.steps, chains=1, seed=lcfg.seed)
         run_chain(pot, scfg, few, threads=64)
         assert workers[-1] == 1
+
+    @pytest.mark.skipif(not hasattr(lmc.os, "sched_getaffinity"),
+                        reason="no affinity mask on this OS")
+    def test_cores_follow_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one CPU of 64 gets one group
+        monkeypatch.setattr(lmc.os, "sched_getaffinity", lambda pid: {3})
+        monkeypatch.setattr(lmc.os, "cpu_count", lambda: 64)
+        assert HOST_CORES() == 1
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("init", [
