@@ -5,7 +5,9 @@ points at d = 1), checked once on entry.  Both sets of a comparison have the
 same size N; a caller with a larger set subsamples it first, and should
 report N so finite-sample bias stays interpretable.  Exact mode solves the
 optimal assignment on the squared-Euclidean cost matrix (cubic time, capped
-at N = 2048); at d = 1 the sorted matching is the same optimum.
+at N = 2048); at d = 1 the sorted matching is the same optimum.  The solver
+is scipy's compiled one, loaded on first use; the module imports only numpy,
+so a run that never solves an assignment never loads scipy.
 ``w2_to_gaussian`` subsamples larger sets to the cap and reports the size
 used, rather than switching to a sliced surrogate: every 1-D projection is
 1-Lipschitz, so sliced W2 is at most W2 and cannot certify that a measured
@@ -14,11 +16,13 @@ distance lies below a bound.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import ParameterError
 
@@ -45,6 +49,38 @@ def _points(a) -> np.ndarray:
     return pts
 
 
+def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between rows, summed over coordinates in scipy's order."""
+    cost = np.zeros((len(a), len(b)))
+    with np.errstate(over="ignore"):  # an overflow is an inf, which the caller rejects
+        for k in range(a.shape[1]):
+            diff = np.subtract.outer(a[:, k], b[:, k])
+            cost += np.square(diff, out=diff)
+    return cost
+
+
+@functools.lru_cache(maxsize=1)
+def _solver():
+    """scipy's solver from its extension alone (under 1 ms), else ``scipy.optimize`` (0.5 s)."""
+    try:
+        base = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                            "optimize", "_lsap")
+        path = next(base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.exists(base + suffix))
+        spec = importlib.util.spec_from_file_location("scipy.optimize._lsap", path)
+        ext = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ext)
+        return ext.linear_sum_assignment
+    except (AttributeError, ImportError, StopIteration):  # no scipy, no extension, or a bad one
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a minimum-cost assignment; the solver loads on first use."""
+    return _solver()(cost)
+
+
 def _sorted_w2(a: np.ndarray, b: np.ndarray) -> float:
     """W2 by sorted matching, for checked (N, 1) sets of one size."""
     diff = np.sort(a[:, 0]) - np.sort(b[:, 0])
@@ -53,7 +89,7 @@ def _sorted_w2(a: np.ndarray, b: np.ndarray) -> float:
 
 def _assignment_w2(a: np.ndarray, b: np.ndarray) -> float:
     """W2 by optimal assignment, for checked (N, d) sets of one shape, N <= the cap."""
-    cost = cdist(a, b, metric="sqeuclidean")
+    cost = cdist(a, b)
     if not np.isfinite(cost).all():
         raise ParameterError("squared distances between the sample sets overflow a float")
     rows, cols = linear_sum_assignment(cost)

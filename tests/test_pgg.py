@@ -286,6 +286,15 @@ class TestSampling:
         frac = np.count_nonzero(np.abs(x) > r) / n
         assert abs(frac - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n)
 
+    @pytest.mark.parametrize("s", np.linspace(0.5, 1.0, 11))
+    def test_upper_incomplete_gamma(self, s):
+        # Q(1/p, x) gives the ziggurat's tail mass; x spans the series branch
+        # (x < s + 1) and the continued-fraction branch
+        x = np.geomspace(1e-3, 200.0, 401)
+        assert (x < s + 1.0).any() and (x >= s + 1.0).any()
+        q = [pgg._gamma_q(float(s), float(xi)) for xi in x]
+        np.testing.assert_allclose(q, gammaincc(s, x), rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("p, rows", [(1.0, 200_000), (1.5, 200_000), (1.5, 1_000_000)])
     def test_scratch_is_bounded(self, p, rows):
         # the draws work in bounded rounds, so filling an 8 MB or a 40 MB

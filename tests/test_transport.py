@@ -1,5 +1,10 @@
+import importlib.machinery
+import importlib.util
 import math
-from itertools import permutations
+import sys
+import types
+import warnings
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from pgglmc import (
     w2_exact_assignment,
     w2_to_gaussian,
 )
+from pgglmc import transport
 from pgglmc.transport import ASSIGNMENT_CAP
 
 
@@ -102,6 +108,13 @@ class TestExactAssignment:
             d = int(rng.integers(1, 4))
             a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
             assert w2_exact_assignment(a, b) == pytest.approx(brute_force_w2(a, b), rel=1e-12)
+
+    def test_overflowing_costs_rejected_without_a_warning(self):
+        a, b = np.array([[1e300, 0.0], [0.0, 0.0]]), np.array([[-1e300, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="overflow a float"):
+                w2_exact_assignment(a, b)
 
     def test_size_cap(self):
         big = np.zeros((ASSIGNMENT_CAP + 1, 1))
@@ -195,3 +208,76 @@ class TestMetricAxioms:
             ac = w2_exact_assignment(s[0], s[2])
             assert abs(ab - ba) <= 1e-9
             assert ac <= ab + bc + 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 33])
+@pytest.mark.parametrize("n", [5, 256, 1000])
+def test_cost_matrix_matches_scipy_bitwise(n, d):
+    # the coordinates are summed in scipy's order; np.sum over the last axis
+    # rounds differently from d = 8 on
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(100 * n + d)
+    a, b = rng.normal(size=(n, d)), 2.0 * rng.normal(size=(n, d)) + 0.3
+    assert np.array_equal(transport.cdist(a, b), cdist(a, b, "sqeuclidean"))
+
+
+def solver_costs():
+    """suite_transport's 100 brute-force instances, then random costs at N in {5, 256, 2048}."""
+    rng = np.random.default_rng(1005)  # the suite's seed and draw order
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        d = int(rng.integers(1, 4))
+        a = rng.normal(size=(n, d))
+        b = rng.normal(size=(n, d))
+        yield transport.cdist(a, b)
+    rng = np.random.default_rng(6)
+    for n in (5, 256, 2048):
+        yield rng.random((n, n))
+
+
+class TestSolverLoader:
+    """The solver is scipy's compiled extension, loaded by path, or else the public import."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_solver(self):
+        transport._solver.cache_clear()
+        yield
+        transport._solver.cache_clear()
+
+    @staticmethod
+    def assert_same_solutions(solver, costs):
+        from scipy.optimize import linear_sum_assignment
+
+        for cost in costs:
+            rows, cols = solver(cost)
+            ref_rows, ref_cols = linear_sum_assignment(cost)
+            assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+    def test_path_loaded_solver_matches_scipy(self, monkeypatch):
+        # with the public import blocked, the solver can only come from the path
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "scipy.optimize", None)
+            solver = transport._solver()
+        self.assert_same_solutions(solver, solver_costs())
+
+    def test_missing_extension_falls_back_to_the_public_import(self, monkeypatch):
+        from scipy.optimize import linear_sum_assignment
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        assert transport._solver() is linear_sum_assignment
+        self.assert_same_solutions(transport.linear_sum_assignment,
+                                   islice(solver_costs(), 102))
+
+    def test_unloadable_extension_falls_back_to_the_public_import(self, monkeypatch, tmp_path):
+        from scipy.optimize import linear_sum_assignment
+
+        # a scipy tree whose extension file is not a shared object
+        (tmp_path / "optimize").mkdir()
+        bad = tmp_path / "optimize" / ("_lsap" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        bad.write_bytes(b"not a shared object")
+        fake = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+        assert transport._solver() is linear_sum_assignment
+        self.assert_same_solutions(transport.linear_sum_assignment,
+                                   islice(solver_costs(), 102))
