@@ -43,17 +43,13 @@ from .smoothing import (
 from .lmc import (
     ChainResult,
     InitSpec,
-    Lemma3Bound,
     LmcConfig,
-    TheoryBound,
     bounds_table,
     check_step_size,
     geometric_factor,
     initial_w2,
-    lemma3_w2_bound,
     outside_guard,
     run_chain,
-    theorem1_bound,
 )
 from .transport import (
     W2GaussianResult,

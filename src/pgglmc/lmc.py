@@ -16,6 +16,10 @@ generator spawned from (master seed, c), in a fixed order (the init draw when
 the initial law has a positive scale, then per chunk one smoothing block
 followed by one noise block), so the result is identical for any thread
 count.  Fresh draws are taken every iteration, never reused across steps.
+
+The closed-form bounds have one composition, ``bounds_table``: at one config
+it returns the Lemma-3 smoothing drift and the seven itemized Theorem-1
+terms, with the minimizer x* and the second-moment constant C taken as 0.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,13 +43,9 @@ __all__ = [
     "InitSpec",
     "LmcConfig",
     "ChainResult",
-    "Lemma3Bound",
-    "TheoryBound",
     "check_step_size",
     "outside_guard",
     "run_chain",
-    "lemma3_w2_bound",
-    "theorem1_bound",
     "initial_w2",
     "bounds_table",
     "geometric_factor",
@@ -283,135 +283,10 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lemma3Bound:
-    """Smoothing-drift bound between exp(-U_bar) and exp(-U_bar_mu).
-
-    ``w2_sq_general`` bounds the squared distance for any a;
-    ``w2_simplified`` = 3 sqrt(d a / lam) applies only when a <= 0.1 and the
-    minimizer term is small (8.24 lam ||x*||^2 < 0.76 d).
-    """
-
-    a: float
-    w2_sq_general: float
-    w2_general: float
-    w2_simplified: float
-    simplified_applicable: bool
-
-
-@dataclass(frozen=True)
-class TheoryBound:
-    """Itemized mixing bound; w2_mixing is the seven-term sum, lemma3 gives smoothing_w2."""
-
-    w2_mixing: float
-    lemma3: Lemma3Bound
-    M: float
-    C: float
-    terms: dict
-    notes: dict
-    geometric_alt: float
-
-
 def geometric_factor(lam: float, eta: float, steps: int) -> float:
     """(1 - 0.5 lam eta)^(steps/2), clamped at 0 once the base hits 0."""
     base = max(0.0, 1.0 - 0.5 * lam * eta)
     return base ** (steps / 2.0)
-
-
-def lemma3_w2_bound(pot: RegularizedPotential, mu: float, p: float,
-                    xstar_norm_sq: float = 0.0) -> Lemma3Bound:
-    """Both forms of the smoothing-drift bound, with the applicability flag.
-
-    General: W2^2 <= 4 (d + lam ||x*||^2) / lam * (a + e^a - 1), where x* is
-    the minimizer of the regularized potential (0 for symmetric potentials).
-    """
-    if xstar_norm_sq < 0:
-        raise ParameterError(f"||x*||^2 must be >= 0, got {xstar_norm_sq}")
-    a = perturbation_scale_a(pot, mu, p)
-    d, lam = pot.d, pot.lam
-    try:
-        w2_sq = 4.0 * (d + lam * xstar_norm_sq) / lam * (a + math.expm1(a))
-    except OverflowError:
-        raise ParameterError(f"the Lemma-3 bound overflows a float: e^a with a = {a:.6g}") from None
-    simplified = 3.0 * math.sqrt(d * a / lam)
-    # tolerance so a computed to land exactly on the 0.1 boundary still counts
-    applicable = a <= 0.1 * (1.0 + 1e-12) and 8.24 * lam * xstar_norm_sq < 0.76 * d
-    return Lemma3Bound(
-        a=a,
-        w2_sq_general=w2_sq,
-        w2_general=math.sqrt(w2_sq),
-        w2_simplified=simplified,
-        simplified_applicable=applicable,
-    )
-
-
-def theorem1_bound(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
-                   w2_init: float, xstar_norm_sq: float = 0.0, C: float = 0.0) -> TheoryBound:
-    """Seven-term mixing bound on W2(law of x_K, target), each term itemized.
-
-    ``w2_init`` is (an upper bound on) the distance between the initial law
-    and the smoothed regularized target.  C scales the unspecified
-    second-moment term C lam (d log d)^4 and defaults to 0, in which case the
-    sum bounds the distance to the *regularized* target exp(-U_bar) rather
-    than exp(-U); every report flags this.
-    """
-    if C < 0:
-        raise ParameterError(f"C must be >= 0, got {C}")
-    if not 0.0 <= w2_init < math.inf:
-        raise ParameterError(f"w2_init must be finite and >= 0, got {w2_init}")
-    mu, p = scfg.mu, scfg.p
-    d, lam, n = pot.d, pot.lam, scfg.n
-    eta, steps = lcfg.eta, lcfg.steps
-    check_step_size(pot, mu, p, eta)
-    M = smoothness_constant_M(pot, mu, p)
-    l3 = lemma3_w2_bound(pot, mu, p, xstar_norm_sq)
-
-    geometric = geometric_factor(lam, eta, steps) * w2_init
-    discretization = 1.9 * (M + lam) / lam * math.sqrt(eta * d)
-    smoothing_bias = 2.0 * (M + lam) / lam * mu * d ** (1.0 / p)
-    smoothing_w2 = l3.w2_simplified if l3.simplified_applicable else l3.w2_general
-    variance_mu = (M + lam) * mu * (d + 3.0) ** (3.0 / p) * math.sqrt(eta / (lam * n))
-    variance_grad = math.sqrt((M + lam) / lam) * math.sqrt(eta * d / n) * (d + 2.0) ** (1.0 / p)
-    regularization_m2 = C * lam * (d * math.log(d)) ** 4 if d > 1 else 0.0
-
-    terms = {
-        "geometric": geometric,
-        "discretization": discretization,
-        "smoothing_bias": smoothing_bias,
-        "smoothing_w2": smoothing_w2,
-        "variance_mu": variance_mu,
-        "variance_grad": variance_grad,
-        "regularization_m2": regularization_m2,
-    }
-    # Premise of the geometric contraction: the gradient-noise term must sit
-    # below 0.5 lam eta, which caps the admissible batch size from below.
-    n_gate = 2.0 * math.sqrt(2.0) * (M + lam) ** 2 * eta * (d + 2.0) ** (2.0 / p) / (
-        lam * (1.0 - lam * eta)
-    )
-    notes = {
-        "geometric": f"(1 - 0.5*lam*eta)^(K/2) * w2_init, K = {steps}; the proof "
-                     f"carries exponent K (reported as geometric_alt)",
-        "discretization": "1.9 (M+lam)/lam sqrt(eta d)",
-        "smoothing_bias": "2 (M+lam)/lam mu d^(1/p)",
-        "smoothing_w2": ("3 sqrt(d a / lam)" if l3.simplified_applicable
-                         else "sqrt(4 (d + lam||x*||^2)/lam (a + e^a - 1)); a > 0.1 "
-                              "so the simplified form does not apply"),
-        "variance_mu": "(M+lam) mu (d+3)^(3/p) sqrt(eta/(lam n))",
-        "variance_grad": "sqrt((M+lam)/lam) sqrt(eta d / n) (d+2)^(1/p)",
-        "regularization_m2": "C lam (d log d)^4 with user-supplied C"
-                             + ("; C = 0: bound is to the regularized target" if C == 0 else ""),
-        "batch_size_gate": f"contraction premise wants n >= {n_gate:.6g}; n = {n} "
-                           + ("(satisfied)" if n >= n_gate else "(NOT satisfied)"),
-    }
-    return TheoryBound(
-        w2_mixing=float(sum(terms.values())),
-        lemma3=l3,
-        M=float(M),
-        C=float(C),
-        terms=terms,
-        notes=notes,
-        geometric_alt=geometric_factor(lam, eta, 2 * steps) * w2_init,
-    )
 
 
 def initial_w2(pot: RegularizedPotential, init: InitSpec) -> float:
@@ -433,28 +308,85 @@ def initial_w2(pot: RegularizedPotential, init: InitSpec) -> float:
 
 
 def bounds_table(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig) -> dict:
-    """Every closed-form bound at one config, with ``initial_w2`` as w2_init.
+    """Every closed-form bound at one config: the one Theorem-1 composition.
 
     M, a, the step-size cap, the Lemma-1 gap, both Lemma-3 forms and the
-    itemized Theorem-1 terms at x* = 0 and C = 0: the one Theorem-1 composition.
+    seven itemized terms of the mixing bound on W2(law of x_K, target), with
+    ``initial_w2`` as w2_init.  The minimizer x* is taken as 0 (every
+    registry potential is symmetric, as ``initial_w2`` assumes), so Lemma 3
+    reads W2^2 <= 4 d / lam (a + e^a - 1), or 3 sqrt(d a / lam) when
+    a <= 0.1.  The second-moment constant C of the term C lam (d log d)^4
+    is unspecified and taken as 0, so the sum bounds the distance to the
+    *regularized* target exp(-U_bar) rather than exp(-U); the notes say so.
     """
     mu, p = scfg.mu, scfg.p
+    d, lam, n = pot.d, pot.lam, scfg.n
+    eta, steps = lcfg.eta, lcfg.steps
     w2_init = initial_w2(pot, lcfg.init)
-    theorem = theorem1_bound(pot, scfg, lcfg, w2_init=w2_init, xstar_norm_sq=0.0, C=0.0)
+    if not 0.0 <= w2_init < math.inf:
+        raise ParameterError(f"w2_init must be finite and >= 0, got {w2_init}")
+    check_step_size(pot, mu, p, eta)
+    M = float(smoothness_constant_M(pot, mu, p))
+
+    a = perturbation_scale_a(pot, mu, p)
+    try:
+        w2_sq = 4.0 * d / lam * (a + math.expm1(a))
+    except OverflowError:
+        raise ParameterError(f"the Lemma-3 bound overflows a float: e^a with a = {a:.6g}") from None
+    simplified = 3.0 * math.sqrt(d * a / lam)
+    # tolerance so a computed to land exactly on the 0.1 boundary still counts
+    applicable = a <= 0.1 * (1.0 + 1e-12)
+
+    terms = {
+        "geometric": geometric_factor(lam, eta, steps) * w2_init,
+        "discretization": 1.9 * (M + lam) / lam * math.sqrt(eta * d),
+        "smoothing_bias": 2.0 * (M + lam) / lam * mu * d ** (1.0 / p),
+        "smoothing_w2": simplified if applicable else math.sqrt(w2_sq),
+        "variance_mu": (M + lam) * mu * (d + 3.0) ** (3.0 / p) * math.sqrt(eta / (lam * n)),
+        "variance_grad": (math.sqrt((M + lam) / lam) * math.sqrt(eta * d / n)
+                          * (d + 2.0) ** (1.0 / p)),
+        "regularization_m2": 0.0,
+    }
+    # Premise of the geometric contraction: the gradient-noise term must sit
+    # below 0.5 lam eta, which caps the admissible batch size from below.
+    n_gate = 2.0 * math.sqrt(2.0) * (M + lam) ** 2 * eta * (d + 2.0) ** (2.0 / p) / (
+        lam * (1.0 - lam * eta)
+    )
+    notes = {
+        "geometric": f"(1 - 0.5*lam*eta)^(K/2) * w2_init, K = {steps}; the proof "
+                     f"carries exponent K (reported as geometric_alt)",
+        "discretization": "1.9 (M+lam)/lam sqrt(eta d)",
+        "smoothing_bias": "2 (M+lam)/lam mu d^(1/p)",
+        "smoothing_w2": ("3 sqrt(d a / lam)" if applicable
+                         else "sqrt(4 (d + lam||x*||^2)/lam (a + e^a - 1)); a > 0.1 "
+                              "so the simplified form does not apply"),
+        "variance_mu": "(M+lam) mu (d+3)^(3/p) sqrt(eta/(lam n))",
+        "variance_grad": "sqrt((M+lam)/lam) sqrt(eta d / n) (d+2)^(1/p)",
+        "regularization_m2": "C lam (d log d)^4 with C unspecified and taken as 0: "
+                             "bound is to the regularized target",
+        "batch_size_gate": f"contraction premise wants n >= {n_gate:.6g}; n = {n} "
+                           + ("(satisfied)" if n >= n_gate else "(NOT satisfied)"),
+    }
     return {
-        "M": theorem.M,
-        "a": theorem.lemma3.a,
+        "M": M,
+        "a": a,
         "max_step_size": max_step_size(pot, mu, p),
         "lemma1_gap_bound": lemma1_gap_bound(pot.base, mu, p),
-        "lemma3": asdict(theorem.lemma3),
+        "lemma3": {
+            "a": a,
+            "w2_sq_general": w2_sq,
+            "w2_general": math.sqrt(w2_sq),
+            "w2_simplified": simplified,
+            "simplified_applicable": applicable,
+        },
         "theorem1": {
-            "w2_mixing": theorem.w2_mixing,
+            "w2_mixing": float(sum(terms.values())),
             "w2_init": w2_init,
             "w2_init_kind": ("exact (Gaussian target)" if pot.target_variance is not None
                              else "upper bound via d/lam second moment"),
-            "C": theorem.C,
-            "terms": theorem.terms,
-            "notes": theorem.notes,
-            "geometric_alt_exponent_K": theorem.geometric_alt,
+            "C": 0.0,
+            "terms": terms,
+            "notes": notes,
+            "geometric_alt_exponent_K": geometric_factor(lam, eta, 2 * steps) * w2_init,
         },
     }

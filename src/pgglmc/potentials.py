@@ -133,14 +133,19 @@ def regularize(base: Potential, lam: float) -> RegularizedPotential:
     return RegularizedPotential(base=base, lam=float(lam))
 
 
+def _check_mu(mu) -> None:
+    """ParameterError unless the smoothing radius mu is > 0."""
+    if not mu > 0:
+        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+
+
 def smoothness_constant_M(pot: RegularizedPotential, mu: float, p: float) -> float:
     """Smoothness constant of the smoothed base potential.
 
     M = L d^((1-alpha)/p) / (mu^(1-alpha) (1+alpha)^(1-alpha)); the smoothed
     regularized potential is then (M + lam)-smooth.
     """
-    if not mu > 0:
-        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+    _check_mu(mu)
     L, alpha, d = pot.base.L, pot.base.alpha, pot.base.d
     return L * d ** ((1.0 - alpha) / p) / (mu ** (1.0 - alpha) * (1.0 + alpha) ** (1.0 - alpha))
 
@@ -157,8 +162,7 @@ def lemma1_gap_bound(pot, mu: float, p: float) -> float:
     true gap (see ``lemma1_gap_envelope``).  Accepts a base or regularized
     potential; the regularizer's own gap contribution is not included.
     """
-    if not mu > 0:
-        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+    _check_mu(mu)
     L, alpha, d = _base_constants(pot)
     return L * mu ** (1.0 + alpha) * d ** ((1.0 + alpha) / p) / (1.0 + alpha)
 
@@ -170,8 +174,7 @@ def lemma1_gap_envelope(pot, mu: float, p: float) -> float:
     simplified d^((1+alpha)/p) form drops a (1 + p/d)-ish factor that only
     vanishes asymptotically, so dominance tests at small d use this form.
     """
-    if not mu > 0:
-        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+    _check_mu(mu)
     L, alpha, d = _base_constants(pot)
     base = 2.0 * d * (d + p) / p
     return L * mu ** (1.0 + alpha) * base ** ((1.0 + alpha) / (2.0 * p)) / (1.0 + alpha)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .pgg import PggSpec, _check_p, sample_pgg
-from .potentials import RegularizedPotential, smoothness_constant_M
+from .potentials import RegularizedPotential, _check_mu, smoothness_constant_M
 
 __all__ = [
     "SmoothingConfig",
@@ -46,12 +46,6 @@ __all__ = [
     "smoothed_gradient_reference",
     "measure_bias_variance",
 ]
-
-
-def _check_mu(mu) -> None:
-    """ParameterError unless the smoothing radius mu is > 0."""
-    if not mu > 0:
-        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
 
 
 @dataclass(frozen=True)

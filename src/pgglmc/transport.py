@@ -132,8 +132,8 @@ class W2GaussianResult:
     n: int                  # points compared, after subsampling to the cap
 
 
-def w2_to_gaussian(a, variance: float, resamples: int = 5,
-                   rng: np.random.Generator | None = None) -> W2GaussianResult:
+def w2_to_gaussian(a, variance: float, resamples: int = 5, *,
+                   rng: np.random.Generator) -> W2GaussianResult:
     """Exact W2 between a sample set and N(0, variance * I_d).
 
     Draws ``resamples`` equal-size reference samples from a dedicated stream
@@ -149,7 +149,6 @@ def w2_to_gaussian(a, variance: float, resamples: int = 5,
         raise ParameterError(f"variance must be finite and > 0, got {variance}")
     if resamples < 1:
         raise ParameterError(f"resamples must be >= 1, got {resamples}")
-    rng = rng if rng is not None else np.random.default_rng(0)
     if len(a) > ASSIGNMENT_CAP:
         a = a[rng.choice(len(a), ASSIGNMENT_CAP, replace=False)]
     n, d = a.shape

@@ -21,13 +21,13 @@ from pgglmc import (
     LmcConfig,
     PggSpec,
     SmoothingConfig,
+    bounds_table,
     get_potential,
     grad_estimate_from_draws,
     kappa,
     regularize,
     run_chain,
     sample_pgg,
-    theorem1_bound,
 )
 from pgglmc import lmc
 from pgglmc.cli import main
@@ -203,10 +203,10 @@ def test_criterion_7_bound_dominance(mixing_dominance_result):
         scfg = SmoothingConfig(mu=mu, n=n, p=p)
         lcfg = LmcConfig(eta=eta, steps=steps, chains=DOMINANCE_CHAINS,
                          init=InitSpec(), seed=0)
-        tb = theorem1_bound(pot, scfg, lcfg, w2_init=w2_init, xstar_norm_sq=0.0, C=0.0)
+        terms = bounds_table(pot, scfg, lcfg)["theorem1"]["terms"]
         for term, val in expected.items():
             denom = max(abs(val), 1e-300)
-            worst_rel = max(worst_rel, abs(tb.terms[term] - val) / denom)
+            worst_rel = max(worst_rel, abs(terms[term] - val) / denom)
 
     ok = not bad and worst_rel <= 1e-12
     finish("criterion 7: Theorem-1 dominance on 6 configs + independent term check",

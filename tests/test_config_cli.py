@@ -397,6 +397,18 @@ class TestCliExitCodes:
             self.assert_config_error(code, capsys, f"lmc.init.{key}")
             assert not out.exists()
 
+    def test_overflowing_initial_distance_exits_2(self, tmp_path, capsys):
+        # every coordinate is finite, but the distance from the init to the
+        # target is past the float range
+        doc = base_doc()
+        doc["lmc"]["init"] = {"kind": "point", "value": [1.7e308, 1.7e308]}
+        cfg_path = write_config(tmp_path, doc)
+        for command in ("sample", "bounds"):
+            out = tmp_path / command
+            code = main([command, "--config", cfg_path, "--out", str(out)])
+            self.assert_config_error(code, capsys, "w2_init")
+            assert not out.exists()
+
     @pytest.mark.parametrize("section, key, text, needle", [
         ("potential", "lambda", "1e309", "potential.lambda"),
         ("potential", "params", '{"curvature": 1e309}', "potential.params.curvature"),

@@ -13,17 +13,16 @@ from pgglmc import (
     Potential,
     SmoothingConfig,
     StepSizeError,
+    bounds_table,
     check_step_size,
     geometric_factor,
     get_potential,
     grad_estimate_from_draws,
     initial_w2,
-    lemma3_w2_bound,
     max_step_size,
     regularize,
     run_chain,
     sample_pgg,
-    theorem1_bound,
 )
 from pgglmc import lmc
 
@@ -447,6 +446,13 @@ class TestContraction:
         assert dist[60:].max() <= dist[4:10].min()
 
 
+def _table(pot, mu, p):
+    # a step size inside the cap and no steps: the Lemma-3 entries do not
+    # depend on either
+    lcfg = LmcConfig(eta=0.5 * max_step_size(pot, mu, p), steps=0, chains=1)
+    return bounds_table(pot, SmoothingConfig(mu=mu, n=1, p=p), lcfg)
+
+
 class TestLemma3:
     def _pot_with_a(self, target_a=0.1):
         # zero base, alpha = 1, p = 2, d = 4, mu = 0.1:
@@ -454,35 +460,34 @@ class TestLemma3:
         return regularize(get_potential("zero", 4, L=3.75, alpha=1.0), 1.0)
 
     def test_frozen_example(self):
-        bound = lemma3_w2_bound(self._pot_with_a(), 0.1, 2.0, xstar_norm_sq=0.0)
-        assert bound.a == pytest.approx(0.1, rel=1e-12)
-        assert bound.w2_sq_general == pytest.approx(16 * (0.1 + math.expm1(0.1)), rel=1e-12)
-        assert bound.w2_sq_general == pytest.approx(3.2827346892103634, rel=1e-10)
-        assert bound.w2_simplified == pytest.approx(3 * math.sqrt(0.4), rel=1e-12)
-        assert bound.w2_simplified == pytest.approx(1.8973665961010275, rel=1e-10)
-        assert bound.simplified_applicable
+        bound = _table(self._pot_with_a(), 0.1, 2.0)["lemma3"]
+        assert bound["a"] == pytest.approx(0.1, rel=1e-12)
+        assert bound["w2_sq_general"] == pytest.approx(16 * (0.1 + math.expm1(0.1)), rel=1e-12)
+        assert bound["w2_sq_general"] == pytest.approx(3.2827346892103634, rel=1e-10)
+        assert bound["w2_simplified"] == pytest.approx(3 * math.sqrt(0.4), rel=1e-12)
+        assert bound["w2_simplified"] == pytest.approx(1.8973665961010275, rel=1e-10)
+        assert bound["simplified_applicable"]
 
     def test_vanishes_with_mu(self):
         pot = regularize(get_potential("power", 3, alpha=0.5), 0.5)
-        bound = lemma3_w2_bound(pot, 1e-9, 1.5)
-        assert bound.w2_sq_general < 1e-8
-        assert bound.a < 1e-9
+        bound = _table(pot, 1e-9, 1.5)["lemma3"]
+        assert bound["w2_sq_general"] < 1e-8
+        assert bound["a"] < 1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(mu1=st.floats(0.01, 1.0), scale=st.floats(1.01, 5.0))
     def test_monotone_in_mu(self, mu1, scale):
         pot = regularize(get_potential("power", 3, alpha=0.5), 0.5)
-        b1 = lemma3_w2_bound(pot, mu1, 1.5)
-        b2 = lemma3_w2_bound(pot, mu1 * scale, 1.5)
-        assert b2.a > b1.a
-        assert b2.w2_sq_general > b1.w2_sq_general
+        b1 = _table(pot, mu1, 1.5)["lemma3"]
+        b2 = _table(pot, mu1 * scale, 1.5)["lemma3"]
+        assert b2["a"] > b1["a"]
+        assert b2["w2_sq_general"] > b1["w2_sq_general"]
 
     def test_applicability_gate(self):
         pot = regularize(get_potential("quadratic", 2), 1.0)
-        loose = lemma3_w2_bound(pot, 1.0, 2.0)  # a >> 0.1
-        assert not loose.simplified_applicable
-        with pytest.raises(ParameterError):
-            lemma3_w2_bound(pot, 0.1, 2.0, xstar_norm_sq=-1.0)
+        table = _table(pot, 1.0, 2.0)  # a >> 0.1
+        assert not table["lemma3"]["simplified_applicable"]
+        assert table["theorem1"]["terms"]["smoothing_w2"] == table["lemma3"]["w2_general"]
 
 
 class TestTheorem1:
@@ -492,14 +497,15 @@ class TestTheorem1:
         pot = regularize(get_potential("zero", 4, L=1.0, alpha=1.0), 0.1)
         scfg = SmoothingConfig(mu=0.01, n=100, p=2.0)
         lcfg = LmcConfig(eta=0.1, steps=500, chains=1, seed=0)
-        tb = theorem1_bound(pot, scfg, lcfg, w2_init=1.0, xstar_norm_sq=0.0, C=0.0)
+        table = bounds_table(pot, scfg, lcfg)
+        tb = table["theorem1"]
 
         M, lam, mu, d, p, eta, n, K = 1.0, 0.1, 0.01, 4, 2.0, 0.1, 100, 500
         a = 1.0 * mu**2 * d / 2 + 0.5 * lam * mu**2 * (d + 1)
-        assert tb.M == pytest.approx(M, rel=1e-12)
-        assert tb.lemma3.a == pytest.approx(a, rel=1e-12)
+        assert table["M"] == pytest.approx(M, rel=1e-12)
+        assert table["lemma3"]["a"] == pytest.approx(a, rel=1e-12)
         expected = {
-            "geometric": (1 - 0.5 * lam * eta) ** (K / 2),
+            "geometric": (1 - 0.5 * lam * eta) ** (K / 2) * tb["w2_init"],
             "discretization": 1.9 * (M + lam) / lam * math.sqrt(eta * d),
             "smoothing_bias": 2 * (M + lam) / lam * mu * d ** (1 / p),
             "smoothing_w2": 3 * math.sqrt(d * a / lam),
@@ -510,17 +516,17 @@ class TestTheorem1:
             "regularization_m2": 0.0,
         }
         for name, val in expected.items():
-            assert tb.terms[name] == pytest.approx(val, rel=1e-12), name
-        assert tb.w2_mixing == pytest.approx(sum(expected.values()), rel=1e-12)
+            assert tb["terms"][name] == pytest.approx(val, rel=1e-12), name
+        assert tb["w2_mixing"] == pytest.approx(sum(expected.values()), rel=1e-12)
 
     def test_limit_leaves_discretization_term(self):
         # K large, mu small, n large, C = 0: only 1.9 (M+lam)/lam sqrt(eta d)
         pot = regularize(get_potential("zero", 4, L=1.0, alpha=1.0), 0.1)
         scfg = SmoothingConfig(mu=1e-12, n=10**12, p=2.0)
         lcfg = LmcConfig(eta=0.1, steps=10**7, chains=1, seed=0)
-        tb = theorem1_bound(pot, scfg, lcfg, w2_init=1.0, C=0.0)
+        tb = bounds_table(pot, scfg, lcfg)["theorem1"]
         expected = 1.9 * (1.1 / 0.1) * math.sqrt(0.1 * 4)
-        assert tb.w2_mixing == pytest.approx(expected, rel=1e-6)
+        assert tb["w2_mixing"] == pytest.approx(expected, rel=1e-6)
 
     def test_geometric_factor_hits_zero(self):
         assert geometric_factor(2.0, 1.0, 1) == 0.0
@@ -531,23 +537,24 @@ class TestTheorem1:
         pot = regularize(get_potential("zero", 2, L=1.0, alpha=1.0), 0.5)
         scfg = SmoothingConfig(mu=0.01, n=4, p=2.0)
         lcfg = LmcConfig(eta=0.1, steps=100, chains=1, seed=0)
-        tb = theorem1_bound(pot, scfg, lcfg, w2_init=2.0)
+        tb = bounds_table(pot, scfg, lcfg)["theorem1"]
         base = 1 - 0.5 * 0.5 * 0.1
-        assert tb.terms["geometric"] == pytest.approx(2.0 * base ** 50, rel=1e-12)
-        assert tb.geometric_alt == pytest.approx(2.0 * base ** 100, rel=1e-12)
-        assert tb.geometric_alt <= tb.terms["geometric"]
+        w2_init = tb["w2_init"]
+        assert tb["terms"]["geometric"] == pytest.approx(w2_init * base ** 50, rel=1e-12)
+        assert tb["geometric_alt_exponent_K"] == pytest.approx(w2_init * base ** 100, rel=1e-12)
+        assert tb["geometric_alt_exponent_K"] <= tb["terms"]["geometric"]
 
     def test_gate_and_validation(self):
         pot = regularize(get_potential("zero", 2, L=1.0, alpha=1.0), 0.5)
         scfg = SmoothingConfig(mu=0.01, n=4, p=2.0)
         bad = LmcConfig(eta=1.0, steps=10, chains=1, seed=0)  # cap = 2/(1+1) = 1
         with pytest.raises(StepSizeError):
-            theorem1_bound(pot, scfg, bad, w2_init=1.0)
-        ok = LmcConfig(eta=0.5, steps=10, chains=1, seed=0)
-        with pytest.raises(ParameterError):
-            theorem1_bound(pot, scfg, ok, w2_init=-1.0)
-        with pytest.raises(ParameterError):
-            theorem1_bound(pot, scfg, ok, w2_init=1.0, C=-0.5)
+            bounds_table(pot, scfg, bad)
+        # a finite center whose distance to the target overflows
+        far = LmcConfig(eta=0.5, steps=10, chains=1, seed=0,
+                        init=InitSpec(center=[1.7e308, 1.7e308]))
+        with pytest.raises(ParameterError, match="w2_init"):
+            bounds_table(pot, scfg, far)
 
     def test_mu_sweep_monotone_a(self):
         pot = regularize(get_potential("power", 3, alpha=0.5), 1.0)
@@ -555,18 +562,16 @@ class TestTheorem1:
         for mu in (0.1, 0.01, 0.001):
             scfg = SmoothingConfig(mu=mu, n=16, p=2.0)
             lcfg = LmcConfig(eta=0.01, steps=10, chains=1, seed=0)
-            values.append(theorem1_bound(pot, scfg, lcfg, w2_init=1.0).lemma3.a)
+            values.append(bounds_table(pot, scfg, lcfg)["lemma3"]["a"])
         assert values[0] > values[1] > values[2]
 
     def test_n_sweep_halves_variance_terms(self):
         pot = regularize(get_potential("zero", 3, L=1.0, alpha=1.0), 0.5)
         lcfg = LmcConfig(eta=0.1, steps=10, chains=1, seed=0)
-        t1 = theorem1_bound(pot, SmoothingConfig(mu=0.01, n=16, p=2.0),
-                            lcfg, w2_init=1.0)
-        t4 = theorem1_bound(pot, SmoothingConfig(mu=0.01, n=64, p=2.0),
-                            lcfg, w2_init=1.0)
+        t1 = bounds_table(pot, SmoothingConfig(mu=0.01, n=16, p=2.0), lcfg)["theorem1"]
+        t4 = bounds_table(pot, SmoothingConfig(mu=0.01, n=64, p=2.0), lcfg)["theorem1"]
         for term in ("variance_mu", "variance_grad"):
-            assert t4.terms[term] == pytest.approx(t1.terms[term] / 2.0, rel=1e-12)
+            assert t4["terms"][term] == pytest.approx(t1["terms"][term] / 2.0, rel=1e-12)
 
 
 class TestInitialW2:

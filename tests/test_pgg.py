@@ -409,6 +409,15 @@ class TestMoments:
     def test_pth_moment_is_dimension(self, p, d):
         assert pgg_norm_moment(PggSpec(p, d), p) == pytest.approx(float(d), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("d", [1, 3, 5, 16])
+    def test_integer_multiples_of_p_within_4_ulps(self, p, d):
+        # n = k p telescopes to d (d+p) ... (d+(k-1)p), exact in floats here
+        for k in (1, 2, 3):
+            exact = math.prod(d + j * p for j in range(k))
+            got = pgg_norm_moment(PggSpec(p, d), k * p)
+            assert abs(got - exact) <= 4 * math.ulp(exact), (k, got, exact)
+
     def test_invalid_order(self):
         with pytest.raises(ParameterError):
             pgg_norm_moment(PggSpec(2.0, 1), 0.0)

@@ -8,6 +8,8 @@ from pgglmc import (
     ParameterError,
     certify_holder,
     get_potential,
+    lemma1_gap_bound,
+    lemma1_gap_envelope,
     make_potential,
     max_step_size,
     perturbation_scale_a,
@@ -76,6 +78,14 @@ class TestDerivedConstants:
         pot = regularize(get_potential("quadratic", 2), 1.0)
         with pytest.raises(ParameterError):
             smoothness_constant_M(pot, 0.0, 2.0)
+
+    @pytest.mark.parametrize("fn", [smoothness_constant_M, lemma1_gap_bound,
+                                    lemma1_gap_envelope])
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_radius_checked(self, fn, mu):
+        pot = regularize(get_potential("power", 2, alpha=0.5), 1.0)
+        with pytest.raises(ParameterError, match="smoothing radius"):
+            fn(pot, mu, 1.5)
 
     def test_a_smooth_term(self):
         # isolate the L term by subtracting the lam contribution

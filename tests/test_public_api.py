@@ -32,9 +32,8 @@ PUBLIC_NAMES = {
     "BiasVarianceReport", "SmoothingConfig", "grad_estimate_from_draws", "hadamard_weight",
     "measure_bias_variance", "smoothed_gradient_reference", "smoothed_value_mc",
     # lmc
-    "ChainResult", "InitSpec", "Lemma3Bound", "LmcConfig", "TheoryBound", "bounds_table",
-    "check_step_size", "geometric_factor", "initial_w2", "lemma3_w2_bound",
-    "outside_guard", "run_chain", "theorem1_bound",
+    "ChainResult", "InitSpec", "LmcConfig", "bounds_table", "check_step_size",
+    "geometric_factor", "initial_w2", "outside_guard", "run_chain",
     # transport
     "W2GaussianResult", "w2_exact_1d", "w2_exact_assignment", "w2_to_gaussian",
     # config
@@ -76,6 +75,25 @@ def test_run_inputs_are_pinned():
         "smoothed_gradient_reference": ["pot", "mu", "p", "x", "m", "rng"],
         "measure_bias_variance": ["pot", "cfg", "x", "trials", "rng", "reference"],
     }
+
+
+def test_bound_record_is_pinned():
+    # bounds_table is the one Theorem-1 composition; sample and bounds write
+    # it as is, and the benchmark reads bounds.theorem1.w2_mixing
+    pot = pgglmc.regularize(pgglmc.get_potential("quadratic", 2), 0.5)
+    table = pgglmc.bounds_table(pot, pgglmc.SmoothingConfig(mu=0.1, n=4, p=1.5),
+                                pgglmc.LmcConfig(eta=0.05, steps=10, chains=1))
+    assert list(table) == ["M", "a", "max_step_size", "lemma1_gap_bound", "lemma3",
+                           "theorem1"]
+    assert list(table["lemma3"]) == ["a", "w2_sq_general", "w2_general", "w2_simplified",
+                                     "simplified_applicable"]
+    theorem = table["theorem1"]
+    assert list(theorem) == ["w2_mixing", "w2_init", "w2_init_kind", "C", "terms", "notes",
+                             "geometric_alt_exponent_K"]
+    terms = ["geometric", "discretization", "smoothing_bias", "smoothing_w2", "variance_mu",
+             "variance_grad", "regularization_m2"]
+    assert list(theorem["terms"]) == terms
+    assert list(theorem["notes"]) == terms + ["batch_size_gate"]
 
 
 def test_cli_surface_is_pinned():

@@ -58,3 +58,41 @@ class TestMomentSuite:
         after = p2_values()
         assert len(before) == 9
         assert after == before
+
+
+class TestDispatch:
+    def test_run_suites_passes_seed_to_all_and_threads_to_mixing(self, monkeypatch):
+        # mixing is the one suite that runs chains, so it alone takes threads
+        calls = []
+
+        def recorder(key):
+            def run(**kwargs):
+                calls.append((key, kwargs))
+                return suites.SuiteResult(suite=key)
+            return run
+
+        names = list(suites.SUITE_NAMES)
+        for key in names:
+            monkeypatch.setitem(suites.SUITE_NAMES, key, recorder(key))
+        results = suites.run_suites("all", seed=7, threads=3)
+        assert [r.suite for r in results] == names
+        assert calls == [(key, {"seed": 7, "threads": 3} if key == "mixing" else {"seed": 7})
+                         for key in names]
+        assert all(r.seconds >= 0.0 for r in results)
+
+    def test_mixing_is_variance_then_dominance(self, monkeypatch):
+        seen = []
+
+        def part(names):
+            def run(**kwargs):
+                seen.append(kwargs)
+                return suites.SuiteResult(suite="mixing", checks=[
+                    suites.Check(name=n, passed=True, observed=0.0) for n in names])
+            return run
+
+        monkeypatch.setattr(suites, "suite_mixing_variance", part(["v1", "v2"]))
+        monkeypatch.setattr(suites, "suite_mixing_dominance", part(["d1", "d2", "d3"]))
+        res = suites.suite_mixing(seed=7, threads=3)
+        assert res.suite == "mixing"
+        assert [c.name for c in res.checks] == ["v1", "v2", "d1", "d2", "d3"]
+        assert seen == [{"seed": 7, "threads": 3}] * 2

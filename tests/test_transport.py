@@ -188,11 +188,11 @@ class TestToGaussian:
     def test_parameter_validation(self):
         a = np.zeros((4, 1))
         with pytest.raises(ParameterError):
-            w2_to_gaussian(a, 0.0)
+            w2_to_gaussian(a, 0.0, rng=np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            w2_to_gaussian(a, np.inf)
+            w2_to_gaussian(a, np.inf, rng=np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            w2_to_gaussian(a, 1.0, resamples=0)
+            w2_to_gaussian(a, 1.0, resamples=0, rng=np.random.default_rng(0))
 
 
 class TestMetricAxioms:
