@@ -325,7 +325,7 @@ def bounds_table(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConf
     w2_init = initial_w2(pot, lcfg.init)
     if not 0.0 <= w2_init < math.inf:
         raise ParameterError(f"w2_init must be finite and >= 0, got {w2_init}")
-    check_step_size(pot, mu, p, eta)
+    cap = check_step_size(pot, mu, p, eta)
     M = float(smoothness_constant_M(pot, mu, p))
 
     a = perturbation_scale_a(pot, mu, p)
@@ -357,9 +357,8 @@ def bounds_table(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConf
                      f"carries exponent K (reported as geometric_alt)",
         "discretization": "1.9 (M+lam)/lam sqrt(eta d)",
         "smoothing_bias": "2 (M+lam)/lam mu d^(1/p)",
-        "smoothing_w2": ("3 sqrt(d a / lam)" if applicable
-                         else "sqrt(4 (d + lam||x*||^2)/lam (a + e^a - 1)); a > 0.1 "
-                              "so the simplified form does not apply"),
+        "smoothing_w2": ("3 sqrt(d a / lam)" if applicable else "sqrt(4 d/lam (a + e^a - 1)); "
+                         "a > 0.1 so the simplified form does not apply"),
         "variance_mu": "(M+lam) mu (d+3)^(3/p) sqrt(eta/(lam n))",
         "variance_grad": "sqrt((M+lam)/lam) sqrt(eta d / n) (d+2)^(1/p)",
         "regularization_m2": "C lam (d log d)^4 with C unspecified and taken as 0: "
@@ -370,7 +369,7 @@ def bounds_table(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConf
     return {
         "M": M,
         "a": a,
-        "max_step_size": max_step_size(pot, mu, p),
+        "max_step_size": cap,
         "lemma1_gap_bound": lemma1_gap_bound(pot.base, mu, p),
         "lemma3": {
             "a": a,

@@ -329,6 +329,21 @@ class TestCliBounds:
         cfg_path = write_config(tmp_path, doc)
         assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path)]) == 4
 
+    def test_general_smoothing_w2_note_names_no_minimizer(self, tmp_path):
+        # x* is fixed at 0, so the general Lemma-3 form is sqrt(4 d/lam (a + e^a - 1))
+        d, lam = 4, 1.0
+        doc = base_doc(potential={"name": "power", "d": d, "lambda": lam, "params": {}},
+                       smoothing={"mu": 2.0, "n": 2, "p": 1.0})
+        doc["lmc"]["eta"] = "auto"
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 0
+        bounds = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["bounds"]
+        a, theorem1 = bounds["a"], bounds["theorem1"]
+        assert a > 0.1
+        assert "x*" not in theorem1["notes"]["smoothing_w2"]
+        assert theorem1["notes"]["smoothing_w2"].startswith("sqrt(4 d/lam (a + e^a - 1))")
+        assert theorem1["terms"]["smoothing_w2"] == math.sqrt(4 * d / lam * (a + math.expm1(a)))
+
     def test_mu_sweep_monotone_a(self, tmp_path):
         values = []
         for i, mu in enumerate((0.1, 0.01, 0.001)):
