@@ -7,7 +7,9 @@ both Lemma-3 forms and the Theorem-1 terms (C = 0), as ``pgglmc bounds``
 reports them (``"eta": "auto"`` is 0.9 * cap at each mu).  A mu the bounds
 reject is named on stderr and skipped.  ``--run-chains`` adds the exact W2
 of the config's chains to the known Gaussian target (quadratic family
-only), as ``pgglmc sample`` reports it.
+only), as ``pgglmc sample`` reports it; where ``sample`` skips that
+measurement (a single chain, a diverged chain, a final state beyond the
+step guard), the reason goes to stderr and the row's W2 is left blank.
 
 Example:
     python scripts/mu_sweep.py --config cfg.json --mus 0.5 0.2 0.1 0.05 \
@@ -23,6 +25,7 @@ import numpy as np
 
 from pgglmc import (ConfigError, ExperimentConfig, ParameterError, bounds_table, run_chain,
                     w2_to_gaussian)
+from pgglmc.lmc import _w2_skip_reason
 
 
 def parse_args():
@@ -66,11 +69,16 @@ def main() -> int:
                       "measurement", file=sys.stderr)
             else:
                 res = run_chain(pot, scfg, lcfg)
-                w2 = w2_to_gaussian(res.final_states, pot.target_variance,
-                                    resamples=cfg.report.resamples,
-                                    rng=np.random.default_rng(lcfg.seed + 1))
-                row["measured_w2"] = w2.mean
-                row["measured_w2_std"] = w2.std
+                skipped = _w2_skip_reason(res)
+                if skipped:
+                    print(f"mu={mu:g}: W2 not measured: {skipped}", file=sys.stderr)
+                    row["measured_w2"] = row["measured_w2_std"] = None
+                else:
+                    w2 = w2_to_gaussian(res.final_states, pot.target_variance,
+                                        resamples=cfg.report.resamples,
+                                        rng=np.random.default_rng(lcfg.seed + 1))
+                    row["measured_w2"] = w2.mean
+                    row["measured_w2_std"] = w2.std
         rows.append(row)
 
     if not rows:
@@ -79,7 +87,9 @@ def main() -> int:
     widths = {c: max(len(c), 12) for c in cols}
     print("  ".join(c.ljust(widths[c]) for c in cols))
     for row in rows:
-        print("  ".join(f"{row[c]:.6g}".ljust(widths[c]) for c in cols))
+        # a W2 the sweep did not measure is blank, here and in the CSV
+        print("  ".join(("" if row[c] is None else f"{row[c]:.6g}").ljust(widths[c])
+                        for c in cols))
 
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:

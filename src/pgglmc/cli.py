@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, ParameterError, StepSizeError
-from .lmc import bounds_table, outside_guard, run_chain
+from .lmc import _chain_groups, _w2_skip_reason, bounds_table, run_chain
 from .suites import SUITE_NAMES, run_suites
 from .transport import w2_to_gaussian
 
@@ -113,18 +113,11 @@ def cmd_sample(args) -> int:
             "final_coordinate_variance": finals.var(axis=0, ddof=1) if lcfg.chains > 1 else None,
             "final_mean_sq_norm": float(np.mean(np.sum(finals**2, axis=1))),
         }
-    # one point is no sample of a law, a diverged chain's last state says
-    # nothing about the target, and a state beyond the step guard (only an
-    # init beyond it, with steps: 0) overflows the transport costs
     variance = pot.target_variance
-    known = variance is not None
-    if known and lcfg.chains == 1:
-        metrics["empirical_w2_to_target_skipped"] = "a single chain"
-    elif known and res.diverged.any():
-        metrics["empirical_w2_to_target_skipped"] = "a chain diverged"
-    elif known and outside_guard(finals).any():
-        metrics["empirical_w2_to_target_skipped"] = "a final state lies beyond the step guard"
-    elif known:
+    skipped = None if variance is None else _w2_skip_reason(res)
+    if skipped:
+        metrics["empirical_w2_to_target_skipped"] = skipped
+    elif variance is not None:
         w2 = w2_to_gaussian(finals, variance,
                             resamples=cfg.report.resamples,
                             rng=np.random.default_rng(lcfg.seed + 1))
@@ -141,6 +134,7 @@ def cmd_sample(args) -> int:
         "command": "sample",
         "config": cfg.echo(),
         "resolved": {"eta": lcfg.eta, "seed": lcfg.seed, "threads": args.threads,
+                     "chain_groups": _chain_groups(args.threads, lcfg.chains),
                      "thin": cfg.resolve_thinning(), "eta_cap": bounds["max_step_size"]},
         "metrics": metrics,
         "bounds": bounds,
@@ -245,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the seed (the config's, or each suite's own)")
         sp.add_argument("--threads", type=int, default=threads_default,
-                        help="chain groups to run in parallel, at most one per chain "
-                             "and per usable core, as suits a CPU-bound potential "
+                        help="chain groups to run in parallel, at most one per two "
+                             "chains and per usable core, as suits a CPU-bound potential "
                              "(default: $PGGLMC_THREADS or 1)")
         sp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
 

@@ -124,6 +124,22 @@ def outside_guard(states: np.ndarray) -> np.ndarray:
     return ~(np.einsum("ij,ij->i", states, states) <= _DIVERGE_NORM**2)
 
 
+def _w2_skip_reason(res: ChainResult) -> Optional[str]:
+    """Why a run's final states are no sample to measure W2 on, or None if they are one.
+
+    One point is no sample of a law, a diverged chain's last state says
+    nothing about the target, and a state beyond the step guard (only an
+    init beyond it, with steps = 0) overflows the transport costs.
+    """
+    if len(res.final_states) == 1:
+        return "a single chain"
+    if res.diverged.any():
+        return "a chain diverged"
+    if outside_guard(res.final_states).any():
+        return "a final state lies beyond the step guard"
+    return None
+
+
 def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.ndarray,
           xi: Optional[np.ndarray], noise: np.ndarray,
           work: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +165,18 @@ def _cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _chain_groups(threads: int, chains: int) -> int:
+    """How many thread groups run_chain splits ``chains`` chains into at ``threads``.
+
+    A CPU-bound black box gains nothing from more groups than cores, and no
+    group holds a single chain unless the run has only one: at d = 1 a
+    one-chain group's draw axis is contiguous, so numpy would sum it
+    pairwise where a larger group sums it in order, and the group count
+    would change the results.
+    """
+    return max(1, min(threads, chains // 2, _cores()))
 
 
 def _init_center(init: InitSpec, d: int) -> np.ndarray:
@@ -179,10 +207,12 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     step in estimator mode and 0 in exact-gradient ablation mode.
     With ``thin``, every ``thin``-th state is kept as the trajectory;
     without it, no trajectory is stored.  The chains are split into
-    min(threads, chains, cores) groups, cores being the CPUs this process
-    may run on, each run on a worker thread; the cap assumes a CPU-bound
-    black box.  An interrupt or an exception in one group stops every
-    other group at its next chunk.
+    max(1, min(threads, chains // 2, cores)) groups, cores being the CPUs
+    this process may run on, each run on a worker thread; the cap assumes a
+    CPU-bound black box, and every group holds at least two chains unless
+    the run has only one, so the results do not depend on ``threads``.  An
+    interrupt or an exception in one group stops every other group at its
+    next chunk.
     """
     d = pot.d
     spec = PggSpec(scfg.p, d)
@@ -214,19 +244,30 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         # written into blocks that are reused across chunks
         xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
         noise = np.empty((len(indices), chunk, d))
-        xi_view = work = None
-        if xi is not None:
-            # each step's draws are copied once into a step-major (n, chains, d)
-            # buffer, so the estimator runs long contiguous inner loops instead
-            # of d-element ones on the strided slice xi[:, j]; the copy moves
-            # each draw's d coordinates as one opaque record
+        xi_view = None
+        # Each step's draws are copied once into a buffer the estimator reads
+        # as a (chains, n, d) view, so its numpy calls run long contiguous
+        # inner loops instead of d-element ones on the strided slice xi[:, j].
+        # At d <= 2 the buffer is (n, d, chains), chain axis innermost, and
+        # the state is (d, chains) memory to match.  From d = 3 _sq_norm's
+        # einsum, and from d = 8 np.sum, round differently once the
+        # coordinate axis is not innermost, so there the buffer stays
+        # step-major (n, chains, d).  The draw axis is never innermost: with
+        # one chain, (n, d, 1) is the memory of (n, 1, d).
+        chain_inner = xi is not None and d <= 2
+        if chain_inner:
+            xi_view = np.empty((n, d, len(indices))).transpose(2, 0, 1)
+            x = np.asfortranarray(x)
+        elif xi is not None:
+            # the step-major copy moves each draw's d coordinates as one
+            # opaque record
             row = np.dtype((np.void, xi.itemsize * d))
             xi_rows = xi.view(row)[..., 0]
             xi_step = np.empty((n, len(indices), d))
             xi_step_rows = xi_step.view(row)[..., 0]
             xi_view = xi_step.transpose(1, 0, 2)
-            # the estimator's points and summands, in the draws' layout
-            work = np.empty_like(xi_view)
+        # the estimator's points and summands, in the draws' layout
+        work = None if xi_view is None else np.empty_like(xi_view)
         k = 0
         while k < steps and not stop.is_set():
             m = min(chunk, steps - k)
@@ -238,7 +279,9 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             # chains; the step guard handles them
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(m):
-                    if xi is not None:
+                    if chain_inner:
+                        np.copyto(xi_view, xi[:, j])
+                    elif xi is not None:
                         xi_step_rows[...] = xi_rows[:, j].T
                     cand, bad = _step(pot, scfg, lcfg.eta, x, xi_view, noise[:, j], work)
                     step_no = k + j + 1
@@ -256,9 +299,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             k += m
         final[indices] = x
 
-    # more groups than chains would be empty, and a CPU-bound black box
-    # gains nothing from more groups than cores
-    groups = np.array_split(np.arange(chains), max(1, min(threads, chains, _cores())))
+    groups = np.array_split(np.arange(chains), _chain_groups(threads, chains))
     with ThreadPoolExecutor(max_workers=len(groups)) as pool:
         try:
             for done in as_completed([pool.submit(advance, g) for g in groups]):

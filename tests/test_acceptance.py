@@ -29,7 +29,6 @@ from pgglmc import (
     run_chain,
     sample_pgg,
 )
-from pgglmc import lmc
 from pgglmc.cli import main
 from pgglmc.suites import (
     DOMINANCE_CHAINS,
@@ -50,14 +49,8 @@ from pgglmc.suites import (
 # mixing fixtures use every core.
 THREADS = os.cpu_count() or 1
 
-
-@pytest.fixture(autouse=True, scope="module")
-def eight_cores():
-    # run_chain caps its groups at the cores; a fixed count keeps the
-    # 4-group run of criterion 9 a 4-group run on any host
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lmc, "_cores", lambda: 8)
-        yield
+# criterion 9's 4-group run stays a 4-group run on any host
+pytestmark = pytest.mark.usefixtures("eight_cores")
 
 
 def finish(name, ok, elapsed, budget, detail=""):

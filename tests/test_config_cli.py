@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgglmc import ConfigError, ExperimentConfig, InitSpec, max_step_size
-from pgglmc import cli
+from pgglmc import cli, lmc
 from pgglmc.cli import main
 
 
@@ -251,6 +251,19 @@ class TestCliSample:
                   "--quiet", "--threads", threads])
             outs.append((tmp_path / sub / "samples.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("chains,cores,groups", [(3, 8, 1), (256, 2, 2)])
+    def test_report_gives_the_groups_that_ran(self, tmp_path, monkeypatch, chains, cores,
+                                              groups):
+        # a group holds at least two chains and there is at most one per core
+        monkeypatch.setattr(lmc, "_cores", lambda: cores)
+        doc = base_doc()
+        doc["lmc"].update(steps=2, chains=chains)
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["sample", "--config", cfg_path, "--out", str(tmp_path), "--quiet",
+                     "--threads", "2"]) == 0
+        resolved = load_strict_json(tmp_path / "report.json")["resolved"]
+        assert (resolved["threads"], resolved["chain_groups"]) == (2, groups)
 
     def test_threads_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PGGLMC_THREADS", "2")

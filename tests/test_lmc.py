@@ -25,16 +25,11 @@ from pgglmc import (
     sample_pgg,
 )
 from pgglmc import lmc
+from pgglmc.potentials import _sq_norm
 
 HOST_CORES = lmc._cores
 
-@pytest.fixture(autouse=True, scope="module")
-def eight_cores():
-    # run_chain caps its groups at the cores; a fixed count keeps the 2-,
-    # 3- and 4-group splits these tests check on any host
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lmc, "_cores", lambda: 8)
-        yield
+pytestmark = pytest.mark.usefixtures("eight_cores")
 
 
 def quadratic_target(d):
@@ -116,8 +111,9 @@ class TestLmcStep:
     def test_is_one_run_chain_step_bitwise(self, d, p):
         # the chain step on a batch of one, fed the chain's own draws in
         # run_chain's order; power rounds differently at one point than
-        # inside a batch, so this only holds if run_chain's step-major copy
-        # hands _step exactly those draws
+        # inside a batch, so this only holds if run_chain's draw buffer,
+        # chain axis innermost at d = 2 and step-major at d = 3, hands _step
+        # exactly those draws
         pot = regularize(get_potential("power", d, alpha=0.5), 1.0)
         scfg = SmoothingConfig(mu=0.1, n=4, p=p)
         eta = 0.5 * max_step_size(pot, 0.1, p)
@@ -259,26 +255,26 @@ class TestRunChain:
             run_chain(pot, scfg, lcfg, thin=0)
 
     def test_failing_group_stops_the_others(self, monkeypatch):
-        # chains 0-1 form the first thread group and chain 2 the second; the
-        # second group's black box fails on its second step, and the first
+        # chains 0-2 form the first thread group and chains 3-4 the second;
+        # the second group's black box fails on its second step, and the first
         # group must stop at its next one-step chunk instead of running on
         monkeypatch.setattr(lmc, "_CHUNK_ELEMS", 1)
         steps = 20_000
-        calls = {1: 0, 2: 0}
+        calls = {3: 0, 2: 0}
 
         def value(x):
             calls[x.shape[0]] += 1
-            if x.shape[0] == 1 and calls[1] > 2:
+            if x.shape[0] == 2 and calls[2] > 2:
                 raise RuntimeError("black box failed")
             return np.zeros(x.shape[:-1])
 
         pot = regularize(Potential(name="flaky", d=1, L=1.0, alpha=1.0, value=value), 1.0)
         scfg = SmoothingConfig(mu=0.1, n=1, p=2.0)
-        lcfg = LmcConfig(eta=0.05, steps=steps, chains=3, seed=0)
+        lcfg = LmcConfig(eta=0.05, steps=steps, chains=5, seed=0)
         with pytest.raises(RuntimeError, match="black box failed"):
             run_chain(pot, scfg, lcfg, threads=2)
         # two evaluations per step: the base points, then the perturbed points
-        assert calls[2] // 2 < steps // 2
+        assert calls[3] // 2 < steps // 2
 
     def test_divergence_aborts_only_offending_chain(self):
         # potential blows up outside a small ball; some chains step out and
@@ -365,9 +361,11 @@ class TestRunChain:
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_matches_one_chain_at_a_time_bitwise(self, d, p, threads):
-        pot, scfg, lcfg = self._chain_setup(d, p, n=4)
+    # at n >= 8 a draw-axis sum taken pairwise, not in order, would show
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 4), (2, 16), (3, 16)],
+                             ids=["2", "3", "2-n16", "3-n16"])
+    def test_matches_one_chain_at_a_time_bitwise(self, d, n, p, threads):
+        pot, scfg, lcfg = self._chain_setup(d, p, n=n)
         res = run_chain(pot, scfg, lcfg, threads=threads)
         assert np.array_equal(res.final_states, self._one_chain_at_a_time(pot, scfg, lcfg))
 
@@ -380,6 +378,34 @@ class TestRunChain:
         res = run_chain(pot, scfg, lcfg, threads=threads)
         ref = self._one_chain_at_a_time(pot, scfg, lcfg)
         assert np.abs(res.final_states - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("threads", [2, 3, 7])
+    @pytest.mark.parametrize("chains", [2, 3, 7])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_group_of_one_chain_changes_results(self, d, chains, threads):
+        # a one-chain group has a contiguous draw axis at d = 1, which numpy
+        # sums pairwise where larger groups sum in order; at 3 chains and 2
+        # threads such a group changed the last bit of chain 2's state
+        pot = regularize(get_potential("quadratic", d), 1.0)
+        scfg = SmoothingConfig(mu=0.1, n=16, p=2.0)
+        lcfg = LmcConfig(eta=0.05, steps=200, chains=chains,
+                         init=InitSpec(center=0.0, scale=1.0), seed=5)
+        one = run_chain(pot, scfg, lcfg, threads=1)
+        many = run_chain(pot, scfg, lcfg, threads=threads)
+        assert np.array_equal(many.final_states, one.final_states)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_chain_innermost_layout_rounds_as_step_major(self, d):
+        # the premise of run_chain's d <= 2 layout: on the installed numpy,
+        # the squared norm and the l1 sum over d <= 2 coordinates give the
+        # same bits whichever axis of a (chains, n, d) block is innermost
+        rng = np.random.default_rng(23)
+        step_major = rng.standard_normal((16, 256, d)) * 10.0 ** rng.integers(-8, 9, (16, 256, d))
+        chain_inner = np.empty((16, d, 256)).transpose(2, 0, 1)
+        np.copyto(chain_inner, step_major.transpose(1, 0, 2))
+        step_major = step_major.transpose(1, 0, 2)
+        assert np.array_equal(_sq_norm(chain_inner), _sq_norm(step_major))
+        assert np.array_equal(np.sum(np.abs(chain_inner), -1), np.sum(np.abs(step_major), -1))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

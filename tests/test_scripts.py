@@ -81,6 +81,22 @@ def test_mu_sweep_measured_w2_is_the_sample_report(tmp_path):
     assert float(row["measured_w2_std"]) == w2["std"]
 
 
+def test_mu_sweep_skips_w2_where_the_sample_report_does(tmp_path):
+    # one chain is no sample of a law: the row's W2 is blank, with sample's reason
+    doc = config_doc("quadratic")
+    doc["lmc"]["chains"] = 1
+    cfg, out = write_doc(tmp_path / "cfg.json", doc), tmp_path / "sweep.csv"
+    proc = run_script("mu_sweep.py", "--config", cfg, "--mus", 0.05, "--run-chains",
+                      "--csv", out)
+    assert proc.returncode == 0, proc.stderr
+    (row,) = read_rows(out)
+    assert (row["measured_w2"], row["measured_w2_std"]) == ("", "")
+    metrics = cli_report(tmp_path, "sample", doc, 0.05, "s")["metrics"]
+    assert "empirical_w2_to_target" not in metrics
+    reason = metrics["empirical_w2_to_target_skipped"]
+    assert f"mu=0.05: W2 not measured: {reason}" in proc.stderr
+
+
 def test_mu_sweep_skips_a_mu_the_bounds_reject(tmp_path):
     doc = config_doc("l1")
     doc["lmc"]["eta"] = 0.05

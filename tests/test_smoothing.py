@@ -110,15 +110,16 @@ class TestGradEstimate:
         manual = (pot.value(x + mu * xi[0]) - pot.value(x)) / mu * xi[0]
         assert np.array_equal(grad_estimate_from_draws(pot, mu, 2.0, x, xi), manual)
 
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("layout", ["step_major", "step_major_work", "contiguous",
-                                        "one_point", "shared_draws"])
+                                        "one_point", "shared_draws", "chain_innermost"])
     def test_matches_mean_of_summands_bitwise(self, p, layout, d):
         # the in-place kernel against the summand written out and np.mean,
-        # on the step-major view run_chain passes (with and without its work
-        # buffer) and on the other broadcasts; at d = 1 the draw-axis sum
-        # order depends on the memory layout
+        # on the views run_chain passes (step-major with and without its
+        # work buffer, and chain axis innermost with (d, chains) points) and
+        # on the other broadcasts; at d = 1 the draw-axis sum order depends
+        # on the memory layout
         pot = regularize(get_potential("l1", d), 0.5)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(6, d))
@@ -129,10 +130,16 @@ class TestGradEstimate:
             x = x[0]
         elif layout == "shared_draws":
             xi = xi[0]
+        elif layout == "chain_innermost":
+            x = np.asfortranarray(x)
+            inner = np.empty((40, d, 6)).transpose(2, 0, 1)
+            np.copyto(inner, xi)
+            xi = inner
         mu = 0.2
         coef = (pot.value(x[..., None, :] + mu * xi) - pot.value(x)[..., None]) / mu
         want = np.mean(coef[..., None] * hadamard_weight(xi, p), axis=-2)
-        work = np.full_like(xi, np.nan) if layout == "step_major_work" else None
+        work = (np.full_like(xi, np.nan) if layout in ("step_major_work", "chain_innermost")
+                else None)
         assert np.array_equal(grad_estimate_from_draws(pot, mu, p, x, xi, work=work), want)
         assert work is None or not np.isnan(work).all()
 
