@@ -8,10 +8,10 @@ problem (parse error, unknown key or potential parameter, a number that is
 not finite, unknown suite, bad --seed, --threads or
 $PGGLMC_THREADS, report file names outside --out or not two separate files, a
 config whose bounds overflow a float, an --out or report path that cannot be
-created or written), 3 a ``sample`` chain diverged (its
-state became non-finite, a non-finite black-box value included, or its norm
-passed 1e8), 4 theory-gate violation (step-size cap), 130 interrupted
-(Ctrl-C; no report is written).
+created or written, a run whose arrays cannot be allocated), 3 a ``sample``
+chain diverged (its state became non-finite, a non-finite black-box value
+included, or its norm passed 1e8), 4 theory-gate violation (step-size cap),
+130 interrupted (Ctrl-C; no report is written).
 
 Reports are JSON with full config echo; final states go to CSV with the
 fixed header ``chain,coordinate_0,...`` (UTF-8, LF).  Floats are written in
@@ -35,6 +35,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, ParameterError, StepSizeError
 from .lmc import _chain_groups, _w2_skip_reason, bounds_table, run_chain
+from .potentials import _sq_norm
 from .suites import SUITE_NAMES, run_suites
 from .transport import w2_to_gaussian
 
@@ -111,7 +112,7 @@ def cmd_sample(args) -> int:
             "divergence_steps": res.divergence_step[res.diverged].tolist(),
             "final_mean": finals.mean(axis=0),
             "final_coordinate_variance": finals.var(axis=0, ddof=1) if lcfg.chains > 1 else None,
-            "final_mean_sq_norm": float(np.mean(np.sum(finals**2, axis=1))),
+            "final_mean_sq_norm": float(np.mean(_sq_norm(finals))),
         }
     variance = pot.target_variance
     skipped = None if variance is None else _w2_skip_reason(res)
@@ -275,6 +276,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # config reads raise ConfigError, so this is --out or a report
         print(f"error: cannot write the reports: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a config whose run does not fit in memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, StepSizeError
-from .potentials import (RegularizedPotential, lemma1_gap_bound, max_step_size,
+from .potentials import (RegularizedPotential, _sq_norm, lemma1_gap_bound, max_step_size,
                          perturbation_scale_a, smoothness_constant_M)
 from .smoothing import SmoothingConfig, grad_estimate_from_draws
 from .pgg import PggSpec, sample_pgg
@@ -121,7 +121,7 @@ def check_step_size(pot: RegularizedPotential, mu: float, p: float, eta: float) 
 def outside_guard(states: np.ndarray) -> np.ndarray:
     """Rows of a (chains, d) block the step guard rejects: norm above 1e8 or not finite."""
     # a non-finite coordinate makes the squared norm NaN or inf
-    return ~(np.einsum("ij,ij->i", states, states) <= _DIVERGE_NORM**2)
+    return ~(_sq_norm(states) <= _DIVERGE_NORM**2)
 
 
 def _w2_skip_reason(res: ChainResult) -> Optional[str]:
@@ -147,7 +147,8 @@ def _step(pot: RegularizedPotential, scfg: SmoothingConfig, eta: float, x: np.nd
 
     xi holds the (chains, n, d) smoothing draws, or is None for the exact
     smoothed gradient; noise holds the (chains, d) standard Gaussian draws;
-    work, if given, is the estimator's scratch, of xi's shape and layout.
+    work, if given, is the estimator's scratch, of xi's shape and layout.  A
+    registry potential gives the same bits in any layout of x and xi.
     """
     if xi is None:
         g = pot.smoothed_grad(x)
@@ -244,30 +245,12 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         # written into blocks that are reused across chunks
         xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
         noise = np.empty((len(indices), chunk, d))
-        xi_view = None
-        # Each step's draws are copied once into a buffer the estimator reads
-        # as a (chains, n, d) view, so its numpy calls run long contiguous
-        # inner loops instead of d-element ones on the strided slice xi[:, j].
-        # At d <= 2 the buffer is (n, d, chains), chain axis innermost, and
-        # the state is (d, chains) memory to match.  From d = 3 _sq_norm's
-        # einsum, and from d = 8 np.sum, round differently once the
-        # coordinate axis is not innermost, so there the buffer stays
-        # step-major (n, chains, d).  The draw axis is never innermost: with
-        # one chain, (n, d, 1) is the memory of (n, 1, d).
-        chain_inner = xi is not None and d <= 2
-        if chain_inner:
-            xi_view = np.empty((n, d, len(indices))).transpose(2, 0, 1)
-            x = np.asfortranarray(x)
-        elif xi is not None:
-            # the step-major copy moves each draw's d coordinates as one
-            # opaque record
-            row = np.dtype((np.void, xi.itemsize * d))
-            xi_rows = xi.view(row)[..., 0]
-            xi_step = np.empty((n, len(indices), d))
-            xi_step_rows = xi_step.view(row)[..., 0]
-            xi_view = xi_step.transpose(1, 0, 2)
-        # the estimator's points and summands, in the draws' layout
-        work = None if xi_view is None else np.empty_like(xi_view)
+        # Each step's draws are copied into an (n, d, chains) buffer, read as a
+        # (chains, n, d) view: numpy's inner loops then run over the chains, not
+        # over d coordinates, and the state is (d, chains) memory to match.
+        xi_view = None if xi is None else np.empty((n, d, len(indices))).transpose(2, 0, 1)
+        x = np.asfortranarray(x)
+        work = None if xi_view is None else np.empty_like(xi_view)  # points, then summands
         k = 0
         while k < steps and not stop.is_set():
             m = min(chunk, steps - k)
@@ -279,10 +262,8 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             # chains; the step guard handles them
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(m):
-                    if chain_inner:
+                    if xi is not None:
                         np.copyto(xi_view, xi[:, j])
-                    elif xi is not None:
-                        xi_step_rows[...] = xi_rows[:, j].T
                     cand, bad = _step(pot, scfg, lcfg.eta, x, xi_view, noise[:, j], work)
                     step_no = k + j + 1
                     if bad.any():
@@ -340,12 +321,14 @@ def initial_w2(pot: RegularizedPotential, init: InitSpec) -> float:
     d = pot.d
     spread = float(init.scale)
     # hypot of the center's coordinates and the spread term: the root of the
-    # sum of squares, without overflowing where the squares would
-    center = _init_center(init, d).tolist()
+    # sum of squares, without overflowing where the squares would; a scalar
+    # center's d equal coordinates enter as their norm, so no d values are built
+    center = _init_center(init, d)
+    coords = [abs(float(center[0])) * math.sqrt(d)] if center.strides == (0,) else center.tolist()
     variance = pot.target_variance
     if variance is not None:
-        return math.hypot(*center, math.sqrt(d) * (spread - math.sqrt(variance)))
-    return math.hypot(*center, math.sqrt(d) * spread) + math.sqrt(d / pot.lam)
+        return math.hypot(*coords, math.sqrt(d) * (spread - math.sqrt(variance)))
+    return math.hypot(*coords, math.sqrt(d) * spread) + math.sqrt(d / pot.lam)
 
 
 def bounds_table(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig) -> dict:

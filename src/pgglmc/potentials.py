@@ -49,9 +49,29 @@ __all__ = [
 ]
 
 
+def _reduces_in_order(v: np.ndarray) -> bool:
+    """Whether numpy's one-call sum over v's last axis adds its coordinates in order."""
+    # it does at d <= 2, and where another axis of length > 1 has a smaller nonzero stride
+    step = abs(v.strides[-1])
+    return v.shape[-1] <= 2 or any(n > 1 and 0 < abs(s) < step for n, s in zip(v.shape, v.strides))
+
+
+def _coord_sum(v: np.ndarray) -> np.ndarray:
+    """v[..., 0] + v[..., 1] + ... added in coordinate order, so alike in every layout."""
+    if _reduces_in_order(v):
+        return np.add.reduce(v, axis=-1)
+    total = v[..., 0] + v[..., 1]
+    for j in range(2, v.shape[-1]):
+        total += v[..., j]
+    return total
+
+
 def _sq_norm(x: np.ndarray) -> np.ndarray:
-    """||x||^2 over the last axis; einsum skips the reduction overhead of np.sum."""
-    return np.einsum("...i,...i->...", x, x)
+    """||x||^2 over the last axis, its squares added in coordinate order."""
+    if _reduces_in_order(x):
+        return np.einsum("...i,...i->...", x, x)  # skips np.sum's reduction overhead
+    with np.errstate(over="ignore"):  # as the einsum, which never warns
+        return _coord_sum(x * x)
 
 
 @dataclass(frozen=True)
@@ -256,7 +276,7 @@ def _l1(d: int) -> Potential:
         d=d,
         L=2.0 * np.sqrt(d),
         alpha=0.0,
-        value=lambda x: np.sum(np.abs(x), axis=-1),
+        value=lambda x: _coord_sum(np.abs(x)),
         subgrad=lambda x: np.sign(np.asarray(x, dtype=float)),
     )
 
@@ -271,7 +291,7 @@ def _huber(d: int, delta: float = 0.5) -> Potential:
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         per = np.where(ax <= dl, 0.5 * x * x / dl, ax - 0.5 * dl)
-        return np.sum(per, axis=-1)
+        return _coord_sum(per)
 
     def subgrad(x):
         x = np.asarray(x, dtype=float)

@@ -581,6 +581,19 @@ class TestCliExitCodes:
         assert err.splitlines() == ["error: interrupted"]
         assert not (out / "report.json").exists() and not (out / "samples.csv").exists()
 
+    def test_allocation_failure_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a run too large for memory (smoothing.n = 1e12, say) used to end in
+        # a MemoryError traceback and exit 1
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_chain", no_memory)
+        out = tmp_path / "out"
+        code = main(["sample", "--config", write_config(tmp_path, base_doc()), "--out", str(out)])
+        self.assert_config_error(code, capsys, "out of memory")
+        assert not (out / "report.json").exists() and not (out / "samples.csv").exists()
+
     @pytest.mark.parametrize("csv, json_name", [
         ("report.json", "report.json"), ("./out.txt", "out.txt"), ("sub", "sub/report.json"),
         ("sub/samples.csv", "sub"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from pgglmc import (
     sample_pgg,
 )
 from pgglmc import lmc
-from pgglmc.potentials import _sq_norm
 
 HOST_CORES = lmc._cores
 
@@ -106,14 +106,13 @@ class TestLmcStep:
         with pytest.raises(ParameterError, match="exact smoothed gradient"):
             one_step(pot, cfg, np.zeros(2), 0.01, exact_gradient=True)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 16])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_is_one_run_chain_step_bitwise(self, d, p):
         # the chain step on a batch of one, fed the chain's own draws in
         # run_chain's order; power rounds differently at one point than
-        # inside a batch, so this only holds if run_chain's draw buffer,
-        # chain axis innermost at d = 2 and step-major at d = 3, hands _step
-        # exactly those draws
+        # inside a batch, so this only holds if run_chain's (n, d, chains)
+        # draw buffer hands _step exactly those draws, at every d
         pot = regularize(get_potential("power", d, alpha=0.5), 1.0)
         scfg = SmoothingConfig(mu=0.1, n=4, p=p)
         eta = 0.5 * max_step_size(pot, 0.1, p)
@@ -362,8 +361,8 @@ class TestRunChain:
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     # at n >= 8 a draw-axis sum taken pairwise, not in order, would show
-    @pytest.mark.parametrize("d,n", [(2, 4), (3, 4), (2, 16), (3, 16)],
-                             ids=["2", "3", "2-n16", "3-n16"])
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 4), (16, 4), (2, 16), (3, 16)],
+                             ids=["2", "3", "16", "2-n16", "3-n16"])
     def test_matches_one_chain_at_a_time_bitwise(self, d, n, p, threads):
         pot, scfg, lcfg = self._chain_setup(d, p, n=n)
         res = run_chain(pot, scfg, lcfg, threads=threads)
@@ -393,19 +392,6 @@ class TestRunChain:
         one = run_chain(pot, scfg, lcfg, threads=1)
         many = run_chain(pot, scfg, lcfg, threads=threads)
         assert np.array_equal(many.final_states, one.final_states)
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_chain_innermost_layout_rounds_as_step_major(self, d):
-        # the premise of run_chain's d <= 2 layout: on the installed numpy,
-        # the squared norm and the l1 sum over d <= 2 coordinates give the
-        # same bits whichever axis of a (chains, n, d) block is innermost
-        rng = np.random.default_rng(23)
-        step_major = rng.standard_normal((16, 256, d)) * 10.0 ** rng.integers(-8, 9, (16, 256, d))
-        chain_inner = np.empty((16, d, 256)).transpose(2, 0, 1)
-        np.copyto(chain_inner, step_major.transpose(1, 0, 2))
-        step_major = step_major.transpose(1, 0, 2)
-        assert np.array_equal(_sq_norm(chain_inner), _sq_norm(step_major))
-        assert np.array_equal(np.sum(np.abs(chain_inner), -1), np.sum(np.abs(step_major), -1))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -606,6 +592,24 @@ class TestInitialW2:
         pot = regularize(get_potential("quadratic", d), 0.7)
         expected = math.sqrt(d * pot.target_variance)
         assert abs(initial_w2(pot, InitSpec()) - expected) <= 2 * math.ulp(expected)
+
+    @pytest.mark.parametrize("name", ["quadratic", "l1"])
+    def test_scalar_center_builds_no_d_values(self, name):
+        # bounds at d = 1e9 used to run out of memory: a d-long list was
+        # built only to hand the center's coordinates to hypot
+        d, lam = 10**7, 1.0
+        pot = regularize(get_potential(name, d), lam)
+        tracemalloc.start()
+        try:
+            w2 = initial_w2(pot, InitSpec(center=0.5, scale=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        spread = 2.0 - math.sqrt(pot.target_variance) if name == "quadratic" else 2.0
+        to_point = math.sqrt(d * (0.25 + spread**2))
+        want = to_point if name == "quadratic" else to_point + math.sqrt(d / lam)
+        assert w2 == pytest.approx(want, rel=1e-14)
 
     def test_gaussian_init_equal_to_target_is_zero(self):
         pot = regularize(get_potential("quadratic", 3), 0.7)

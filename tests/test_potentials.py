@@ -219,6 +219,37 @@ class TestRegistry:
         for name in ("l1", "huber", "power"):
             assert regularize(get_potential(name, 2), 1.0).target_variance is None, name
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("name", sorted(POTENTIAL_REGISTRY))
+    def test_value_is_bitwise_alike_in_every_layout(self, name, d):
+        # the coordinates are added in order whatever the memory layout:
+        # run_chain's chain-innermost draw buffer, a one-chain block, a
+        # contiguous batch, an F-order batch and a broadcast point give the
+        # same bits, the (lam/2)||x||^2 term included
+        pot = regularize(get_potential(name, d), 0.7)
+        rng = np.random.default_rng(23)
+        chains, n = 64, 16
+        points = rng.standard_normal((chains, n, d)) * 10.0 ** rng.integers(-8, 9, (chains, n, d))
+        want = pot.value(points)
+        chain_inner = np.empty((n, d, chains)).transpose(2, 0, 1)
+        np.copyto(chain_inner, points)
+        assert np.array_equal(pot.value(chain_inner), want)
+        one_chain = np.stack([pot.value(np.ascontiguousarray(points[c:c + 1]))[0]
+                              for c in range(chains)])
+        assert np.array_equal(one_chain, want)
+        rows = np.asfortranarray(points.reshape(-1, d))
+        assert np.array_equal(pot.value(rows), want.reshape(-1))
+        assert np.array_equal(pot.value(np.broadcast_to(points[0, 0], (chains, d))),
+                              np.full(chains, want[0, 0]))
+        if name == "l1":
+            in_order = []
+            for row in points.reshape(-1, d).tolist():
+                total = 0.0
+                for coordinate in row:
+                    total += abs(coordinate)
+                in_order.append(total)
+            assert np.array_equal(pot.base.value(points).reshape(-1), in_order)
+
 
 class TestUserPotentials:
     def test_optimistic_constant_warns(self):

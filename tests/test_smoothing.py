@@ -116,10 +116,10 @@ class TestGradEstimate:
                                         "one_point", "shared_draws", "chain_innermost"])
     def test_matches_mean_of_summands_bitwise(self, p, layout, d):
         # the in-place kernel against the summand written out and np.mean,
-        # on the views run_chain passes (step-major with and without its
-        # work buffer, and chain axis innermost with (d, chains) points) and
-        # on the other broadcasts; at d = 1 the draw-axis sum order depends
-        # on the memory layout
+        # on the view run_chain passes (chain axis innermost, with (d, chains)
+        # points and a work buffer) and on other layouts and broadcasts
+        # (step-major with and without a work buffer among them); at d = 1
+        # the draw-axis sum order depends on the memory layout
         pot = regularize(get_potential("l1", d), 0.5)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(6, d))
