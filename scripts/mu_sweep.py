@@ -20,12 +20,10 @@ import argparse
 import csv
 import dataclasses
 import sys
+from pathlib import Path
 
-import numpy as np
-
-from pgglmc import (ConfigError, ExperimentConfig, ParameterError, bounds_table, run_chain,
-                    w2_to_gaussian)
-from pgglmc.lmc import _w2_skip_reason
+from pgglmc import ExperimentConfig, ParameterError, bounds_table, run_chain
+from pgglmc.cli import _exit_code, _known_law_w2
 
 
 def parse_args():
@@ -41,12 +39,10 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
-    try:
-        cfg = ExperimentConfig.from_file(args.config)
-        pot = cfg.build_potential()
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig.from_file(args.config)
+    pot = cfg.build_potential()
+    if args.csv:  # a CSV path that cannot be made fails before any work
+        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for mu in args.mus:
         try:
@@ -68,17 +64,14 @@ def main() -> int:
                 print("known-law W2 needs a quadratic-family potential; skipping "
                       "measurement", file=sys.stderr)
             else:
-                res = run_chain(pot, scfg, lcfg)
-                skipped = _w2_skip_reason(res)
+                w2 = _known_law_w2(pot, lcfg, run_chain(pot, scfg, lcfg), cfg.report.resamples)
+                skipped = w2.get("empirical_w2_to_target_skipped")
                 if skipped:
                     print(f"mu={mu:g}: W2 not measured: {skipped}", file=sys.stderr)
                     row["measured_w2"] = row["measured_w2_std"] = None
                 else:
-                    w2 = w2_to_gaussian(res.final_states, pot.target_variance,
-                                        resamples=cfg.report.resamples,
-                                        rng=np.random.default_rng(lcfg.seed + 1))
-                    row["measured_w2"] = w2.mean
-                    row["measured_w2_std"] = w2.std
+                    w2 = w2["empirical_w2_to_target"]
+                    row["measured_w2"], row["measured_w2_std"] = w2["mean"], w2["std"]
         rows.append(row)
 
     if not rows:
@@ -101,4 +94,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_exit_code(main))

@@ -12,13 +12,12 @@ Example:
 """
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
 
-from pgglmc import (ConfigError, ExperimentConfig, ParameterError, measure_bias_variance,
-                    smoothed_gradient_reference)
+from pgglmc import ExperimentConfig, measure_bias_variance
+from pgglmc.cli import _exit_code
 
 
 def parse_args():
@@ -32,34 +31,25 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
-    try:
-        cfg = ExperimentConfig.from_file(args.config)
-        pot = cfg.build_potential()
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig.from_file(args.config)
+    pot = cfg.build_potential()
     rng = np.random.default_rng(cfg.seed)
     x = rng.normal(size=cfg.d)
+    reports = measure_bias_variance(pot, cfg.mu, cfg.p, x, args.ns, args.trials, rng)
 
     print(f"potential={cfg.potential_name} d={cfg.d} p={cfg.p} mu={cfg.mu} "
           f"lam={cfg.lam} trials={args.trials} x||={np.linalg.norm(x):.3f}")
     print(f"{'n':>6}  {'variance':>12}  {'4*SE':>10}  {'envelope':>12}  {'bias^2':>11}")
-    # one reference serves every n
-    reference = smoothed_gradient_reference(pot, cfg.mu, cfg.p, x, 100 * args.trials, rng)
-    variances = []
-    for n in args.ns:
-        scfg = dataclasses.replace(cfg, n=n).build_smoothing()
-        rep = measure_bias_variance(pot, scfg, x, trials=args.trials, rng=rng,
-                                    reference=reference)
-        variances.append(rep.empirical_variance)
+    for n, rep in zip(args.ns, reports):
         print(f"{n:>6}  {rep.empirical_variance:>12.5g}  {4 * rep.variance_se:>10.3g}  "
               f"{rep.variance_bound:>12.5g}  {rep.empirical_bias_norm_sq:>11.3g}")
 
     if len(args.ns) > 1:
+        variances = [rep.empirical_variance for rep in reports]
         slope = np.polyfit(np.log(args.ns), np.log(variances), 1)[0]
         print(f"log-log slope of variance vs n: {slope:.3f} (theory: -1)")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_exit_code(main))

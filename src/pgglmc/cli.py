@@ -86,6 +86,23 @@ def _write_states_csv(path: Path, states: np.ndarray) -> None:
             fh.write(str(i) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _known_law_w2(pot, lcfg, res, resamples: int) -> dict:
+    """``sample``'s known-law W2 metric for a run: empty, skipped with a reason, or measured."""
+    if pot.target_variance is None:
+        return {}
+    skipped = _w2_skip_reason(res)
+    if skipped:
+        return {"empirical_w2_to_target_skipped": skipped}
+    w2 = w2_to_gaussian(res.final_states, pot.target_variance, resamples=resamples,
+                        rng=np.random.default_rng(lcfg.seed + 1))
+    return {"empirical_w2_to_target": {
+        "mean": w2.mean, "std": w2.std, "values": w2.values,
+        "n": w2.n, "resamples": resamples,
+        "note": "exact W2 against the known Gaussian target"
+                + (f" (subsampled to {w2.n})" if w2.n < lcfg.chains else ""),
+    }}
+
+
 def cmd_sample(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     pot = cfg.build_potential()
@@ -114,20 +131,7 @@ def cmd_sample(args) -> int:
             "final_coordinate_variance": finals.var(axis=0, ddof=1) if lcfg.chains > 1 else None,
             "final_mean_sq_norm": float(np.mean(_sq_norm(finals))),
         }
-    variance = pot.target_variance
-    skipped = None if variance is None else _w2_skip_reason(res)
-    if skipped:
-        metrics["empirical_w2_to_target_skipped"] = skipped
-    elif variance is not None:
-        w2 = w2_to_gaussian(finals, variance,
-                            resamples=cfg.report.resamples,
-                            rng=np.random.default_rng(lcfg.seed + 1))
-        metrics["empirical_w2_to_target"] = {
-            "mean": w2.mean, "std": w2.std, "values": w2.values,
-            "n": w2.n, "resamples": cfg.report.resamples,
-            "note": "exact W2 against the known Gaussian target"
-                    + (f" (subsampled to {w2.n})" if w2.n < lcfg.chains else ""),
-        }
+    metrics.update(_known_law_w2(pot, lcfg, res, cfg.report.resamples))
 
     report = {
         "tool": "pgglmc",
@@ -261,11 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _exit_code(command) -> int:
+    """``command()``'s exit code, a failure mapped as listed above; the scripts end here too."""
     try:
-        args = build_parser().parse_args(argv)
-        _check_args(args)
-        return args.func(args)
+        return command()
     except SystemExit as exc:  # argparse exits with 2 on bad usage, 0 after --help
         return int(exc.code or 0)
     except StepSizeError as exc:
@@ -283,6 +286,15 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
+
+
+def main(argv=None) -> int:
+    def dispatch():
+        args = build_parser().parse_args(argv)
+        _check_args(args)
+        return args.func(args)
+
+    return _exit_code(dispatch)
 
 
 if __name__ == "__main__":

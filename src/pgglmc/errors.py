@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError and ParameterError -> 2,
-StepSizeError -> 4.  A chain divergence is not an exception: ``run_chain``
-marks the chain in its result, and ``pgglmc sample`` then exits 3.
+Every entry point, the CLI and the experiment scripts alike, maps these onto
+exit codes: ConfigError and ParameterError -> 2, StepSizeError -> 4.  A chain
+divergence is not an exception: ``run_chain`` marks the chain in its result,
+and ``pgglmc sample`` then exits 3.
 """
 
 

@@ -359,13 +359,12 @@ def certify_holder(pot: Potential, rng: np.random.Generator, pairs: int = 1000,
     return float(ratio.max(initial=0.0))
 
 
-def make_potential(name: str, d: int, L: float, alpha: float, value, subgrad=None,
-                   check: bool = True, rng: Optional[np.random.Generator] = None) -> Potential:
+def make_potential(name: str, d: int, L: float, alpha: float, value, subgrad=None) -> Potential:
     """Register a user potential (a black box: no known target law); warns on a bad certificate."""
     pot = Potential(name=name, d=d, L=float(L), alpha=float(alpha), value=value,
                     subgrad=subgrad)
-    if check and subgrad is not None:
-        worst = certify_holder(pot, rng or np.random.default_rng(0), pairs=256)
+    if subgrad is not None:
+        worst = certify_holder(pot, np.random.default_rng(0), pairs=256)
         if worst > pot.L * (1.0 + 1e-9):
             warnings.warn(
                 f"potential {name!r}: observed Hölder ratio {worst:.6g} exceeds "

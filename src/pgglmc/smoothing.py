@@ -232,16 +232,15 @@ def smoothed_gradient_reference(pot: RegularizedPotential, mu: float, p: float,
     return summands.mean(axis=0), summands.var(axis=0, ddof=1) / m
 
 
-def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np.ndarray,
-                          trials: int, rng: np.random.Generator,
-                          reference: tuple[np.ndarray, np.ndarray]) -> BiasVarianceReport:
-    """Empirical bias and variance of the estimator at x over independent trials.
+def measure_bias_variance(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
+                          ns, trials: int, rng: np.random.Generator,
+                          ) -> list[BiasVarianceReport]:
+    """Empirical bias and variance of the estimator at x, one report per batch size in ns.
 
-    ``reference`` is the ``(ref, ref_var)`` pair of shape-(d,) arrays that
-    ``smoothed_gradient_reference`` gives at the same potential, mu, p and
-    x, from about 100 * trials draws so its error stays negligible.  It does
-    not depend on the batch size, so a sweep over n at one point computes it
-    once; rng serves only the trials.  Standard errors accompany both
+    Every n is validated first.  Then ``smoothed_gradient_reference`` draws
+    the reference once, from a hundred draws per trial so its error stays
+    negligible; it has no batch size, so every n shares it.  Then each n
+    draws its ``(trials, n, d)`` block.  Standard errors accompany both
     empirical statistics; stochastic assertions downstream use 4 of them.
 
     The trials are estimated in cache-sized blocks of rows of the one
@@ -251,20 +250,22 @@ def measure_bias_variance(pot: RegularizedPotential, cfg: SmoothingConfig, x: np
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
-    spec = PggSpec(cfg.p, pot.d)
-    d, p = spec.d, spec.p
-    x = _as_point(x, d)
-    ref, ref_var = reference
-    if np.shape(ref) != (d,) or np.shape(ref_var) != (d,):
-        raise ParameterError(f"reference pair has shapes {np.shape(ref)} and "
-                             f"{np.shape(ref_var)}, expected ({d},) each")
+    cfgs = [SmoothingConfig(mu=mu, n=n, p=p) for n in ns]
+    x = _as_point(x, pot.d)
+    reference = smoothed_gradient_reference(pot, mu, p, x, 100 * trials, rng)
+    return [_bias_variance(pot, cfg, x, trials, rng, reference) for cfg in cfgs]
 
-    xi = sample_pgg(spec, rng, size=(trials, cfg.n))
+
+def _bias_variance(pot, cfg, x, trials, rng, reference) -> BiasVarianceReport:
+    """One batch size's report at x, against the shared ``(ref, ref_var)`` pair."""
+    d, p = pot.d, cfg.p
+    xi = sample_pgg(PggSpec(p, d), rng, size=(trials, cfg.n))
     # (trials, d)
     g = _by_row_blocks(lambda block: grad_estimate_from_draws(pot, cfg.mu, p, x, block), xi)
     gbar = g.mean(axis=0)
     gvar = g.var(axis=0, ddof=1)  # per-coordinate
 
+    ref, ref_var = reference
     bias_vec = gbar - ref
     var_b = gvar / trials + ref_var
     # Unbiased ||bias||^2: subtract the estimator's own noise floor; the SE is

@@ -73,7 +73,7 @@ def test_run_inputs_are_pinned():
     assert signatures == {
         "smoothed_value_mc": ["pot", "mu", "p", "x", "m", "rng"],
         "smoothed_gradient_reference": ["pot", "mu", "p", "x", "m", "rng"],
-        "measure_bias_variance": ["pot", "cfg", "x", "trials", "rng", "reference"],
+        "measure_bias_variance": ["pot", "mu", "p", "x", "ns", "trials", "rng"],
     }
 
 

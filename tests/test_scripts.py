@@ -122,9 +122,26 @@ def test_potential_parameter_the_config_does_not_take_fails(tmp_path, script):
     # l1 has no Hölder exponent to set: alpha is an error, not a silent no-op
     cfg = write_doc(tmp_path / "cfg.json", config_doc("l1", alpha=0.3))
     proc = run_script(script, "--config", cfg)
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert "unknown parameter(s) ['alpha']" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("script, args", [
+    ("variance_vs_n.py", ["--ns", 0]),
+    ("variance_vs_n.py", ["--trials", 1]),
+    ("variance_vs_n.py", ["--trials", 0]),
+    ("mu_sweep.py", ["--run-chains", "--csv", "{file}/x.csv"]),
+], ids=["ns=0", "trials=1", "trials=0", "csv-under-a-file"])
+def test_bad_run_argument_exits_2_before_any_output(tmp_path, script, args):
+    cfg = write_doc(tmp_path / "cfg.json", config_doc("quadratic"))
+    blocker = write_doc(tmp_path / "file", {})
+    proc = run_script(script, "--config", cfg,
+                      *(str(arg).format(file=blocker) for arg in args))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_readme_experiment_commands_run(tmp_path):

@@ -358,9 +358,8 @@ class TestBiasVariance:
         pot = quadratic_target(4)
         cfg = SmoothingConfig(mu=0.1, n=5, p=2.0)
         x = np.array([0.5, -0.3, 0.8, 0.1])
-        reference = smoothed_gradient_reference(pot, cfg.mu, cfg.p, x, 2, np.random.default_rng(0))
-        rep = measure_bias_variance(pot, cfg, x, trials=4000, rng=np.random.default_rng(13),
-                                    reference=reference)
+        (rep,) = measure_bias_variance(pot, cfg.mu, cfg.p, x, [cfg.n], trials=4000,
+                                       rng=np.random.default_rng(13))
         assert abs(rep.empirical_bias_norm_sq) <= 4 * rep.bias_se
         assert rep.empirical_bias_norm_sq <= rep.bias_bound + 4 * rep.bias_se
         assert rep.empirical_variance <= rep.variance_bound + 4 * rep.variance_se
@@ -373,11 +372,9 @@ class TestBiasVariance:
         pot = regularize(get_potential("l1", 3), 0.5)
         cfg = SmoothingConfig(mu=0.2, n=4, p=1.5)
         x = np.array([0.7, -0.4, 0.2])
-        reference = smoothed_gradient_reference(pot, cfg.mu, cfg.p, x, 1000,
-                                                np.random.default_rng(0))
-        assert reference[0].shape == reference[1].shape == (3,)
-        rep = measure_bias_variance(pot, cfg, x, 10, np.random.default_rng(1),
-                                    reference=reference)
+        (rep,) = measure_bias_variance(pot, cfg.mu, cfg.p, x, [cfg.n], 10,
+                                       np.random.default_rng(1))
+        assert rep.reference_gradient.shape == (3,)
         M = smoothness_constant_M(pot, cfg.mu, cfg.p)
         assert rep.bias_bound == pytest.approx((M + 0.5) ** 2 * 0.2**2 * 3 ** (2 / 1.5),
                                                rel=1e-12)
@@ -385,14 +382,8 @@ class TestBiasVariance:
     def test_variance_scales_inversely_with_n(self):
         pot = quadratic_target(2)
         x = np.array([1.0, -1.0])
-        rng = np.random.default_rng(14)
-        reps = {}
-        for n in (8, 16):
-            cfg = SmoothingConfig(mu=0.1, n=n, p=1.5)
-            reference = smoothed_gradient_reference(pot, cfg.mu, cfg.p, x, 2,
-                                                    np.random.default_rng(0))
-            reps[n] = measure_bias_variance(pot, cfg, x, trials=6000, rng=rng,
-                                            reference=reference)
+        reps = dict(zip((8, 16), measure_bias_variance(pot, 0.1, 1.5, x, (8, 16), trials=6000,
+                                                       rng=np.random.default_rng(14))))
         ratio = reps[8].empirical_variance / reps[16].empirical_variance
         assert abs(ratio / 2.0 - 1.0) <= 0.2
 
@@ -415,40 +406,29 @@ class TestBiasVariance:
         pot = regularize(get_potential("power", 2, alpha=0.5), 0.5)
         cfg = SmoothingConfig(mu=0.2, n=4, p=1.5)
         x = np.array([0.7, -0.4])
-        reference = smoothed_gradient_reference(pot, cfg.mu, cfg.p, x, 100_000,
-                                                np.random.default_rng(116))
-        rep = measure_bias_variance(pot, cfg, x, trials=2000, rng=np.random.default_rng(16),
-                                    reference=reference)
+        (rep,) = measure_bias_variance(pot, cfg.mu, cfg.p, x, [cfg.n], trials=2000,
+                                       rng=np.random.default_rng(16))
         assert rep.empirical_bias_norm_sq <= rep.bias_bound + 4 * rep.bias_se
         assert rep.empirical_variance <= rep.variance_bound + 4 * rep.variance_se
 
     def test_trials_validated(self):
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=1, p=2.0)
         with pytest.raises(ParameterError):
-            measure_bias_variance(pot, cfg, np.zeros(1), trials=1,
-                                  rng=np.random.default_rng(0),
-                                  reference=(np.zeros(1), np.zeros(1)))
+            measure_bias_variance(pot, 0.1, 2.0, np.zeros(1), [1], trials=1,
+                                  rng=np.random.default_rng(0))
 
     def test_point_dimension_checked(self):
         pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=2, p=2.0)
         with pytest.raises(ParameterError):
-            measure_bias_variance(pot, cfg, np.zeros(3), trials=10,
-                                  rng=np.random.default_rng(0),
-                                  reference=(np.zeros(1), np.zeros(1)))
+            measure_bias_variance(pot, 0.1, 2.0, np.zeros(3), [2], trials=10,
+                                  rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("wrong", ["ref", "ref_var"])
-    def test_reference_shape_validated(self, wrong):
-        # a d = 3 pair at d = 1 used to broadcast and return a report
-        pot = quadratic_target(1)
-        cfg = SmoothingConfig(mu=0.1, n=2, p=2.0)
-        pair = {"ref": np.zeros(1), "ref_var": np.zeros(1)}
-        pair[wrong] = np.zeros(3)
-        with pytest.raises(ParameterError, match="reference"):
-            measure_bias_variance(pot, cfg, np.zeros(1), trials=10,
-                                  rng=np.random.default_rng(0),
-                                  reference=(pair["ref"], pair["ref_var"]))
+    def test_every_batch_size_is_validated_before_any_draw(self):
+        pot = regularize(get_potential("power", 2, alpha=0.5), 0.5)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ParameterError, match="batch size"):
+            measure_bias_variance(pot, 0.2, 1.5, np.zeros(2), [4, 0], trials=10, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestSharedReference:
@@ -457,29 +437,47 @@ class TestSharedReference:
     x = np.array([0.7, -0.4, 0.2])
     trials = 300
 
-    def test_report_uses_the_supplied_pair(self):
-        reference = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, 1000,
-                                                np.random.default_rng(18))
-        shared = measure_bias_variance(self.pot, self.cfg, self.x, self.trials,
-                                       np.random.default_rng(17), reference=reference)
-        # the reference's variance enters the bias noise floor as given
-        wider = measure_bias_variance(self.pot, self.cfg, self.x, self.trials,
-                                      np.random.default_rng(17),
-                                      reference=(reference[0], reference[1] + 0.25))
-        assert shared.reference_gradient is reference[0]
+    def test_reference_variance_enters_the_noise_floor_as_given(self, monkeypatch):
+        ref, ref_var = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x,
+                                                   1000, np.random.default_rng(18))
+
+        def report(variance):
+            monkeypatch.setattr(smoothing, "smoothed_gradient_reference",
+                                lambda *args: (ref, variance))
+            (rep,) = measure_bias_variance(self.pot, self.cfg.mu, self.cfg.p, self.x,
+                                           [self.cfg.n], self.trials, np.random.default_rng(17))
+            return rep
+
+        shared, wider = report(ref_var), report(ref_var + 0.25)
+        assert shared.reference_gradient is ref
         assert wider.empirical_bias_norm_sq == pytest.approx(
             shared.empirical_bias_norm_sq - 0.25 * 3, abs=1e-12)
         assert wider.empirical_variance == shared.empirical_variance
 
-    def test_supplied_reference_draws_only_the_trials_block(self):
-        reference = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, 1000,
-                                                np.random.default_rng(18))
+    def test_stream_is_the_reference_then_one_block_per_n(self, monkeypatch):
+        real = smoothing.smoothed_gradient_reference
+        sizes = []
+
+        def spy(pot, mu, p, x, m, rng):
+            sizes.append(m)
+            return real(pot, mu, p, x, m, rng)
+
+        monkeypatch.setattr(smoothing, "smoothed_gradient_reference", spy)
+        ns = (4, 1, 7)
         rng = np.random.default_rng(19)
-        measure_bias_variance(self.pot, self.cfg, self.x, self.trials, rng,
-                              reference=reference)
+        reports = measure_bias_variance(self.pot, self.cfg.mu, self.cfg.p, self.x, ns,
+                                        self.trials, rng)
+        # one reference, sized from the trials, shared by every n
+        assert sizes == [100 * self.trials]
+        assert len({id(rep.reference_gradient) for rep in reports}) == 1
         expected = np.random.default_rng(19)
-        sample_pgg(PggSpec(1.5, 3), expected, size=(self.trials, self.cfg.n))
+        real(self.pot, self.cfg.mu, self.cfg.p, self.x, 100 * self.trials, expected)
+        for n in ns:
+            sample_pgg(PggSpec(1.5, 3), expected, size=(self.trials, n))
         assert rng.random() == expected.random()
+        # one report per n, in the order of ns: the envelope scales as 1/n
+        assert [rep.variance_bound * n for rep, n in zip(reports, ns)] == pytest.approx(
+            [reports[0].variance_bound * ns[0]] * len(ns), rel=1e-12)
 
 
 class TestRowBlocks:
@@ -495,14 +493,13 @@ class TestRowBlocks:
 
     def test_bias_variance_report_matches_one_call(self, monkeypatch):
         # several full trial blocks and a partial last one, likewise for the
-        # reference rows
+        # 100 * trials reference rows
         trials = 3 * self.rows_per_block(self.cfg.n * 3 * 8) + 101
-        m = 4 * self.rows_per_block(3 * 8) + 7
+        assert (100 * trials) % self.rows_per_block(3 * 8) != 0
         def report(rng):
-            reference = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, m,
-                                                    rng)
-            return measure_bias_variance(self.pot, self.cfg, self.x, trials, rng,
-                                         reference=reference)
+            (rep,) = measure_bias_variance(self.pot, self.cfg.mu, self.cfg.p, self.x,
+                                           [self.cfg.n], trials, rng)
+            return rep
 
         blocked = report(np.random.default_rng(21))
         monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1 << 40)
