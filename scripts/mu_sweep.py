@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from pgglmc import ExperimentConfig, ParameterError, bounds_table, run_chain
-from pgglmc.cli import _exit_code, _known_law_w2
+from pgglmc.cli import _exit_code, _known_law_w2, _not_a_directory
 
 
 def parse_args():
@@ -42,6 +42,7 @@ def main() -> int:
     cfg = ExperimentConfig.from_file(args.config)
     pot = cfg.build_potential()
     if args.csv:  # a CSV path that cannot be made fails before any work
+        _not_a_directory("--csv", Path(args.csv))
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for mu in args.mus:

@@ -1,12 +1,14 @@
 """Command-line harness: ``pgglmc {sample, verify, bounds}``.
 
 ``sample`` and ``bounds`` read ``--config``; ``verify`` runs its suites at
-their own seeds or at ``--seed``.  Each creates ``--out`` before any work.
+their own seeds or at ``--seed``.  Only ``sample`` and ``verify``, which run
+chains, take ``--seed`` and ``--threads``.  Each checks its output paths and
+creates ``--out`` before any work.
 
 Exit codes: 0 success, 1 a ``verify`` check failed, 2 config or usage
-problem (parse error, unknown key or potential parameter, a number that is
-not finite, unknown suite, bad --seed, --threads or
-$PGGLMC_THREADS, report file names outside --out or not two separate files, a
+problem (parse error, unknown key, flag or potential parameter, a number that
+is not finite, unknown suite, bad --seed or --threads, report file names
+outside --out, not two separate files or naming an existing directory, a
 config whose bounds overflow a float, an --out or report path that cannot be
 created or written, a run whose arrays cannot be allocated), 3 a ``sample``
 chain diverged (its state became non-finite, a non-finite black-box value
@@ -63,9 +65,31 @@ def _jsonable(obj):
     return obj
 
 
-def _report_paths(out: str, *names: str) -> list[Path]:
-    """The report files under ``out``, with their directories created before any work."""
-    paths = [Path(out) / name for name in names]
+def _not_a_directory(label: str, path: Path) -> None:
+    """ConfigError if ``path``, an output file, is an existing directory."""
+    if path.is_dir():
+        raise ConfigError(f"{label}: {str(path)!r} is an existing directory, not a file")
+
+
+def _report_paths(out: str, **names: str) -> list[Path]:
+    """The ``report.<key>`` files under ``out``, checked and with their
+    directories created before any work."""
+    for key, name in names.items():
+        if os.path.basename(name) in ("", ".", "..") or "\0" in name:
+            raise ConfigError(f"report.{key}: expected a file name, got {name!r}")
+        # the reports are written inside --out, never next to or above it
+        if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == "..":
+            raise ConfigError(f"report.{key}: expected a relative path inside --out, "
+                              f"got {name!r}")
+    if "csv" in names:
+        # the JSON report must neither overwrite the CSV nor need it as a directory
+        csv, js = os.path.normpath(names["csv"]), os.path.normpath(names["json"])
+        if csv == js or csv.startswith(js + os.sep) or js.startswith(csv + os.sep):
+            raise ConfigError(f"report.csv and report.json must name two separate files, "
+                              f"got {names['csv']!r} and {names['json']!r}")
+    paths = [Path(out) / name for name in names.values()]
+    for key, path in zip(names, paths):
+        _not_a_directory(f"report.{key}", path)
     for path in paths:
         path.parent.mkdir(parents=True, exist_ok=True)
     return paths
@@ -104,13 +128,15 @@ def _known_law_w2(pot, lcfg, res, resamples: int) -> dict:
 
 
 def cmd_sample(args) -> int:
+    _check_run_flags(args)
     cfg = ExperimentConfig.from_file(args.config)
     pot = cfg.build_potential()
     scfg = cfg.build_smoothing()
     lcfg = cfg.build_lmc(pot, seed_override=args.seed)
     # the bounds go first, so a config they reject writes nothing
     bounds = bounds_table(pot, scfg, lcfg)
-    csv_path, json_path = _report_paths(args.out, cfg.report.csv, cfg.report.json_path)
+    csv_path, json_path = _report_paths(args.out, csv=cfg.report.csv,
+                                        json=cfg.report.json_path)
 
     t0 = time.perf_counter()
     res = run_chain(pot, scfg, lcfg, threads=args.threads)
@@ -160,9 +186,10 @@ def cmd_bounds(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     pot = cfg.build_potential()
     scfg = cfg.build_smoothing()
-    lcfg = cfg.build_lmc(pot, seed_override=args.seed)
+    lcfg = cfg.build_lmc(pot)
     payload = bounds_table(pot, scfg, lcfg)
-    json_path = _report_paths(args.out, cfg.report.json_path)[0]
+    # report.csv is checked as under sample, so a config passes or fails both alike
+    _, json_path = _report_paths(args.out, csv=cfg.report.csv, json=cfg.report.json_path)
 
     if not args.quiet:
         print(f"M = {payload['M']:.9g}   a = {payload['a']:.9g}   "
@@ -187,7 +214,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    json_path = _report_paths(args.out, f"verify_{args.suite}.json")[0]
+    _check_run_flags(args)
+    (json_path,) = _report_paths(args.out, json=f"verify_{args.suite}.json")
     results = run_suites(args.suite, seed=args.seed, threads=args.threads)
 
     all_passed = all(r.passed for r in results)
@@ -209,19 +237,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else 1
 
 
-def _env_threads() -> int:
-    """Thread default from $PGGLMC_THREADS (1 when unset); a positive integer."""
-    raw = os.environ.get("PGGLMC_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"PGGLMC_THREADS: expected a positive integer, got {raw!r}")
-    return threads
-
-
-def _check_args(args) -> None:
+def _check_run_flags(args) -> None:
+    """``--seed`` and ``--threads``, which ``sample`` and ``verify`` take."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     if args.threads < 1:
@@ -229,8 +246,6 @@ def _check_args(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser; ``--threads`` defaults to $PGGLMC_THREADS or 1."""
-    threads_default = _env_threads()
     parser = argparse.ArgumentParser(
         prog="pgglmc",
         description="Black-box Langevin Monte Carlo with p-generalized Gaussian "
@@ -239,28 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pgglmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", default=".", help="output directory (default: .)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the seed (the config's, or each suite's own)")
-        sp.add_argument("--threads", type=int, default=threads_default,
-                        help="chain groups to run in parallel, at most one per two "
-                             "chains and per usable core, as suits a CPU-bound potential "
-                             "(default: $PGGLMC_THREADS or 1)")
-        sp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
-
     for name, func, help_ in (
             ("sample", cmd_sample, "run LMC chains, write CSV states + JSON report"),
-            ("bounds", cmd_bounds, "print itemized Theorem-1 / Lemma-3 bounds, no chains")):
+            ("bounds", cmd_bounds, "print itemized Theorem-1 / Lemma-3 bounds, no chains"),
+            ("verify", cmd_verify, "run a bound-verification suite")):
         sp = sub.add_parser(name, help=help_)
-        sp.add_argument("--config", required=True, help="experiment config JSON")
-        common(sp)
+        if name == "verify":
+            sp.add_argument("suite", choices=sorted(SUITE_NAMES) + ["all"])
+        else:
+            sp.add_argument("--config", required=True, help="experiment config JSON")
+        sp.add_argument("--out", default=".", help="output directory (default: .)")
+        if name != "bounds":  # the commands that run chains
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override the seed (the config's, or each suite's own)")
+            sp.add_argument("--threads", type=int, default=1,
+                            help="chain groups to run in parallel, at most one per two "
+                                 "chains and per usable core, as suits a CPU-bound "
+                                 "potential (default: 1)")
+        sp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
         sp.set_defaults(func=func)
-
-    sp = sub.add_parser("verify", help="run a bound-verification suite")
-    sp.add_argument("suite", choices=sorted(SUITE_NAMES) + ["all"])
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -291,7 +303,6 @@ def _exit_code(command) -> int:
 def main(argv=None) -> int:
     def dispatch():
         args = build_parser().parse_args(argv)
-        _check_args(args)
         return args.func(args)
 
     return _exit_code(dispatch)

@@ -21,13 +21,14 @@ Schema (see README for the full description)::
 smoothing parameters are known.  Every number must be finite.  The init is
 ``InitSpec(center=value or mean, scale)``, scale 0 at a point and 1 by default
 for a Gaussian; left-out ``lmc.init`` and ``report`` keys take the defaults of
-``InitSpec()`` and ``ReportConfig()``.
+``InitSpec()`` and ``ReportConfig()``.  The report file names must be
+strings here; the rules for where they may point belong to ``cli``, which
+writes them.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,17 +162,6 @@ class ExperimentConfig:
         for key, name in names.items():
             if not isinstance(name, str):
                 raise ConfigError(f"report.{key}: expected a string, got {name!r}")
-            if os.path.basename(name) in ("", ".", "..") or "\0" in name:
-                raise ConfigError(f"report.{key}: expected a file name, got {name!r}")
-            # the reports are written inside --out, never next to or above it
-            if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == "..":
-                raise ConfigError(f"report.{key}: expected a relative path inside --out, "
-                                  f"got {name!r}")
-        # the JSON report must neither overwrite the CSV nor need it as a directory
-        csv, js = (os.path.normpath(name) for name in names.values())
-        if csv == js or csv.startswith(js + os.sep) or js.startswith(csv + os.sep):
-            raise ConfigError(f"report.csv and report.json must name two separate files, "
-                              f"got {names['csv']!r} and {names['json']!r}")
         report = ReportConfig(thinning=thinning, resamples=resamples,
                               csv=names["csv"], json_path=names["json"])
 

@@ -25,6 +25,7 @@ terms, with the minimizer x* and the second-moment constant C taken as 0.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -87,12 +88,14 @@ class LmcConfig:
     def __post_init__(self):
         if not self.eta > 0:
             raise ParameterError(f"step size must be > 0, got {self.eta}")
-        if not (self.steps >= 0 and float(self.steps).is_integer()):
-            raise ParameterError(f"step count must be an integer >= 0, got {self.steps}")
-        if not (self.chains >= 1 and float(self.chains).is_integer()):
-            raise ParameterError(f"chain count must be an integer >= 1, got {self.chains}")
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "chains", int(self.chains))
+        for name, what, low in (("steps", "step count", 0), ("chains", "chain count", 1),
+                                ("seed", "seed", 0)):
+            value = getattr(self, name)
+            # an int past the float range is integral too; float() would overflow on it
+            if not (value >= low and (isinstance(value, numbers.Integral)
+                                      or float(value).is_integer())):
+                raise ParameterError(f"{what} must be an integer >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass

@@ -119,12 +119,6 @@ class RegularizedPotential:
         x = np.asarray(x, dtype=float)
         return self.base.value(x) + 0.5 * self.lam * _sq_norm(x)
 
-    def subgrad(self, x) -> np.ndarray:
-        if self.base.subgrad is None:
-            raise ParameterError(f"potential {self.base.name!r} has no subgradient")
-        x = np.asarray(x, dtype=float)
-        return self.base.subgrad(x) + self.lam * x
-
     # Closed-form smoothing exists exactly for the quadratic family: smoothing
     # a quadratic shifts it by a constant and leaves the gradient untouched.
     @property

@@ -265,11 +265,12 @@ class TestCliSample:
         resolved = load_strict_json(tmp_path / "report.json")["resolved"]
         assert (resolved["threads"], resolved["chain_groups"]) == (2, groups)
 
-    def test_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PGGLMC_THREADS", "2")
-        from pgglmc.cli import build_parser
-        args = build_parser().parse_args(["sample", "--config", "x.json"])
-        assert args.threads == 2
+    def test_threads_env_is_not_read(self, tmp_path, monkeypatch):
+        # $PGGLMC_THREADS was a second way to set --threads; "abc" used to exit 2
+        monkeypatch.setenv("PGGLMC_THREADS", "abc")
+        cfg_path = write_config(tmp_path, base_doc())
+        assert main(["sample", "--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 0
+        assert load_strict_json(tmp_path / "report.json")["resolved"]["threads"] == 1
 
     def test_far_init_report_is_strict_json_with_quiet_stderr(self, tmp_path):
         cfg_path = write_config(tmp_path, far_init_doc("l1"))
@@ -356,6 +357,15 @@ class TestCliBounds:
         assert "x*" not in theorem1["notes"]["smoothing_w2"]
         assert theorem1["notes"]["smoothing_w2"].startswith("sqrt(4 d/lam (a + e^a - 1))")
         assert theorem1["terms"]["smoothing_w2"] == math.sqrt(4 * d / lam * (a + math.expm1(a)))
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--threads", "2"]])
+    def test_run_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # bounds runs no chain; these flags used to be accepted and change nothing
+        cfg_path = write_config(tmp_path, base_doc())
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", cfg_path, "--out", str(out), *flag]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mu_sweep_monotone_a(self, tmp_path):
         values = []
@@ -480,12 +490,6 @@ class TestCliExitCodes:
         code = main(["sample", "--config", cfg_path, "--out", str(tmp_path)])
         self.assert_config_error(code, capsys, "potential.params.alpha")
 
-    def test_bad_threads_env_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PGGLMC_THREADS", "abc")
-        cfg_path = write_config(tmp_path, base_doc())
-        code = main(["sample", "--config", cfg_path, "--out", str(tmp_path)])
-        self.assert_config_error(code, capsys, "PGGLMC_THREADS")
-
     def test_threads_below_one_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_doc())
         code = main(["sample", "--config", cfg_path, "--out", str(tmp_path), "--threads", "0"])
@@ -555,6 +559,24 @@ class TestCliExitCodes:
         code = main(argv + ["--out", str(out), "--quiet"])
         self.assert_config_error(code, capsys, "afile")
         assert afile.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("key", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["sample", "bounds"])
+    def test_report_path_that_is_a_directory_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, key):
+        # sample used to run every chain and then fail on "Is a directory"
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the report paths were checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_work)
+        out = tmp_path / "out"
+        (out / "taken").mkdir(parents=True)
+        doc = base_doc()
+        doc["report"][key] = "taken"
+        code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+        self.assert_config_error(code, capsys, f"report.{key}")
+        assert [path.name for path in out.iterdir()] == ["taken"]
+        assert not any((out / "taken").iterdir())
 
     def test_interrupted_sample_exits_130_and_writes_nothing(self, tmp_path):
         # Ctrl-C used to end in a KeyboardInterrupt traceback and death by the signal

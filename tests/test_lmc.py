@@ -400,6 +400,11 @@ class TestRunChain:
             LmcConfig(eta=0.1, steps=-1, chains=1, seed=0)
         with pytest.raises(ParameterError):
             LmcConfig(eta=0.1, steps=1, chains=0, seed=0)
+        # numpy used to reject these only inside run_chain, with a ValueError
+        # for -1 and a TypeError for 1.5
+        for seed in (-1, 1.5, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="seed"):
+                LmcConfig(eta=0.1, steps=1, chains=1, seed=seed)
 
     @pytest.mark.parametrize("scale", [-5.0, -math.inf, math.inf, math.nan])
     def test_init_scale_must_be_finite_and_nonnegative(self, scale):
@@ -413,9 +418,11 @@ class TestRunChain:
             LmcConfig(eta=0.1, steps=steps, chains=chains, seed=0)
 
     def test_integral_float_counts_become_ints(self):
-        lcfg = LmcConfig(eta=0.1, steps=3.0, chains=2.0, seed=0)
-        assert (lcfg.steps, lcfg.chains) == (3, 2)
-        assert type(lcfg.steps) is int and type(lcfg.chains) is int
+        lcfg = LmcConfig(eta=0.1, steps=3.0, chains=2.0, seed=4.0)
+        assert (lcfg.steps, lcfg.chains, lcfg.seed) == (3, 2, 4)
+        assert type(lcfg.steps) is int and type(lcfg.chains) is int and type(lcfg.seed) is int
+        # a seed past the float range is still a seed
+        assert LmcConfig(eta=0.1, steps=1, chains=1, seed=10 ** 400).seed == 10 ** 400
 
 
 class TestOuStationarity:

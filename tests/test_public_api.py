@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -96,19 +97,49 @@ def test_bound_record_is_pinned():
     assert list(theorem["notes"]) == terms + ["batch_size_gate"]
 
 
-def test_cli_surface_is_pinned():
-    # a new flag is a deliberate change too; verify takes no --config
+def cli_surface():
+    """Each subcommand's options and positionals, in the order the parser declares them."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    surface = {name: [opt for a in sp._actions for opt in a.option_strings or [a.dest]]
-               for name, sp in commands.choices.items()}
-    with_config = ["-h", "--help", "--config", "--out", "--seed", "--threads", "--quiet"]
+    return {name: [opt for a in sp._actions for opt in a.option_strings or [a.dest]]
+            for name, sp in commands.choices.items()}
+
+
+def test_cli_surface_is_pinned():
+    # a new flag is a deliberate change too; verify takes no --config, and
+    # bounds, which runs no chain, takes no --seed or --threads
+    surface = cli_surface()
     assert surface == {
-        "sample": with_config,
-        "bounds": with_config,
+        "sample": ["-h", "--help", "--config", "--out", "--seed", "--threads", "--quiet"],
+        "bounds": ["-h", "--help", "--config", "--out", "--quiet"],
         "verify": ["-h", "--help", "suite", "--out", "--seed", "--threads", "--quiet"],
     }
 
+
+def test_readme_names_every_cli_flag_on_its_subcommand():
+    # README's "Quickstart (CLI)" section names a flag for a subcommand in its
+    # flag table (a "yes" in that subcommand's column) or on a `pgglmc <command>`
+    # line; a flag named in prose must exist on some subcommand
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quickstart (CLI)", 1)[1].split("\n## ", 1)[0]
+    surface = {name: {opt for opt in opts if opt.startswith("--") and opt != "--help"}
+               for name, opts in cli_surface().items()}
+    named = {name: set() for name in surface}
+    columns = None
+    for line in section.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        if cells[0] == "flag":
+            columns = cells
+        elif columns and line.startswith("| `--"):
+            flag = cells[0].split()[0]
+            for name, cell in zip(columns[1:], cells[1:]):
+                if cell == "yes":
+                    named[name].add(flag)
+        for name, rest in re.findall(r"pgglmc (\w+)([^`\n]*)", line):
+            named[name] |= set(re.findall(r"--[a-z][\w-]*", rest))
+    assert named == surface
+    everywhere = set().union(*surface.values()) | {"--version"}
+    assert set(re.findall(r"--[a-z][\w-]*", section)) <= everywhere
 
 def test_benchmark_tracer_installs(tmp_path):
     # perfbench/spans.py wraps module-level names such as suites.sample_pgg and

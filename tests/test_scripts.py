@@ -132,12 +132,13 @@ def test_potential_parameter_the_config_does_not_take_fails(tmp_path, script):
     ("variance_vs_n.py", ["--trials", 1]),
     ("variance_vs_n.py", ["--trials", 0]),
     ("mu_sweep.py", ["--run-chains", "--csv", "{file}/x.csv"]),
-], ids=["ns=0", "trials=1", "trials=0", "csv-under-a-file"])
+    ("mu_sweep.py", ["--run-chains", "--csv", "{dir}"]),
+], ids=["ns=0", "trials=1", "trials=0", "csv-under-a-file", "csv-is-a-directory"])
 def test_bad_run_argument_exits_2_before_any_output(tmp_path, script, args):
     cfg = write_doc(tmp_path / "cfg.json", config_doc("quadratic"))
     blocker = write_doc(tmp_path / "file", {})
     proc = run_script(script, "--config", cfg,
-                      *(str(arg).format(file=blocker) for arg in args))
+                      *(str(arg).format(file=blocker, dir=tmp_path) for arg in args))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
