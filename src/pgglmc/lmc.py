@@ -16,6 +16,9 @@ generator spawned from (master seed, c), in a fixed order (the init draw when
 the initial law has a positive scale, then per chunk one smoothing block
 followed by one noise block), so the result is identical for any thread
 count.  Fresh draws are taken every iteration, never reused across steps.
+Each thread group draws every chain's smoothing block for a chunk in one
+``sample_pgg`` call, one row per chain's generator; a row consumes what a
+call on that generator alone would, so grouping the calls changes no stream.
 
 The closed-form bounds have one composition, ``bounds_table``: at one config
 it returns the Lemma-3 smoothing drift and the seven itemized Theorem-1
@@ -245,7 +248,9 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         x = _init_states(lcfg.init, center, rngs, indices)
         alive = np.ones(len(indices), dtype=bool)
         # one smoothing block, then one noise block, per chain and chunk,
-        # written into blocks that are reused across chunks
+        # written into blocks that are reused across chunks; one sampler call
+        # draws every chain's smoothing block, each from the chain's generator
+        group = [rngs[c] for c in indices]
         xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
         noise = np.empty((len(indices), chunk, d))
         # Each step's draws are copied into an (n, d, chains) buffer, read as a
@@ -257,10 +262,10 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         k = 0
         while k < steps and not stop.is_set():
             m = min(chunk, steps - k)
-            for i, c in enumerate(indices):
-                if xi is not None:
-                    sample_pgg(spec, rngs[c], size=(m, n), out=xi[i, :m])
-                rngs[c].standard_normal(out=noise[i, :m])
+            if xi is not None:
+                sample_pgg(spec, group, size=(m, n), out=xi[:, :m])
+            for i, rng in enumerate(group):
+                rng.standard_normal(out=noise[i, :m])
             # non-finite intermediates are expected on freshly diverged
             # chains; the step guard handles them
             with np.errstate(over="ignore", invalid="ignore"):

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,13 +59,21 @@ def _check_p(p) -> float:
     return float(p)
 
 
-# Outputs per round of the p != 2 samplers: the round's words and scratch
+# Outputs per round of the 1 < p < 2 sampler: the round's words and scratch
 # (under 1 MB) stay in a per-core cache, and a call's extra memory does not
 # grow with its size.
 _ROUND = 16_384
 # 1 - 2^-53: 2U - (1 - 2^-53) maps numpy's uniforms k 2^-53, k < 2^53, exactly
 # onto the odd multiples of 2^-53 in (-1, 1), a grid symmetric about 0.
 _ONE_MINUS_ULP = 1.0 - 2.0**-53
+# Outputs per round of the p = 1 sampler.  It works in place, keeping one
+# sign byte per output, so its scratch is the size a 16,384-output round of
+# floats would take.  The round size does not change the draws.
+_LAPLACE_ROUND = 131_072
+# The byte of a float64 that holds its sign bit, in this machine's order,
+# and that bit within it.
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0
+_TOP_SIGN = np.uint8(0x80)
 # Layers of the 1 < p < 2 ziggurat; a word's low 8 bits pick one.
 _LAYERS = 256
 # Rejected candidates held before they are completed together: about 2% of
@@ -72,20 +82,32 @@ _LAYERS = 256
 _HELD = 2048
 
 
-def _fill_laplace(rng: np.random.Generator, flat: np.ndarray) -> None:
-    """Laplace(1) draws into the 1-D array flat, one uniform per draw."""
-    scratch = np.empty(min(flat.size, _ROUND))
-    for start in range(0, flat.size, _ROUND):
-        v = flat[start:start + _ROUND]
-        s = scratch[:v.size]
-        rng.random(out=v)
-        v *= 2.0
-        v -= _ONE_MINUS_ULP
-        np.abs(v, out=s)
-        np.subtract(1.0, s, out=s)
-        np.log(s, out=s)
-        # copysign takes only the magnitude of log(1 - |V|) <= 0
-        np.copysign(s, v, out=v)
+def _fill_laplace(rngs, out: np.ndarray) -> None:
+    """Laplace(1) draws into the rows of the 2-D array out, one uniform per draw, in place.
+
+    Row i's uniforms come from rngs[i].  The rounds hold at most
+    _LAPLACE_ROUND outputs: whole rows where they fit, else pieces of one.
+    """
+    rows, cols = out.shape
+    height = max(1, _LAPLACE_ROUND // max(cols, 1))
+    signs = np.empty(min(out.size, _LAPLACE_ROUND), dtype=np.uint8)
+    for r in range(0, rows, height):
+        for c in range(0, cols, _LAPLACE_ROUND):
+            w = out[r:r + height, c:c + _LAPLACE_ROUND]
+            for row, rng in zip(w, rngs[r:r + height]):
+                rng.random(out=row)
+            sign = signs[:w.size].reshape(w.shape)
+            w *= 2.0
+            np.subtract(_ONE_MINUS_ULP, w, out=w)      # -V, exactly
+            np.less(w, 0.0, out=sign.view(np.bool_))
+            np.multiply(sign, _TOP_SIGN, out=sign)     # 0x80 where -V < 0
+            np.abs(w, out=w)
+            np.subtract(1.0, w, out=w)
+            np.log(w, out=w)                           # log(1 - |V|) < 0
+            # its sign bit flipped where -V < 0 is copysign(-log(1 - |V|), V);
+            # top is the byte of each float that holds its sign bit
+            top = w.view(np.uint8)[:, _TOP_BYTE::8]
+            np.bitwise_xor(top, sign, out=top)
 
 
 class _Ziggurat(NamedTuple):
@@ -221,22 +243,50 @@ def _tail(t: _Ziggurat, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _finish(t: _Ziggurat, rng: np.random.Generator, z: np.ndarray, pos: np.ndarray,
-            layer: np.ndarray) -> None:
-    """Complete the candidates z[pos] of the given layers that the fast test rejected.
+def _runs(at: np.ndarray, stride: int) -> list[tuple[int, int]]:
+    """The rows of the sorted flat positions at, as (row, count) per run, in order.
 
-    Each takes one uniform U.  In layer 0 it starts a tail draw, signed as
-    the candidate.  In layer i >= 1 the candidate stands iff f(x_i) + U
-    (f(x_{i+1}) - f(x_i)) < f(|z|); otherwise a fresh word makes a new
-    candidate, which passes the fast test or comes back here.
+    Row i's outputs start at flat position i * stride.
+    """
+    first, last = int(at[0]) // stride, int(at[-1]) // stride
+    if first == last:
+        return [(first, at.size)]
+    row = at // stride
+    cuts = (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()
+    return [(int(row[a]), b - a) for a, b in zip([0] + cuts, cuts + [at.size])]
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The 1-D arrays parts end to end; a lone one as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _finish(t: _Ziggurat, rngs, flat: np.ndarray, stride: int, at: np.ndarray,
+            layer: np.ndarray) -> None:
+    """Complete the candidates flat[at] of the given layers that the fast test rejected.
+
+    Row i's outputs start at flat[i * stride]; at is sorted, so each row's
+    positions come in the order they were drawn.  Each takes one uniform U.
+    In layer 0 it starts a tail draw, signed as the candidate.  In layer
+    i >= 1 the candidate stands iff f(x_i) + U (f(x_{i+1}) - f(x_i)) < f(|z|);
+    otherwise a fresh word makes a new candidate, which passes the fast test
+    or comes back here.  Every pass draws from each row's own generator in
+    the order a one-row call would: its block of U, its tail draws, then its
+    fresh words.
     """
     p = t.p
-    while pos.size:
-        cand = z[pos]
-        u = rng.random(pos.size)
+    while at.size:
+        runs = _runs(at, stride)
+        cand = flat[at]
+        u = _joined([rngs[r].random(k) for r, k in runs])
         base = layer == 0
         if base.any():
-            z[pos[base]] = np.copysign(_tail(t, rng, u[base]), cand[base])
+            start = 0
+            for r, k in runs:
+                b = np.flatnonzero(base[start:start + k]) + start
+                if b.size:
+                    flat[at[b]] = np.copysign(_tail(t, rngs[r], u[b]), cand[b])
+                start += k
         height = np.take(t.f_rise, layer, mode="clip")
         height *= u
         height += np.take(t.f_low, layer, mode="clip")
@@ -244,38 +294,71 @@ def _finish(t: _Ziggurat, rng: np.random.Generator, z: np.ndarray, pos: np.ndarr
         cand **= p
         cand *= -1.0 / p
         np.exp(cand, out=cand)
-        pos = pos[~(base | (height < cand))]
-        k = pos.size
+        at = at[~(base | (height < cand))]
+        k = at.size
+        if not k:
+            break
+        words = _joined([rngs[r].bit_generator.random_raw(m) for r, m in _runs(at, stride)])
         fresh, layer = np.empty(k), np.empty(k, dtype=np.intp)
-        again = _candidates(t, rng.bit_generator.random_raw(k), fresh, layer, np.empty(k))
-        z[pos] = fresh
-        pos, layer = pos[again], layer[again]
+        again = _candidates(t, words, fresh, layer, np.empty(k))
+        flat[at] = fresh
+        at, layer = at[again], layer[again]
 
 
-def _fill_ziggurat(p: float, rng: np.random.Generator, flat: np.ndarray) -> None:
-    """N_p draws at 1 < p < 2 into the 1-D array flat, one 64-bit word per candidate.
+def _fill_ziggurat(p: float, rngs, out: np.ndarray) -> None:
+    """N_p draws at 1 < p < 2 into the rows of the 2-D array out, one 64-bit word per candidate.
 
-    The positions that fail the fast test are held across rounds and
-    completed together once _HELD or more are held, and after the last round.
+    Row i's candidates come from rngs[i], in rounds of at most _ROUND
+    words.  The positions that fail the fast test are held and completed
+    together.  A row's own held positions wait for its next round only while
+    fewer than _HELD are held, as in a one-row call; after its last round
+    they wait for later rows until _HELD or more are held in all, and for
+    the last row.
     """
+    rows, cols = out.shape
+    if not out.size:
+        return
     t = _ziggurat(p)
-    n = min(flat.size, _ROUND)
+    # every row in one 1-D view, row i from flat[i * stride]; the gaps of a
+    # row-strided out lie inside it but are never indexed
+    stride = out.strides[0] // out.itemsize if rows > 1 else cols
+    flat = (out.reshape(-1) if stride == cols else
+            np.lib.stride_tricks.as_strided(out, ((rows - 1) * stride + cols,), (out.itemsize,)))
+    n = min(cols, _ROUND)
     layer, scratch = np.empty(n, dtype=np.intp), np.empty(n)
     held, count = [], 0
-    for start in range(0, flat.size, _ROUND):
-        z = flat[start:start + _ROUND]
-        k = z.size
-        pos = _candidates(t, rng.bit_generator.random_raw(k), z, layer[:k], scratch[:k])
-        held.append((pos + start, layer[pos]))
-        count += pos.size
-        if count >= _HELD or start + k == flat.size:
-            _finish(t, rng, flat, *(np.concatenate(part) for part in zip(*held)))
-            held, count = [], 0
+    for i, (row, rng) in enumerate(zip(out, rngs)):
+        own = 0
+        for start in range(0, cols, _ROUND):
+            z = row[start:start + _ROUND]
+            k = z.size
+            pos = _candidates(t, rng.bit_generator.random_raw(k), z, layer[:k], scratch[:k])
+            if pos.size:
+                held.append((pos + (i * stride + start), layer[pos]))
+            own += pos.size
+            count += pos.size
+            if (count if start + k == cols else own) >= _HELD:
+                _finish(t, rngs, flat, stride, *map(_joined, zip(*held)))
+                held, count, own = [], 0, 0
+    if held:
+        _finish(t, rngs, flat, stride, *map(_joined, zip(*held)))
 
 
-def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None, *,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Draw exact samples from N_p(0, I_d).
+def _size_shape(size) -> tuple[int, ...]:
+    """size as a tuple of counts; ParameterError unless each is an integer >= 0."""
+    dims = () if size is None else (size,) if np.isscalar(size) else size
+    try:
+        shape = tuple(int(s) for s in dims)
+    except (TypeError, ValueError, OverflowError):
+        shape = None
+    if shape is None or any(i < 0 or i != s for i, s in zip(shape, dims)):
+        raise ParameterError(f"size must be None, an integer >= 0 or a tuple of them, "
+                             f"got {size!r}")
+    return shape
+
+
+def sample_pgg(spec: PggSpec, rng, size=None, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Draw exact samples from N_p(0, I_d), from one generator or one row per generator.
 
     Per coordinate, by p:
 
@@ -297,40 +380,53 @@ def sample_pgg(spec: PggSpec, rng: np.random.Generator, size=None, *,
       have the same area, so the draws are exact.  The layers are built once
       per p, by bisection on r.
 
-    Returns shape ``size + (d,)``; a bare ``(d,)`` vector when size is None.
-    With ``out``, a C-contiguous float64 array of exactly that shape, the
-    draws are written into it and it is returned; its values equal those of
-    the allocating call bitwise.  Draws fill the output in C order.  The
-    p != 2 laws work in rounds of at most 16,384 outputs, so the memory a
-    call needs beyond its output is bounded: at p = 1 a round reads its
-    uniforms in order, so the call consumes one block of ``size + (d,)``
-    uniforms; at 1 < p < 2 a round of m outputs reads a block of m words, and
-    the positions whose candidates fail the fast test are held until 2,048
-    or more are, or the output is full, and then completed together: a block
-    of one U each, the tail draws' further uniforms, then a block of fresh
-    words for the rejected wedge candidates, again until none is left.
-    There the number of words consumed depends on the draws, but it is still
-    a pure function of (generator state, size).  Splitting one call into
-    several is NOT stream-equivalent in general.
+    ``rng`` is a generator, or a sequence of R generators.  One generator
+    gives shape ``size + (d,)``, a bare ``(d,)`` vector when size is None;
+    a sequence gives ``(R,) + size + (d,)``: row i is drawn from rng[i]
+    alone, bitwise equal to the one-generator call on rng[i], and leaves
+    rng[i] in the same state.  size is None, an integer >= 0 or a tuple of
+    them, else ``ParameterError``.  With ``out``, a float64 array of exactly
+    the output shape whose rows are C-contiguous and in order (the whole
+    array, for one generator), the draws are written into it and it is
+    returned; its values equal those of the allocating call bitwise.  Each
+    row fills in C order.  The p != 2 laws work in bounded rounds, so the
+    memory a call needs beyond its output does not grow with size or R.  At
+    p = 1 a row reads one uniform per output, in order.  At 1 < p < 2 a
+    round of at most 16,384 outputs reads a block of as many words from its
+    row's generator; the positions whose candidates fail the fast test are
+    held until the row's own reach 2,048 or more, or the row is full, and
+    then completed: from the row's generator a block of one U each, the
+    tail draws' further uniforms, then a block of fresh words for the
+    rejected wedge candidates, again until none is left.  The positions
+    held at a row's end are completed together with later rows', once
+    2,048 or more are held in all.  The number of words consumed depends
+    on the draws, but it is still a pure function of (generator state,
+    size).  Splitting one row into several calls is NOT stream-equivalent
+    in general.
     """
-    if size is None:
-        shape = (spec.d,)
-    elif np.isscalar(size):
-        shape = (int(size), spec.d)
-    else:
-        shape = tuple(int(s) for s in size) + (spec.d,)
+    many = isinstance(rng, Sequence)
+    rngs = list(rng) if many else [rng]
+    shape = _size_shape(size) + (spec.d,)
+    full = (len(rngs),) + shape if many else shape
     if out is None:
-        out = np.empty(shape)
-    elif not (isinstance(out, np.ndarray) and out.shape == shape
-              and out.dtype == np.float64 and out.flags.c_contiguous):
-        raise ParameterError(f"out must be a C-contiguous float64 array of shape {shape}")
+        out = np.empty(full)
+    # the rows share their strides, so the first row's layout is every row's,
+    # and a row must end before the next one starts
+    elif not (isinstance(out, np.ndarray) and out.shape == full and out.dtype == np.float64
+              and (out[0] if many and rngs else out).flags.c_contiguous
+              and (len(rngs) < 2 or out.strides[0] >= out[0].nbytes)):
+        what = (f"a float64 array of shape {full} with C-contiguous rows" if many
+                else f"a C-contiguous float64 array of shape {full}")
+        raise ParameterError(f"out must be {what}")
+    rows = out.reshape(len(rngs), math.prod(shape))
     p = spec.p
     if p == 2.0:
-        return rng.standard_normal(out=out)
-    if p == 1.0:
-        _fill_laplace(rng, out.reshape(-1))
+        for row, g in zip(rows, rngs):
+            g.standard_normal(out=row)
+    elif p == 1.0:
+        _fill_laplace(rngs, rows)
     else:
-        _fill_ziggurat(p, rng, out.reshape(-1))
+        _fill_ziggurat(p, rngs, rows)
     return out
 
 

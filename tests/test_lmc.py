@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,7 +26,7 @@ from pgglmc import (
     run_chain,
     sample_pgg,
 )
-from pgglmc import lmc
+from pgglmc import lmc, pgg
 
 HOST_CORES = lmc._cores
 
@@ -332,20 +333,24 @@ class TestRunChain:
         assert res.evals_total == (6 * fault_step + 3 * (steps - fault_step)) * (n + 1)
 
     @staticmethod
-    def _one_chain_at_a_time(pot, scfg, lcfg):
+    def _one_chain_at_a_time(pot, scfg, lcfg, chunk=None):
         # each chain alone, from its own stream in run_chain's order: the init
-        # draw, then the chunk's smoothing block, then its noise block
+        # draw, then per chunk of `chunk` steps (all of them by default) its
+        # smoothing block, then its noise block
         d, n, mu, p = pot.d, scfg.n, scfg.mu, scfg.p
+        chunk = chunk or lcfg.steps
         root2eta = math.sqrt(2.0 * lcfg.eta)
         finals = []
         for child in np.random.SeedSequence(lcfg.seed).spawn(lcfg.chains):
             rng = np.random.Generator(np.random.PCG64(child))
             x = lcfg.init.center + lcfg.init.scale * rng.standard_normal(d)
-            xi = sample_pgg(PggSpec(p, d), rng, size=(lcfg.steps, n))
-            noise = rng.standard_normal((lcfg.steps, d))
-            for j in range(lcfg.steps):
-                g = grad_estimate_from_draws(pot, mu, p, x, xi[j])
-                x = x - lcfg.eta * g + root2eta * noise[j]
+            for k in range(0, lcfg.steps, chunk):
+                m = min(chunk, lcfg.steps - k)
+                xi = sample_pgg(PggSpec(p, d), rng, size=(m, n))
+                noise = rng.standard_normal((m, d))
+                for j in range(m):
+                    g = grad_estimate_from_draws(pot, mu, p, x, xi[j])
+                    x = x - lcfg.eta * g + root2eta * noise[j]
             finals.append(x)
         return np.stack(finals)
 
@@ -367,6 +372,23 @@ class TestRunChain:
         pot, scfg, lcfg = self._chain_setup(d, p, n=n)
         res = run_chain(pot, scfg, lcfg, threads=threads)
         assert np.array_equal(res.final_states, self._one_chain_at_a_time(pot, scfg, lcfg))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_matches_one_chain_at_a_time_across_chunks(self, p, threads, monkeypatch):
+        # 11 steps in chunks of 4, 4 and 3; with rounds of 7 draws and
+        # completions from 2 held positions, the ziggurat completes rows both
+        # mid-row and together with later rows, and each chain's stream
+        # must still be its smoothing block, then its noise block, per chunk
+        d, n, chains = 3, 16, 5
+        monkeypatch.setattr(lmc, "_CHUNK_ELEMS", 4 * chains * n * d + 1)
+        monkeypatch.setattr(pgg, "_ROUND", 7)
+        monkeypatch.setattr(pgg, "_HELD", 2)
+        pot, scfg, lcfg = self._chain_setup(d, p, n=n)
+        lcfg = dataclasses.replace(lcfg, steps=11)
+        res = run_chain(pot, scfg, lcfg, threads=threads)
+        ref = self._one_chain_at_a_time(pot, scfg, lcfg, chunk=4)
+        assert np.array_equal(res.final_states, ref)
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

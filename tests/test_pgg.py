@@ -228,8 +228,8 @@ class TestSampling:
         rng = np.random.default_rng(7)
         v = 2.0 * rng.random((5, 2)) - (1.0 - 2.0**-53)
         want = np.copysign(-np.log(1.0 - np.abs(v)), v)
-        for rnd in (3, 16_384):
-            with patch.object(pgg, "_ROUND", rnd):
+        for rnd in (3, 131_072):
+            with patch.object(pgg, "_LAPLACE_ROUND", rnd):
                 got = sample_pgg(PggSpec(1.0, 2), np.random.default_rng(7), size=5)
             assert np.array_equal(got, want)
 
@@ -295,19 +295,78 @@ class TestSampling:
         q = [pgg._gamma_q(float(s), float(xi)) for xi in x]
         np.testing.assert_allclose(q, gammaincc(s, x), rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("p, rows", [(1.0, 200_000), (1.5, 200_000), (1.5, 1_000_000)])
-    def test_scratch_is_bounded(self, p, rows):
+    @pytest.mark.parametrize("p, rows, gens", [
+        pytest.param(1.0, 200_000, None, id="1.0-200000"),
+        pytest.param(1.5, 200_000, None, id="1.5-200000"),
+        pytest.param(1.5, 1_000_000, None, id="1.5-1000000"),
+        pytest.param(1.0, 1_000, 200, id="1.0-1000-rows200"),
+        pytest.param(1.5, 1_000, 200, id="1.5-1000-rows200"),
+        pytest.param(1.0, 1_000, 1_000, id="1.0-1000-rows1000"),
+        pytest.param(1.5, 1_000, 1_000, id="1.5-1000-rows1000"),
+        pytest.param(1.5, 1, 20_000, id="1.5-1-rows20000"),
+        pytest.param(2.0, 1_000, 1_000, id="2.0-1000-rows1000"),
+    ])
+    def test_scratch_is_bounded(self, p, rows, gens):
         # the draws work in bounded rounds, so filling an 8 MB or a 40 MB
-        # output takes a fixed amount of scratch, not a full-size temporary
-        buf = np.empty((rows, 5))
-        rng = np.random.default_rng(0)
+        # output takes a fixed amount of scratch, not a full-size temporary,
+        # and one row per generator adds none per row: 200 or 1,000 rows of
+        # 5,000 draws, or 20,000 rows of 5 whose held positions span many rows
+        rngs = np.random.default_rng(0) if gens is None else [
+            np.random.default_rng(i) for i in range(gens)]
+        buf = np.empty((rows, 5) if gens is None else (gens, rows, 5))
         tracemalloc.start()
         try:
-            sample_pgg(PggSpec(p, 5), rng, size=rows, out=buf)
+            sample_pgg(PggSpec(p, 5), rngs, size=rows, out=buf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0])
+    @pytest.mark.parametrize("rnd, held, laplace", [(7, 2, 7), (16_384, 2048, 131_072)])
+    def test_each_row_is_its_generators_call(self, p, rnd, held, laplace):
+        # one row per generator, bitwise the one-generator call on it, which
+        # leaves it in the same state; also into the rows of a row-strided
+        # out, as run_chain's last, partial chunk passes xi[:, :m].  Rounds of
+        # 7 words and completions from 2 held positions complete rows mid-row
+        # and across rows; 6 rows of 12,000 draws take tail draws at 1 < p < 2.
+        # At p = 1 the rounds cut rows into pieces of 7, or take all 6 at once
+        spec = PggSpec(p, 3)
+        with patch.object(pgg, "_ROUND", rnd), patch.object(pgg, "_HELD", held), \
+                patch.object(pgg, "_LAPLACE_ROUND", laplace):
+            alone = [np.random.default_rng(s) for s in range(6)]
+            want = np.stack([sample_pgg(spec, g, size=(1000, 4)) for g in alone])
+            rngs = [np.random.default_rng(s) for s in range(6)]
+            got = sample_pgg(spec, rngs, size=(1000, 4))
+            strided = tuple(np.random.default_rng(s) for s in range(6))
+            buf = np.full((6, 1500, 4, 3), np.nan)
+            out = sample_pgg(spec, strided, size=(1000, 4), out=buf[:, :1000])
+        assert got.shape == (6, 1000, 4, 3) and np.array_equal(got, want)
+        assert out.base is buf and np.array_equal(out, want)
+        assert np.isnan(buf[:, 1000:]).all()
+        for gens in zip(alone, rngs, strided):
+            assert len({g.random() for g in gens}) == 1
+
+    def test_generator_rows_shapes(self):
+        spec = PggSpec(1.5, 3)
+        gens = [np.random.default_rng(i) for i in range(2)]
+        assert sample_pgg(spec, gens).shape == (2, 3)
+        assert sample_pgg(spec, gens, size=4).shape == (2, 4, 3)
+        assert sample_pgg(spec, [], size=4).shape == (0, 4, 3)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_empty_sizes(self, p):
+        rng = np.random.default_rng(0)
+        assert sample_pgg(PggSpec(p, 3), rng, size=0).shape == (0, 3)
+        assert sample_pgg(PggSpec(p, 3), rng, size=(2, 0)).shape == (2, 0, 3)
+        # an integral float counts
+        assert sample_pgg(PggSpec(p, 3), rng, size=2.0).shape == (2, 3)
+
+    @pytest.mark.parametrize("size", [-1, 2.5, (2, -1), (2, 2.5), math.nan, math.inf, "3", [[2]]])
+    def test_bad_size_rejected(self, size):
+        # size=2.5 used to draw 2 rows, and size=-1 raised numpy's ValueError
+        with pytest.raises(ParameterError, match="size"):
+            sample_pgg(PggSpec(1.5, 3), np.random.default_rng(0), size=size)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("size", [None, 4, (3, 5)])
@@ -329,6 +388,16 @@ class TestSampling:
     def test_bad_out_rejected(self, out):
         with pytest.raises(ParameterError, match="out"):
             sample_pgg(PggSpec(1.5, 3), np.random.default_rng(0), size=4, out=out)
+
+    @pytest.mark.parametrize("out", [
+        np.empty((2, 4, 2)), np.empty((3, 4, 3)), np.empty((2, 4, 6))[:, :, ::2],
+        np.empty((2, 3, 4)).transpose(0, 2, 1), np.empty((2, 4, 3))[::-1],
+        np.empty((2, 4, 3), dtype=np.float32),
+    ], ids=["shape", "rows", "strided", "transposed", "reversed", "dtype"])
+    def test_bad_row_out_rejected(self, out):
+        gens = [np.random.default_rng(i) for i in range(2)]
+        with pytest.raises(ParameterError, match="out"):
+            sample_pgg(PggSpec(1.5, 3), gens, size=4, out=out)
 
     def test_gaussian_recipe_structure(self):
         # p = 2: one standard_normal block

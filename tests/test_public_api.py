@@ -165,6 +165,9 @@ def test_benchmark_tracer_installs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     spans = set(json.loads(proc.stdout))
     assert {"lmc.run_chain", "transport.w2_to_gaussian"} <= spans, spans
+    # run_chain draws each group's smoothing blocks through the wrapped
+    # lmc.sample_pgg, or the benchmark's pgg layer reads 0
+    assert "pgg.sample_pgg" in spans, spans
     # at d = 2 the W2 check builds a cost matrix and solves it through the
     # wrapped transport names, or transport.cost_matrix_s and solve_s read 0
     assert {"transport.cdist", "transport.linear_sum_assignment"} <= spans, spans
