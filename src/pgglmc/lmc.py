@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ParameterError, StepSizeError
 from .potentials import (RegularizedPotential, _sq_norm, lemma1_gap_bound, max_step_size,
                          perturbation_scale_a, smoothness_constant_M)
-from .smoothing import SmoothingConfig, grad_estimate_from_draws
+from .smoothing import SmoothingConfig, _rows_innermost, grad_estimate_from_draws
 from .pgg import PggSpec, sample_pgg
 
 __all__ = [
@@ -217,7 +217,9 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     max(1, min(threads, chains // 2, cores)) groups, cores being the CPUs
     this process may run on, each run on a worker thread; the cap assumes a
     CPU-bound black box, and every group holds at least two chains unless
-    the run has only one, so the results do not depend on ``threads``.  An
+    the run has only one, so the results do not depend on ``threads``.  When
+    one step's draws exceed the draw budget, each group steps its chains in
+    consecutive batches of two or more, which changes no result either.  An
     interrupt or an exception in one group stops every other group at its
     next chunk.
     """
@@ -235,8 +237,15 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     children = np.random.SeedSequence(lcfg.seed).spawn(chains)
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in children]
 
-    per_step = chains * d * (1 if exact_gradient else n)
-    chunk = max(1, min(steps, _CHUNK_ELEMS // max(1, per_step))) if steps else 1
+    per_chain = d * (1 if exact_gradient else n)
+    chunk = max(1, min(steps, _CHUNK_ELEMS // (chains * per_chain))) if steps else 1
+    groups = np.array_split(np.arange(chains), _chain_groups(threads, chains))
+    # Chains a group steps at once: all of them, unless one step's draws exceed
+    # the budget.  Then each group steps consecutive batches whose one-step
+    # blocks fit the budget together, of two chains at the least, as a group
+    # is (see _chain_groups); a chain draws the same either way.
+    batch = (chains if chains * per_chain <= _CHUNK_ELEMS
+             else max(2, _CHUNK_ELEMS // (len(groups) * per_chain)))
     slots = steps // thin if thin else 0
 
     final = np.empty((chains, d))
@@ -253,10 +262,10 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         group = [rngs[c] for c in indices]
         xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
         noise = np.empty((len(indices), chunk, d))
-        # Each step's draws are copied into an (n, d, chains) buffer, read as a
-        # (chains, n, d) view: numpy's inner loops then run over the chains, not
+        # Each step's draws are copied into a (chains, n, d) buffer held chain
+        # axis innermost: numpy's inner loops then run over the chains, not
         # over d coordinates, and the state is (d, chains) memory to match.
-        xi_view = None if xi is None else np.empty((n, d, len(indices))).transpose(2, 0, 1)
+        xi_view = None if xi is None else _rows_innermost((len(indices), n, d))
         x = np.asfortranarray(x)
         work = None if xi_view is None else np.empty_like(xi_view)  # points, then summands
         k = 0
@@ -288,10 +297,14 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             k += m
         final[indices] = x
 
-    groups = np.array_split(np.arange(chains), _chain_groups(threads, chains))
+    def advance_group(group: np.ndarray) -> None:
+        batches = max(1, min(len(group) // 2, -(-len(group) // batch)))
+        for indices in np.array_split(group, batches):
+            advance(indices)
+
     with ThreadPoolExecutor(max_workers=len(groups)) as pool:
         try:
-            for done in as_completed([pool.submit(advance, g) for g in groups]):
+            for done in as_completed([pool.submit(advance_group, g) for g in groups]):
                 done.result()
         except BaseException:
             # Ctrl-C, or the first group to fail: the others stop at their next chunk

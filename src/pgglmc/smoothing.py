@@ -103,25 +103,44 @@ def hadamard_weight(xi: np.ndarray, p: float, out: np.ndarray | None = None) -> 
     return np.copysign(w, xi, out=w)
 
 
-# Draw bytes per block in _by_row_blocks: small enough that a block's draws and
-# its few same-sized temporaries stay in a per-core cache.
+def _rows_innermost(shape: tuple) -> np.ndarray:
+    """An empty float array of ``shape`` whose first (row) axis is innermost in memory.
+
+    A (rows, n, d) block is then (n, d, rows) memory, so numpy's inner loops
+    run over the rows rather than over the d coordinates, and a reduction
+    over the draw axis n adds its draws in order at every d.
+    """
+    return np.moveaxis(np.empty(tuple(shape[1:]) + tuple(shape[:1])), -1, 0)
+
+
+# Bytes per block in _by_row_blocks: small enough that a block and its few
+# same-sized temporaries stay in a per-core cache.
 _BLOCK_BYTES = 1 << 18
 
 
-def _by_row_blocks(fn, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """fn applied to consecutive cache-sized blocks of rows, stacked along axis 0.
+def _by_row_blocks(fn, rows: np.ndarray, out: np.ndarray | None = None, *,
+                   row_bytes: int | None = None) -> np.ndarray:
+    """fn(block, work) on consecutive cache-sized blocks of rows, stacked along axis 0.
 
-    fn must act on each row independently, so the result is bitwise the
-    one-call result fn(rows); callers reduce over rows themselves.  The
-    result is written into ``out`` when given, which may be rows itself: a
-    block is read before its result is written.
+    Each block is copied into a reused buffer of ``_rows_innermost`` layout;
+    ``work`` is a reused buffer of the block's shape and layout.  fn may
+    overwrite both, and must act on each row independently; callers reduce
+    over rows themselves.  A block holds ``_BLOCK_BYTES`` at ``row_bytes`` a
+    row (a row's own bytes by default).  The result is written into ``out``
+    when given, which may be rows itself: a block is read before its result
+    is written.
     """
-    step = max(1, _BLOCK_BYTES // rows[0].nbytes)
+    step = min(len(rows), max(1, _BLOCK_BYTES // (row_bytes or rows[0].nbytes)))
+    buf = _rows_innermost((step,) + rows.shape[1:])
+    work = np.empty_like(buf)
     for start in range(0, len(rows), step):
-        block = fn(rows[start:start + step])
+        src = rows[start:start + step]
+        block = buf[:len(src)]
+        np.copyto(block, src)
+        res = fn(block, work[:len(src)])
         if out is None:
-            out = np.empty((len(rows),) + block.shape[1:], dtype=block.dtype)
-        out[start:start + step] = block
+            out = np.empty((len(rows),) + res.shape[1:], dtype=res.dtype)
+        out[start:start + step] = res
     return out
 
 
@@ -149,12 +168,14 @@ def _two_point(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
     The points x + mu*xi are built in ``work``, an array of xi's shape (a
     fresh one when None), where x broadcasts into the draws' shape, and at
     p < 2 the weight then overwrites them; the coefficients are built in
-    place.  The arithmetic is that of (U(x + mu*xi) - U(x)) / mu.
+    place.  Points that outgrow the draws' shape, many x against shared
+    draws, get a fresh C-order array, whatever x's layout.  The arithmetic is
+    that of (U(x + mu*xi) - U(x)) / mu.
     """
     base = pot.value(x)
     y = np.multiply(mu, xi, out=work)
     fits = np.broadcast_shapes(y.shape, x[..., None, :].shape) == y.shape
-    y = np.add(y, x[..., None, :], out=y if fits else None)
+    y = np.add(y, x[..., None, :], out=y) if fits else np.add(y, x[..., None, :], order="C")
     coef = pot.value(y)
     coef -= base[..., None]
     coef /= mu
@@ -214,7 +235,8 @@ def smoothed_gradient_reference(pot: RegularizedPotential, mu: float, p: float,
     variance and takes no draws.  Otherwise the reference is the mean of the
     gradient-identity summands over m >= 2 draws, with the variance of that
     mean; it has no batch size.  The summands are evaluated in cache-sized
-    row blocks and written over their draws, then reduced over all m at once.
+    row blocks, draw axis innermost, and written back over their draws in C
+    order, then reduced over all m at once.
     """
     if m < 2:
         raise ParameterError(f"reference draw count must be >= 2, got {m}")
@@ -224,9 +246,9 @@ def smoothed_gradient_reference(pot: RegularizedPotential, mu: float, p: float,
         return pot.smoothed_grad(x), np.zeros(pot.d)
     xi = sample_pgg(spec, rng, size=m)
 
-    def summands_of(block):
-        coef, w = _two_point(pot, mu, spec.p, x, block)
-        return coef[:, None] * w
+    def summands_of(block, work):
+        coef, w = _two_point(pot, mu, spec.p, x, block, work)
+        return np.multiply(coef[:, None], w, out=w)
 
     summands = _by_row_blocks(summands_of, xi, out=xi)
     return summands.mean(axis=0), summands.var(axis=0, ddof=1) / m
@@ -244,9 +266,11 @@ def measure_bias_variance(pot: RegularizedPotential, mu: float, p: float, x: np.
     empirical statistics; stochastic assertions downstream use 4 of them.
 
     The trials are estimated in cache-sized blocks of rows of the one
-    ``(trials, n, d)`` draw block, and the statistics reduce over all trials
-    at once, so the report is bitwise the one that a single whole-block call
-    gives.  Each block evaluates U_bar(x) once more.
+    ``(trials, n, d)`` draw block, each held trial axis innermost as
+    ``run_chain`` holds its chains, so the draw-axis sum adds the n draws in
+    order at every d.  The statistics reduce over all trials at once, so the
+    report is bitwise the one that a single whole-block call gives.  Each
+    block evaluates U_bar(x) once more.
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
@@ -261,7 +285,8 @@ def _bias_variance(pot, cfg, x, trials, rng, reference) -> BiasVarianceReport:
     d, p = pot.d, cfg.p
     xi = sample_pgg(PggSpec(p, d), rng, size=(trials, cfg.n))
     # (trials, d)
-    g = _by_row_blocks(lambda block: grad_estimate_from_draws(pot, cfg.mu, p, x, block), xi)
+    g = _by_row_blocks(lambda block, work: grad_estimate_from_draws(pot, cfg.mu, p, x, block,
+                                                                    work=work), xi)
     gbar = g.mean(axis=0)
     gvar = g.var(axis=0, ddof=1)  # per-coordinate
 

@@ -19,7 +19,8 @@ from .errors import ParameterError
 from .lmc import InitSpec, LmcConfig, bounds_table, run_chain
 from .pgg import PggSpec, pgg_norm_moment, pgg_sq_norm_moment_bound, sample_pgg
 from .potentials import get_potential, lemma1_gap_envelope, regularize, smoothness_constant_M
-from .smoothing import SmoothingConfig, _two_point, measure_bias_variance, smoothed_value_mc
+from .smoothing import (SmoothingConfig, _by_row_blocks, _two_point, hadamard_weight,
+                        measure_bias_variance, smoothed_value_mc)
 from .transport import w2_exact_1d, w2_exact_assignment, w2_to_gaussian
 
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suites",
@@ -108,7 +109,9 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000) -> SuiteResult:
             for order in orders:
                 vals = norms**order
                 mc = float(vals.mean())
-                var = (float(vals @ vals) - draws * mc * mc) / (draws - 1)
+                # einsum's one-thread sum, not BLAS's dot, whose order moves
+                # with its thread count
+                var = (float(np.einsum("i,i->", vals, vals)) - draws * mc * mc) / (draws - 1)
                 se = math.sqrt(var / draws)
                 exact = pgg_norm_moment(spec, order)
                 result.checks.append(Check(
@@ -195,10 +198,15 @@ def suite_lemma1(seed: int = 1002) -> SuiteResult:
                 delta = np.linalg.norm(pot.smoothed_grad(x) - pot.smoothed_grad(y), axis=1)
                 tol = np.full(pairs, 1e-9)
             else:
-                # shared draws make differences of references nearly noise-free
+                # shared draws make differences of references nearly noise-free;
+                # the (pairs, m) coefficients are built a few pairs at a time,
+                # whose (pairs, m, d) points fit a cache-sized block
                 xi = sample_pgg(spec, rng, size=lipschitz_draws)
-                coef_x, w = _two_point(pot, mu, p, x, xi)      # (pairs, m), (m, d)
-                coef_y, _ = _two_point(pot, mu, p, y, xi)
+                coef_x, coef_y = (
+                    _by_row_blocks(lambda block, _: _two_point(pot, mu, p, block, xi)[0],
+                                   points, row_bytes=xi.nbytes)
+                    for points in (x, y))
+                w = hadamard_weight(xi, p)                      # (m, d)
                 delta = np.linalg.norm(coef_x @ w / lipschitz_draws
                                        - coef_y @ w / lipschitz_draws, axis=1)
                 wsq = np.sum(w * w, axis=1)

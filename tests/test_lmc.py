@@ -415,6 +415,38 @@ class TestRunChain:
         many = run_chain(pot, scfg, lcfg, threads=threads)
         assert np.array_equal(many.final_states, one.final_states)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_steps_in_batches_when_one_step_exceeds_the_budget(self, d, threads, monkeypatch):
+        # a budget of three chains' one-step draws, below the seven chains'
+        # step: one group steps batches of 3, 2 and 2 chains, and three groups
+        # one batch each; every chain must still reach the bits of the run
+        # whose budget is one step, its divergence step included (both draw
+        # in one-step chunks, so each chain's stream is the same)
+        def value(x):
+            sq = np.sum(np.square(x), axis=-1)
+            return np.where(sq < 4.0, 0.5 * sq, np.inf)
+
+        pot = regularize(Potential(name="cliff", d=d, L=1.0, alpha=1.0, value=value), 0.5)
+        scfg = SmoothingConfig(mu=0.05, n=9, p=1.5)
+        lcfg = LmcConfig(eta=0.25, steps=25, chains=7, init=InitSpec(scale=1.0), seed=3)
+        monkeypatch.setattr(lmc, "_CHUNK_ELEMS", lcfg.chains * scfg.n * d)
+        whole = run_chain(pot, scfg, lcfg, thin=5, threads=threads)
+        budget = 3 * scfg.n * d
+        monkeypatch.setattr(lmc, "_CHUNK_ELEMS", budget)
+        sizes = []
+
+        def spy(spec, rngs, size, out):
+            sizes.append(out.size)
+            return sample_pgg(spec, rngs, size=size, out=out)
+
+        monkeypatch.setattr(lmc, "sample_pgg", spy)
+        batched = run_chain(pot, scfg, lcfg, thin=5, threads=threads)
+        assert sizes and max(sizes) <= budget
+        assert whole.diverged.any() and not whole.diverged.all()
+        for name in ("final_states", "trajectory", "divergence_step", "evals_total"):
+            assert np.array_equal(getattr(batched, name), getattr(whole, name)), name
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             LmcConfig(eta=-0.1, steps=1, chains=1, seed=0)

@@ -516,3 +516,52 @@ class TestRowBlocks:
                                             np.random.default_rng(22))
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)
+
+
+class TestChainInnermostHarness:
+    """The harness evaluates its draw blocks trial axis innermost, as run_chain holds its chains."""
+
+    mu = 0.2
+
+    def estimates(self, monkeypatch, pot, p, x, n, trials):
+        # measure_bias_variance's (trials, n, d) draw block and its (trials, d)
+        # estimates, caught at the row-block driver
+        seen = []
+        real = smoothing._by_row_blocks
+
+        def spy(fn, rows, out=None, **kwargs):
+            res = real(fn, rows, out, **kwargs)
+            seen.append((rows, res))
+            return res
+
+        monkeypatch.setattr(smoothing, "_by_row_blocks", spy)
+        measure_bias_variance(pot, self.mu, p, x, [n], trials, np.random.default_rng(23))
+        return seen[-1]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("name,params", [("power", {"alpha": 0.5}), ("l1", {}),
+                                             ("huber", {"delta": 0.5})])
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_estimates_are_the_estimator_on_the_draw_block(self, d, name, params, p,
+                                                           monkeypatch):
+        pot = regularize(get_potential(name, d, **params), 0.5)
+        x = np.linspace(-0.8, 0.6, d)
+        n = 9  # at n >= 8 numpy sums a contiguous draw axis pairwise
+        # two full trial blocks and a partial last one
+        trials = 2 * (smoothing._BLOCK_BYTES // (n * d * 8)) + 7
+        xi, g = self.estimates(monkeypatch, pot, p, x, n, trials)
+        assert xi.shape == (trials, n, d) and g.shape == (trials, d)
+        on_c_block = grad_estimate_from_draws(pot, self.mu, p, x, xi)
+        if d >= 2:
+            assert np.array_equal(g, on_c_block)
+            return
+        # at d = 1 the draws are added in order, as run_chain adds them
+        summands = ((pot.value(x + self.mu * xi) - pot.value(x))[..., None] / self.mu
+                    * hadamard_weight(xi, p))
+        in_order = summands[:, 0].copy()
+        for j in range(1, n):
+            in_order += summands[:, j]
+        assert np.array_equal(g, in_order / n)
+        # where the contiguous C block sums them pairwise
+        assert not np.array_equal(g, on_c_block)
+        assert np.abs(g - on_c_block).max() <= 2e-15

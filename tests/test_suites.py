@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,6 +64,24 @@ class TestMomentSuite:
         after = p2_values()
         assert len(before) == 9
         assert after == before
+
+    def test_checks_do_not_move_with_the_blas_thread_count(self):
+        # a BLAS dot splits its sum across its threads, so a variance taken
+        # with one read differently at 1 and 2 threads
+        code = ("import json\nfrom pgglmc.suites import suite_moments\n"
+                "print(json.dumps([c.to_dict() for c in suite_moments(draws=200_000).checks]))")
+
+        def checks(threads):
+            env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                       OPENBLAS_NUM_THREADS=str(threads))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        one = checks(1)
+        assert len(one) == 60
+        assert checks(2) == one
 
 
 class TestDispatch:
