@@ -16,7 +16,7 @@ generator spawned from (master seed, c), in a fixed order (the init draw when
 the initial law has a positive scale, then per chunk one smoothing block
 followed by one noise block), so the result is identical for any thread
 count.  Fresh draws are taken every iteration, never reused across steps.
-Each thread group draws every chain's smoothing block for a chunk in one
+Each block of chains draws every chain's smoothing block for a chunk in one
 ``sample_pgg`` call, one row per chain's generator; a row consumes what a
 call on that generator alone would, so grouping the calls changes no stream.
 
@@ -28,7 +28,6 @@ terms, with the minimizer x* and the second-moment constant C taken as 0.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -41,7 +40,7 @@ from .errors import ParameterError, StepSizeError
 from .potentials import (RegularizedPotential, _sq_norm, lemma1_gap_bound, max_step_size,
                          perturbation_scale_a, smoothness_constant_M)
 from .smoothing import SmoothingConfig, _rows_innermost, grad_estimate_from_draws
-from .pgg import PggSpec, sample_pgg
+from .pgg import PggSpec, _check_count, sample_pgg
 
 __all__ = [
     "InitSpec",
@@ -93,12 +92,7 @@ class LmcConfig:
             raise ParameterError(f"step size must be > 0, got {self.eta}")
         for name, what, low in (("steps", "step count", 0), ("chains", "chain count", 1),
                                 ("seed", "seed", 0)):
-            value = getattr(self, name)
-            # an int past the float range is integral too; float() would overflow on it
-            if not (value >= low and (isinstance(value, numbers.Integral)
-                                      or float(value).is_integer())):
-                raise ParameterError(f"{what} must be an integer >= {low}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _check_count(getattr(self, name), what, low))
 
 
 @dataclass
@@ -175,12 +169,12 @@ def _cores() -> int:
 
 
 def _chain_groups(threads: int, chains: int) -> int:
-    """How many thread groups run_chain splits ``chains`` chains into at ``threads``.
+    """How many worker threads run_chain runs ``chains`` chains on at ``threads``.
 
-    A CPU-bound black box gains nothing from more groups than cores, and no
-    group holds a single chain unless the run has only one: at d = 1 a
-    one-chain group's draw axis is contiguous, so numpy would sum it
-    pairwise where a larger group sums it in order, and the group count
+    A CPU-bound black box gains nothing from more workers than cores, and no
+    block of chains holds a single chain unless the run has only one: at
+    d = 1 a one-chain block's draw axis is contiguous, so numpy would sum it
+    pairwise where a larger block sums it in order, and the worker count
     would change the results.
     """
     return max(1, min(threads, chains // 2, _cores()))
@@ -213,15 +207,16 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     ``evals_total`` counts potential evaluations, (n + 1) per live chain per
     step in estimator mode and 0 in exact-gradient ablation mode.
     With ``thin``, every ``thin``-th state is kept as the trajectory;
-    without it, no trajectory is stored.  The chains are split into
-    max(1, min(threads, chains // 2, cores)) groups, cores being the CPUs
-    this process may run on, each run on a worker thread; the cap assumes a
-    CPU-bound black box, and every group holds at least two chains unless
-    the run has only one, so the results do not depend on ``threads``.  When
-    one step's draws exceed the draw budget, each group steps its chains in
-    consecutive batches of two or more, which changes no result either.  An
-    interrupt or an exception in one group stops every other group at its
-    next chunk.
+    without it, no trajectory is stored.  The chains run on
+    max(1, min(threads, chains // 2, cores)) worker threads, cores being the
+    CPUs this process may run on; the cap assumes a CPU-bound black box.
+    They are split once into blocks, one per worker unless the workers'
+    one-step draws exceed the draw budget together, and then into more
+    blocks, whose one-step draws fit it together where two-chain blocks
+    allow it.  Every block holds at least two chains unless the run has
+    only one, so the results depend on neither ``threads`` nor the budget.
+    An interrupt or an exception in one block stops every other block at
+    its next chunk.
     """
     d = pot.d
     spec = PggSpec(scfg.p, d)
@@ -239,13 +234,13 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
 
     per_chain = d * (1 if exact_gradient else n)
     chunk = max(1, min(steps, _CHUNK_ELEMS // (chains * per_chain))) if steps else 1
-    groups = np.array_split(np.arange(chains), _chain_groups(threads, chains))
-    # Chains a group steps at once: all of them, unless one step's draws exceed
-    # the budget.  Then each group steps consecutive batches whose one-step
-    # blocks fit the budget together, of two chains at the least, as a group
-    # is (see _chain_groups); a chain draws the same either way.
-    batch = (chains if chains * per_chain <= _CHUNK_ELEMS
-             else max(2, _CHUNK_ELEMS // (len(groups) * per_chain)))
+    workers = _chain_groups(threads, chains)
+    # Blocks of chains, each stepped at once on a worker: one per worker,
+    # unless the workers' one-step draws exceed the budget together; then
+    # more, smaller blocks, of two chains at the least, as _chain_groups
+    # keeps them.  A chain draws the same in any block.
+    blocks = np.array_split(np.arange(chains), max(workers, min(
+        chains // 2, -(-chains * per_chain * workers // _CHUNK_ELEMS))))
     slots = steps // thin if thin else 0
 
     final = np.empty((chains, d))
@@ -254,32 +249,35 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     stop = threading.Event()
 
     def advance(indices: np.ndarray) -> None:
+        rows = len(indices)
         x = _init_states(lcfg.init, center, rngs, indices)
-        alive = np.ones(len(indices), dtype=bool)
+        alive = np.ones(rows, dtype=bool)
         # one smoothing block, then one noise block, per chain and chunk,
-        # written into blocks that are reused across chunks; one sampler call
-        # draws every chain's smoothing block, each from the chain's generator
-        group = [rngs[c] for c in indices]
-        xi = None if exact_gradient else np.empty((len(indices), chunk, n, d))
-        noise = np.empty((len(indices), chunk, d))
+        # written into buffers that are reused across chunks; one sampler call
+        # draws every chain's smoothing block, each from the chain's generator,
+        # into the C-contiguous front of one flat buffer
+        gens = [rngs[c] for c in indices]
+        buf = None if exact_gradient else np.empty(rows * chunk * n * d)
+        noise = np.empty((rows, chunk, d))
         # Each step's draws are copied into a (chains, n, d) buffer held chain
         # axis innermost: numpy's inner loops then run over the chains, not
         # over d coordinates, and the state is (d, chains) memory to match.
-        xi_view = None if xi is None else _rows_innermost((len(indices), n, d))
+        xi_view = None if buf is None else _rows_innermost((rows, n, d))
         x = np.asfortranarray(x)
         work = None if xi_view is None else np.empty_like(xi_view)  # points, then summands
         k = 0
         while k < steps and not stop.is_set():
             m = min(chunk, steps - k)
-            if xi is not None:
-                sample_pgg(spec, group, size=(m, n), out=xi[:, :m])
-            for i, rng in enumerate(group):
+            if buf is not None:
+                xi = sample_pgg(spec, gens, size=(m, n),
+                                out=buf[:rows * m * n * d].reshape(rows, m, n, d))
+            for i, rng in enumerate(gens):
                 rng.standard_normal(out=noise[i, :m])
             # non-finite intermediates are expected on freshly diverged
             # chains; the step guard handles them
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(m):
-                    if xi is not None:
+                    if buf is not None:
                         np.copyto(xi_view, xi[:, j])
                     cand, bad = _step(pot, scfg, lcfg.eta, x, xi_view, noise[:, j], work)
                     step_no = k + j + 1
@@ -297,17 +295,12 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
             k += m
         final[indices] = x
 
-    def advance_group(group: np.ndarray) -> None:
-        batches = max(1, min(len(group) // 2, -(-len(group) // batch)))
-        for indices in np.array_split(group, batches):
-            advance(indices)
-
-    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            for done in as_completed([pool.submit(advance_group, g) for g in groups]):
+            for done in as_completed([pool.submit(advance, b) for b in blocks]):
                 done.result()
         except BaseException:
-            # Ctrl-C, or the first group to fail: the others stop at their next chunk
+            # Ctrl-C, or the first block to fail: the others stop at their next chunk
             stop.set()
             raise
 

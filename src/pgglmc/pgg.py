@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -47,9 +48,7 @@ class PggSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_p(self.p))
-        if not (self.d >= 1 and float(self.d).is_integer()):
-            raise ParameterError(f"d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _check_count(self.d, "d"))
 
 
 def _check_p(p) -> float:
@@ -57,6 +56,14 @@ def _check_p(p) -> float:
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2], got {p}")
     return float(p)
+
+
+def _check_count(value, what: str, low: int = 1) -> int:
+    """value as an int; ParameterError unless it is an integer >= low (an integral float counts)."""
+    # an int past the float range is integral too; float() would overflow on it
+    if not (value >= low and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ParameterError(f"{what} must be an integer >= {low}, got {value}")
+    return int(value)
 
 
 # Outputs per round of the 1 < p < 2 sampler: the round's words and scratch
@@ -243,15 +250,15 @@ def _tail(t: _Ziggurat, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _runs(at: np.ndarray, stride: int) -> list[tuple[int, int]]:
+def _runs(at: np.ndarray, cols: int) -> list[tuple[int, int]]:
     """The rows of the sorted flat positions at, as (row, count) per run, in order.
 
-    Row i's outputs start at flat position i * stride.
+    Row i's outputs start at flat position i * cols.
     """
-    first, last = int(at[0]) // stride, int(at[-1]) // stride
+    first, last = int(at[0]) // cols, int(at[-1]) // cols
     if first == last:
         return [(first, at.size)]
-    row = at // stride
+    row = at // cols
     cuts = (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()
     return [(int(row[a]), b - a) for a, b in zip([0] + cuts, cuts + [at.size])]
 
@@ -261,11 +268,11 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _finish(t: _Ziggurat, rngs, flat: np.ndarray, stride: int, at: np.ndarray,
+def _finish(t: _Ziggurat, rngs, flat: np.ndarray, cols: int, at: np.ndarray,
             layer: np.ndarray) -> None:
     """Complete the candidates flat[at] of the given layers that the fast test rejected.
 
-    Row i's outputs start at flat[i * stride]; at is sorted, so each row's
+    Row i's outputs start at flat[i * cols]; at is sorted, so each row's
     positions come in the order they were drawn.  Each takes one uniform U.
     In layer 0 it starts a tail draw, signed as the candidate.  In layer
     i >= 1 the candidate stands iff f(x_i) + U (f(x_{i+1}) - f(x_i)) < f(|z|);
@@ -276,7 +283,7 @@ def _finish(t: _Ziggurat, rngs, flat: np.ndarray, stride: int, at: np.ndarray,
     """
     p = t.p
     while at.size:
-        runs = _runs(at, stride)
+        runs = _runs(at, cols)
         cand = flat[at]
         u = _joined([rngs[r].random(k) for r, k in runs])
         base = layer == 0
@@ -298,7 +305,7 @@ def _finish(t: _Ziggurat, rngs, flat: np.ndarray, stride: int, at: np.ndarray,
         k = at.size
         if not k:
             break
-        words = _joined([rngs[r].bit_generator.random_raw(m) for r, m in _runs(at, stride)])
+        words = _joined([rngs[r].bit_generator.random_raw(m) for r, m in _runs(at, cols)])
         fresh, layer = np.empty(k), np.empty(k, dtype=np.intp)
         again = _candidates(t, words, fresh, layer, np.empty(k))
         flat[at] = fresh
@@ -306,7 +313,7 @@ def _finish(t: _Ziggurat, rngs, flat: np.ndarray, stride: int, at: np.ndarray,
 
 
 def _fill_ziggurat(p: float, rngs, out: np.ndarray) -> None:
-    """N_p draws at 1 < p < 2 into the rows of the 2-D array out, one 64-bit word per candidate.
+    """N_p draws at 1 < p < 2 into the rows of the C-contiguous 2-D out, one word per candidate.
 
     Row i's candidates come from rngs[i], in rounds of at most _ROUND
     words.  The positions that fail the fast test are held and completed
@@ -315,15 +322,11 @@ def _fill_ziggurat(p: float, rngs, out: np.ndarray) -> None:
     they wait for later rows until _HELD or more are held in all, and for
     the last row.
     """
-    rows, cols = out.shape
+    cols = out.shape[1]
     if not out.size:
         return
     t = _ziggurat(p)
-    # every row in one 1-D view, row i from flat[i * stride]; the gaps of a
-    # row-strided out lie inside it but are never indexed
-    stride = out.strides[0] // out.itemsize if rows > 1 else cols
-    flat = (out.reshape(-1) if stride == cols else
-            np.lib.stride_tricks.as_strided(out, ((rows - 1) * stride + cols,), (out.itemsize,)))
+    flat = out.reshape(-1)  # row i from flat[i * cols]
     n = min(cols, _ROUND)
     layer, scratch = np.empty(n, dtype=np.intp), np.empty(n)
     held, count = [], 0
@@ -334,14 +337,14 @@ def _fill_ziggurat(p: float, rngs, out: np.ndarray) -> None:
             k = z.size
             pos = _candidates(t, rng.bit_generator.random_raw(k), z, layer[:k], scratch[:k])
             if pos.size:
-                held.append((pos + (i * stride + start), layer[pos]))
+                held.append((pos + (i * cols + start), layer[pos]))
             own += pos.size
             count += pos.size
             if (count if start + k == cols else own) >= _HELD:
-                _finish(t, rngs, flat, stride, *map(_joined, zip(*held)))
+                _finish(t, rngs, flat, cols, *map(_joined, zip(*held)))
                 held, count, own = [], 0, 0
     if held:
-        _finish(t, rngs, flat, stride, *map(_joined, zip(*held)))
+        _finish(t, rngs, flat, cols, *map(_joined, zip(*held)))
 
 
 def _size_shape(size) -> tuple[int, ...]:
@@ -385,11 +388,11 @@ def sample_pgg(spec: PggSpec, rng, size=None, *, out: np.ndarray | None = None) 
     a sequence gives ``(R,) + size + (d,)``: row i is drawn from rng[i]
     alone, bitwise equal to the one-generator call on rng[i], and leaves
     rng[i] in the same state.  size is None, an integer >= 0 or a tuple of
-    them, else ``ParameterError``.  With ``out``, a float64 array of exactly
-    the output shape whose rows are C-contiguous and in order (the whole
-    array, for one generator), the draws are written into it and it is
-    returned; its values equal those of the allocating call bitwise.  Each
-    row fills in C order.  The p != 2 laws work in bounded rounds, so the
+    them, else ``ParameterError``.  With ``out``, a C-contiguous float64
+    array of exactly the output shape, for one generator or many, the
+    draws are written into it and it is returned; its values equal those
+    of the allocating call bitwise.  Each row fills in C order.  The
+    p != 2 laws work in bounded rounds, so the
     memory a call needs beyond its output does not grow with size or R.  At
     p = 1 a row reads one uniform per output, in order.  At 1 < p < 2 a
     round of at most 16,384 outputs reads a block of as many words from its
@@ -410,14 +413,9 @@ def sample_pgg(spec: PggSpec, rng, size=None, *, out: np.ndarray | None = None) 
     full = (len(rngs),) + shape if many else shape
     if out is None:
         out = np.empty(full)
-    # the rows share their strides, so the first row's layout is every row's,
-    # and a row must end before the next one starts
     elif not (isinstance(out, np.ndarray) and out.shape == full and out.dtype == np.float64
-              and (out[0] if many and rngs else out).flags.c_contiguous
-              and (len(rngs) < 2 or out.strides[0] >= out[0].nbytes)):
-        what = (f"a float64 array of shape {full} with C-contiguous rows" if many
-                else f"a C-contiguous float64 array of shape {full}")
-        raise ParameterError(f"out must be {what}")
+              and out.flags.c_contiguous):
+        raise ParameterError(f"out must be a C-contiguous float64 array of shape {full}")
     rows = out.reshape(len(rngs), math.prod(shape))
     p = spec.p
     if p == 2.0:

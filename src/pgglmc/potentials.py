@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError
-from .pgg import PggSpec, pgg_sq_norm_moment_bound
+from .pgg import PggSpec, _check_count, pgg_sq_norm_moment_bound
 
 __all__ = [
     "Potential",
@@ -92,8 +92,7 @@ class Potential:
     quad_curvature: Optional[float] = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.d}")
+        object.__setattr__(self, "d", _check_count(self.d, "d"))
         if not 0 < self.L < math.inf:
             raise ParameterError(f"Hölder constant L must be finite and > 0, got {self.L}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -108,8 +107,8 @@ class RegularizedPotential:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ParameterError(f"regularization weight must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ParameterError(f"regularization weight must be finite and > 0, got {self.lam}")
 
     @property
     def d(self) -> int:
@@ -148,9 +147,9 @@ def regularize(base: Potential, lam: float) -> RegularizedPotential:
 
 
 def _check_mu(mu) -> None:
-    """ParameterError unless the smoothing radius mu is > 0."""
-    if not mu > 0:
-        raise ParameterError(f"smoothing radius must be > 0, got {mu}")
+    """ParameterError unless the smoothing radius mu is finite and > 0."""
+    if not 0 < mu < math.inf:
+        raise ParameterError(f"smoothing radius must be finite and > 0, got {mu}")
 
 
 def smoothness_constant_M(pot: RegularizedPotential, mu: float, p: float) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .pgg import PggSpec, _check_p, sample_pgg
+from .pgg import PggSpec, _check_count, _check_p, sample_pgg
 from .potentials import RegularizedPotential, _check_mu, smoothness_constant_M
 
 __all__ = [
@@ -58,9 +58,7 @@ class SmoothingConfig:
 
     def __post_init__(self):
         _check_mu(self.mu)
-        if not (self.n >= 1 and float(self.n).is_integer()):
-            raise ParameterError(f"batch size must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _check_count(self.n, "batch size"))
         object.__setattr__(self, "p", _check_p(self.p))
 
 

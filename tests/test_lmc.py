@@ -419,8 +419,9 @@ class TestRunChain:
     @pytest.mark.parametrize("d", [1, 2])
     def test_steps_in_batches_when_one_step_exceeds_the_budget(self, d, threads, monkeypatch):
         # a budget of three chains' one-step draws, below the seven chains'
-        # step: one group steps batches of 3, 2 and 2 chains, and three groups
-        # one batch each; every chain must still reach the bits of the run
+        # step: the chains split into blocks of 3, 2 and 2 chains, more blocks
+        # than workers at one thread, which still run on _chain_groups'
+        # workers; every chain must still reach the bits of the run
         # whose budget is one step, its divergence step included (both draw
         # in one-step chunks, so each chain's stream is the same)
         def value(x):
@@ -440,9 +441,17 @@ class TestRunChain:
             sizes.append(out.size)
             return sample_pgg(spec, rngs, size=size, out=out)
 
+        workers, pool = [], lmc.ThreadPoolExecutor
+
+        def pool_spy(max_workers):
+            workers.append(max_workers)
+            return pool(max_workers=max_workers)
+
         monkeypatch.setattr(lmc, "sample_pgg", spy)
+        monkeypatch.setattr(lmc, "ThreadPoolExecutor", pool_spy)
         batched = run_chain(pot, scfg, lcfg, thin=5, threads=threads)
-        assert sizes and max(sizes) <= budget
+        assert len(sizes) == 3 * lcfg.steps and max(sizes) <= budget
+        assert workers == [lmc._chain_groups(threads, lcfg.chains)]
         assert whole.diverged.any() and not whole.diverged.all()
         for name in ("final_states", "trajectory", "divergence_step", "evals_total"):
             assert np.array_equal(getattr(batched, name), getattr(whole, name)), name

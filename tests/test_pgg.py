@@ -129,8 +129,13 @@ class TestSpecValidation:
     @pytest.mark.parametrize("d", [0, -1, 2.5, math.inf, math.nan])
     def test_bad_dimension_rejected(self, d):
         # d = nan used to raise a bare ValueError from int()
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="d must"):
             PggSpec(p=2.0, d=d)
+
+    def test_dimension_past_the_float_range_is_an_integer(self):
+        # it used to raise a bare OverflowError from float()
+        spec = PggSpec(2, 10**400)
+        assert spec.d == 10**400 and type(spec.d) is int
 
 
 class TestKappa:
@@ -326,8 +331,8 @@ class TestSampling:
     @pytest.mark.parametrize("rnd, held, laplace", [(7, 2, 7), (16_384, 2048, 131_072)])
     def test_each_row_is_its_generators_call(self, p, rnd, held, laplace):
         # one row per generator, bitwise the one-generator call on it, which
-        # leaves it in the same state; also into the rows of a row-strided
-        # out, as run_chain's last, partial chunk passes xi[:, :m].  Rounds of
+        # leaves it in the same state; also into the C-contiguous front of a
+        # longer flat buffer, as run_chain's last, short chunk is.  Rounds of
         # 7 words and completions from 2 held positions complete rows mid-row
         # and across rows; 6 rows of 12,000 draws take tail draws at 1 < p < 2.
         # At p = 1 the rounds cut rows into pieces of 7, or take all 6 at once
@@ -338,13 +343,13 @@ class TestSampling:
             want = np.stack([sample_pgg(spec, g, size=(1000, 4)) for g in alone])
             rngs = [np.random.default_rng(s) for s in range(6)]
             got = sample_pgg(spec, rngs, size=(1000, 4))
-            strided = tuple(np.random.default_rng(s) for s in range(6))
-            buf = np.full((6, 1500, 4, 3), np.nan)
-            out = sample_pgg(spec, strided, size=(1000, 4), out=buf[:, :1000])
+            into = tuple(np.random.default_rng(s) for s in range(6))
+            buf = np.full(6 * 1500 * 12, np.nan)
+            out = sample_pgg(spec, into, size=(1000, 4), out=buf[:want.size].reshape(want.shape))
         assert got.shape == (6, 1000, 4, 3) and np.array_equal(got, want)
         assert out.base is buf and np.array_equal(out, want)
-        assert np.isnan(buf[:, 1000:]).all()
-        for gens in zip(alone, rngs, strided):
+        assert np.isnan(buf[want.size:]).all()
+        for gens in zip(alone, rngs, into):
             assert len({g.random() for g in gens}) == 1
 
     def test_generator_rows_shapes(self):
@@ -392,8 +397,8 @@ class TestSampling:
     @pytest.mark.parametrize("out", [
         np.empty((2, 4, 2)), np.empty((3, 4, 3)), np.empty((2, 4, 6))[:, :, ::2],
         np.empty((2, 3, 4)).transpose(0, 2, 1), np.empty((2, 4, 3))[::-1],
-        np.empty((2, 4, 3), dtype=np.float32),
-    ], ids=["shape", "rows", "strided", "transposed", "reversed", "dtype"])
+        np.empty((2, 4, 3), dtype=np.float32), np.empty((2, 6, 3))[:, :4],
+    ], ids=["shape", "rows", "strided", "transposed", "reversed", "dtype", "row-strided"])
     def test_bad_row_out_rejected(self, out):
         gens = [np.random.default_rng(i) for i in range(2)]
         with pytest.raises(ParameterError, match="out"):

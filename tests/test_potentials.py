@@ -50,6 +50,11 @@ class TestRegularize:
         with pytest.raises(ParameterError):
             regularize(get_potential("quadratic", 1), lam)
 
+    def test_infinite_lambda_rejected(self):
+        # it used to give target_variance 0.0 and a step-size cap of 0
+        with pytest.raises(ParameterError, match="regularization weight must be finite"):
+            regularize(get_potential("quadratic", 1), math.inf)
+
     def test_batched_evaluation(self):
         pot = regularize(get_potential("quadratic", 2), 0.5)
         x = np.random.default_rng(0).normal(size=(4, 6, 2))
@@ -79,7 +84,7 @@ class TestDerivedConstants:
 
     @pytest.mark.parametrize("fn", [smoothness_constant_M, lemma1_gap_bound,
                                     lemma1_gap_envelope])
-    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
     def test_radius_checked(self, fn, mu):
         pot = regularize(get_potential("power", 2, alpha=0.5), 1.0)
         with pytest.raises(ParameterError, match="smoothing radius"):
@@ -185,6 +190,15 @@ class TestRegistry:
     def test_unknown_key(self):
         with pytest.raises(ParameterError, match="unknown potential"):
             get_potential("cubic", 2)
+
+    @pytest.mark.parametrize("d", [2.5, 0, math.nan])
+    def test_bad_dimension_rejected(self, d):
+        # d = 2.5 used to build a potential that failed only inside run_chain
+        with pytest.raises(ParameterError, match="d must"):
+            get_potential("l1", d)
+
+    def test_integral_float_dimension_becomes_an_int(self):
+        assert type(get_potential("l1", 2.0).d) is int
 
     def test_bad_params(self):
         with pytest.raises(ParameterError):

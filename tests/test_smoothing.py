@@ -78,8 +78,17 @@ class TestSmoothingConfig:
     @pytest.mark.parametrize("n", [math.inf, math.nan, 2.5])
     def test_batch_size_must_be_an_integer(self, n):
         # n = inf used to raise OverflowError from int()
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="batch size"):
             SmoothingConfig(mu=0.1, n=n, p=2.0)
+
+    def test_batch_size_past_the_float_range_is_an_integer(self):
+        # it used to raise a bare OverflowError from float()
+        assert SmoothingConfig(mu=0.1, n=10**400, p=2).n == 10**400
+
+    def test_radius_must_be_finite(self):
+        # mu = inf used to be accepted, and run_chain then reported every chain diverged
+        with pytest.raises(ParameterError, match="smoothing radius must be finite"):
+            SmoothingConfig(mu=math.inf, n=4, p=2)
 
     @pytest.mark.parametrize("p", [0.5, 2.5, math.nan])
     def test_shape_validated_as_pgg_spec_does(self, p):
