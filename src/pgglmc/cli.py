@@ -37,6 +37,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, ParameterError, StepSizeError
 from .lmc import _chain_groups, _w2_skip_reason, bounds_table, run_chain
+from .pgg import _check_count
 from .potentials import _sq_norm
 from .suites import SUITE_NAMES, run_suites
 from .transport import w2_to_gaussian
@@ -239,10 +240,9 @@ def cmd_verify(args) -> int:
 
 def _check_run_flags(args) -> None:
     """``--seed`` and ``--threads``, which ``sample`` and ``verify`` take."""
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
-    if args.threads < 1:
-        raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
+    if args.seed is not None:
+        _check_count(args.seed, "--seed", 0)
+    _check_count(args.threads, "--threads")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,11 @@
 
 Unknown keys are errors, not warnings — a silently ignored typo in ``mu`` or
 ``eta`` is the costliest failure mode this tool has.  Every numeric range is
-validated before any computation starts.
+validated before any computation starts.  The ranges come from the domain
+types: each number goes through the check its type uses (``_check_count``,
+``_check_positive``, ``_check_p``, in the type's own words), and the error
+names the number's path, as in ``smoothing.n: batch size must be an integer
+>= 1, got 0``.
 
 Schema (see README for the full description)::
 
@@ -33,9 +37,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
-from .lmc import InitSpec, LmcConfig
-from .potentials import RegularizedPotential, get_potential, max_step_size, regularize
+from .errors import ConfigError, ParameterError
+from .lmc import _COUNTS, InitSpec, LmcConfig
+from .pgg import _check_count, _check_p, _check_positive
+from .potentials import RegularizedPotential, _check_mu, get_potential, max_step_size, regularize
 from .smoothing import SmoothingConfig
 
 __all__ = ["ExperimentConfig", "ReportConfig"]
@@ -60,33 +65,29 @@ def _check_keys(doc, path, required, optional=()):
 
 
 def _finite(val) -> bool:
-    """A number within the float range: JSON reads 1e309 as inf, and an
-    integer past the float range is no finite float either."""
-    return -_FLOAT_MAX <= val <= _FLOAT_MAX
+    """Whether val is a JSON number within the float range: JSON reads 1e309 as
+    inf, and an integer past the float range is no finite float either."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and -_FLOAT_MAX <= val <= _FLOAT_MAX)
 
 
-def _number(doc, path, key, *, integer=False, minimum=None, strict_min=None):
+def _number(doc, path, key, check=float, *words):
+    """doc[key], a finite JSON number, as ``check(value, *words)``, the domain type's own
+    check, returns it; a ParameterError from check becomes a ConfigError naming path.key."""
     val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
     if not _finite(val):
         raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
-    if integer and isinstance(val, float) and not val.is_integer():
-        raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {val}")
-    if strict_min is not None and val <= strict_min:
-        raise ConfigError(f"{path}.{key}: must be > {strict_min}, got {val}")
-    return int(val) if integer else float(val)
+    try:
+        return check(val, *words)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
 def _point(doc, path, key, d):
     """A finite number or a list of d finite numbers, returned as given (the echo keeps it)."""
     val = doc[key]
     items = val if isinstance(val, list) else [val]
-    if ((isinstance(val, list) and len(val) != d)
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not _finite(v) for v in items)):
+    if (isinstance(val, list) and len(val) != d) or not all(map(_finite, items)):
         raise ConfigError(f"{path}.{key}: expected a finite number or a list of {d} "
                           f"finite numbers, got {val!r}")
     return val
@@ -125,8 +126,8 @@ class ExperimentConfig:
         _check_keys(pot, "potential", required=("name", "d", "lambda"), optional=("params",))
         if not isinstance(pot["name"], str):
             raise ConfigError(f"potential.name: expected a string, got {pot['name']!r}")
-        d = _number(pot, "potential", "d", integer=True, minimum=1)
-        lam = _number(pot, "potential", "lambda", strict_min=0.0)
+        d = _number(pot, "potential", "d", _check_count, "d")
+        lam = _number(pot, "potential", "lambda", _check_positive, "regularization weight")
         params = pot.get("params", {})
         _require_mapping(params, "potential.params")
         for key in params:
@@ -134,20 +135,17 @@ class ExperimentConfig:
 
         sm = doc["smoothing"]
         _check_keys(sm, "smoothing", required=("mu", "n", "p"))
-        mu = _number(sm, "smoothing", "mu", strict_min=0.0)
-        n = _number(sm, "smoothing", "n", integer=True, minimum=1)
-        p = _number(sm, "smoothing", "p")
-        if not (1.0 <= p <= 2.0):
-            raise ConfigError(f"smoothing.p: must lie in [1, 2], got {p}")
+        mu = _number(sm, "smoothing", "mu", _check_mu)
+        n = _number(sm, "smoothing", "n", _check_count, "batch size")
+        p = _number(sm, "smoothing", "p", _check_p)
 
         lmc = doc["lmc"]
         _check_keys(lmc, "lmc", required=("eta", "steps", "chains", "seed"), optional=("init",))
         eta = lmc["eta"]
         if eta != "auto":
-            eta = _number(lmc, "lmc", "eta", strict_min=0.0)
-        steps = _number(lmc, "lmc", "steps", integer=True, minimum=0)
-        chains = _number(lmc, "lmc", "chains", integer=True, minimum=1)
-        seed = _number(lmc, "lmc", "seed", integer=True, minimum=0)
+            eta = _number(lmc, "lmc", "eta", _check_positive, "step size")
+        counts = {name: _number(lmc, "lmc", name, _check_count, what, low)
+                  for name, what, low in _COUNTS}
         init = cls._parse_init(lmc["init"], d) if "init" in lmc else InitSpec()
 
         rep = doc.get("report", {})
@@ -155,8 +153,8 @@ class ExperimentConfig:
         default = ReportConfig()
         thinning = rep.get("thinning", default.thinning)
         if thinning != "auto":
-            thinning = _number(rep, "report", "thinning", integer=True, minimum=1)
-        resamples = (_number(rep, "report", "resamples", integer=True, minimum=1)
+            thinning = _number(rep, "report", "thinning", _check_count, "thinning")
+        resamples = (_number(rep, "report", "resamples", _check_count, "resamples")
                      if "resamples" in rep else default.resamples)
         names = {"csv": rep.get("csv", default.csv), "json": rep.get("json", default.json_path)}
         for key, name in names.items():
@@ -166,8 +164,7 @@ class ExperimentConfig:
                               csv=names["csv"], json_path=names["json"])
 
         return cls(potential_name=pot["name"], d=d, lam=lam, potential_params=dict(params),
-                   mu=mu, n=n, p=p, eta=eta, steps=steps, chains=chains, init=init,
-                   seed=seed, report=report)
+                   mu=mu, n=n, p=p, eta=eta, init=init, report=report, **counts)
 
     @staticmethod
     def _parse_init(doc, d: int) -> InitSpec:
@@ -182,7 +179,7 @@ class ExperimentConfig:
         if center in doc:
             fields["center"] = _point(doc, "lmc.init", center, d)
         if kind == "gaussian":
-            fields["scale"] = (_number(doc, "lmc.init", "scale", strict_min=0.0)
+            fields["scale"] = (_number(doc, "lmc.init", "scale", _check_positive, "init scale")
                                if "scale" in doc else 1.0)
         return InitSpec(**fields)
 

@@ -40,7 +40,7 @@ from .errors import ParameterError, StepSizeError
 from .potentials import (RegularizedPotential, _sq_norm, lemma1_gap_bound, max_step_size,
                          perturbation_scale_a, smoothness_constant_M)
 from .smoothing import SmoothingConfig, _rows_innermost, grad_estimate_from_draws
-from .pgg import PggSpec, _check_count, sample_pgg
+from .pgg import PggSpec, _check_count, _check_positive, sample_pgg
 
 __all__ = [
     "InitSpec",
@@ -58,6 +58,8 @@ _DIVERGE_NORM = 1e8
 # Smoothing draws are pre-generated in chunks of steps; the chunk length is a
 # pure function of the config so trajectories do not depend on scheduling.
 _CHUNK_ELEMS = 8_000_000
+# LmcConfig's counts as (field, what, least value), which the config layer checks too
+_COUNTS = (("steps", "step count", 0), ("chains", "chain count", 1), ("seed", "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -88,10 +90,8 @@ class LmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ParameterError(f"step size must be > 0, got {self.eta}")
-        for name, what, low in (("steps", "step count", 0), ("chains", "chain count", 1),
-                                ("seed", "seed", 0)):
+        object.__setattr__(self, "eta", _check_positive(self.eta, "step size"))
+        for name, what, low in _COUNTS:
             object.__setattr__(self, name, _check_count(getattr(self, name), what, low))
 
 
@@ -181,12 +181,15 @@ def _chain_groups(threads: int, chains: int) -> int:
 
 
 def _init_center(init: InitSpec, d: int) -> np.ndarray:
-    """The init center broadcast to (d,); ParameterError otherwise."""
+    """The init center broadcast to (d,); ParameterError unless it is finite and broadcasts."""
     try:
-        return np.broadcast_to(np.asarray(init.center, dtype=float), (d,))
+        center = np.asarray(init.center, dtype=float)
+        if np.isfinite(center).all():  # checked before it broadcasts: a scalar is one value
+            return np.broadcast_to(center, (d,))
     except (TypeError, ValueError):
-        raise ParameterError(f"init center must be a number or {d} numbers, "
-                             f"got {init.center!r}") from None
+        pass
+    raise ParameterError(f"init center must be a finite number or {d} finite numbers, "
+                         f"got {init.center!r}")
 
 
 def _init_states(init: InitSpec, center: np.ndarray, rngs, indices) -> np.ndarray:
@@ -206,8 +209,8 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
     state is reported along with the step index.
     ``evals_total`` counts potential evaluations, (n + 1) per live chain per
     step in estimator mode and 0 in exact-gradient ablation mode.
-    With ``thin``, every ``thin``-th state is kept as the trajectory;
-    without it, no trajectory is stored.  The chains run on
+    With ``thin``, an integer >= 1, every ``thin``-th state is kept as the
+    trajectory; without it, no trajectory is stored.  The chains run on
     max(1, min(threads, chains // 2, cores)) worker threads, cores being the
     CPUs this process may run on; the cap assumes a CPU-bound black box.
     They are split once into blocks, one per worker unless the workers'
@@ -225,8 +228,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         raise ParameterError(
             f"potential {pot.base.name!r} has no registered exact smoothed gradient")
     steps, chains, n = lcfg.steps, lcfg.chains, scfg.n
-    if thin is not None and thin < 1:
-        raise ParameterError(f"thinning must be >= 1, got {thin}")
+    thin = None if thin is None else _check_count(thin, "thinning")
     center = _init_center(lcfg.init, d)
 
     children = np.random.SeedSequence(lcfg.seed).spawn(chains)
@@ -257,7 +259,10 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         # draws every chain's smoothing block, each from the chain's generator,
         # into the C-contiguous front of one flat buffer
         gens = [rngs[c] for c in indices]
-        buf = None if exact_gradient else np.empty(rows * chunk * n * d)
+        try:  # a size past numpy's largest array fails as one that does not fit
+            buf = None if exact_gradient else np.empty(rows * chunk * n * d)
+        except ValueError as exc:
+            raise MemoryError(f"one chunk's draws exceed numpy's largest array: {exc}") from None
         noise = np.empty((rows, chunk, d))
         # Each step's draws are copied into a (chains, n, d) buffer held chain
         # axis innermost: numpy's inner loops then run over the chains, not

@@ -51,9 +51,14 @@ class PggSpec:
         object.__setattr__(self, "d", _check_count(self.d, "d"))
 
 
+def _real(value) -> bool:
+    """Whether the checks below take value as a real number; a bool, though an int, is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_p(p) -> float:
     """p as a float; ParameterError unless it lies in [1, 2], the range every bound assumes."""
-    if not (1.0 <= p <= 2.0):
+    if not (_real(p) and 1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2], got {p}")
     return float(p)
 
@@ -61,9 +66,26 @@ def _check_p(p) -> float:
 def _check_count(value, what: str, low: int = 1) -> int:
     """value as an int; ParameterError unless it is an integer >= low (an integral float counts)."""
     # an int past the float range is integral too; float() would overflow on it
-    if not (value >= low and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+    if not (_real(value) and value >= low
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ParameterError(f"{what} must be an integer >= {low}, got {value}")
     return int(value)
+
+
+def _check_positive(value, what: str) -> float:
+    """value as a float; ParameterError unless it is finite and > 0."""
+    if not (_real(value) and 0 < value <= sys.float_info.max):
+        raise ParameterError(f"{what} must be finite and > 0, got {value}")
+    return float(value)
+
+
+def _as_point(x, d: int, batched: bool = False) -> np.ndarray:
+    """x as floats; ParameterError unless its shape is (d,), or (..., d) when batched."""
+    x = np.asarray(x, dtype=float)
+    if (x.shape[-1:] if batched else x.shape) != (d,):
+        raise ParameterError(f"point has shape {x.shape}, expected "
+                             f"({'..., ' if batched else ''}{d},)")
+    return x
 
 
 # Outputs per round of the 1 < p < 2 sampler: the round's words and scratch
@@ -351,13 +373,10 @@ def _size_shape(size) -> tuple[int, ...]:
     """size as a tuple of counts; ParameterError unless each is an integer >= 0."""
     dims = () if size is None else (size,) if np.isscalar(size) else size
     try:
-        shape = tuple(int(s) for s in dims)
-    except (TypeError, ValueError, OverflowError):
-        shape = None
-    if shape is None or any(i < 0 or i != s for i, s in zip(shape, dims)):
+        return tuple(_check_count(s, "size", 0) for s in dims)
+    except (TypeError, ParameterError):
         raise ParameterError(f"size must be None, an integer >= 0 or a tuple of them, "
-                             f"got {size!r}")
-    return shape
+                             f"got {size!r}") from None
 
 
 def sample_pgg(spec: PggSpec, rng, size=None, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -441,11 +460,7 @@ def kappa(spec: PggSpec) -> float:
 
 def log_density(spec: PggSpec, x) -> np.ndarray | float:
     """Exact log density of N_p(0, I_d); accepts points batched as (..., d)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (spec.d,):
-        raise ParameterError(
-            f"point has trailing dimension {x.shape[-1] if x.ndim else 'scalar'}, expected {spec.d}"
-        )
+    x = _as_point(x, spec.d, batched=True)
     val = -np.sum(np.abs(x) ** spec.p, axis=-1) / spec.p - log_kappa(spec)
     return float(val) if val.ndim == 0 else val
 
@@ -464,8 +479,7 @@ def pgg_norm_moment(spec: PggSpec, n: float) -> float:
     For n = k*p with integer k this telescopes to
     p^k * (d/p)(d/p + 1)...(d/p + k - 1) = d (d+p) ... (d + (k-1)p).
     """
-    if not n > 0:
-        raise ParameterError(f"moment order must be positive, got {n}")
+    n = _check_positive(n, "moment order")
     p, d = spec.p, spec.d
     return p ** (n / p) * _gamma_ratio((d + n) / p, d / p)
 

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError
-from .pgg import PggSpec, _check_count, pgg_sq_norm_moment_bound
+from .pgg import PggSpec, _check_count, _check_positive, pgg_sq_norm_moment_bound
 
 __all__ = [
     "Potential",
@@ -93,8 +93,7 @@ class Potential:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _check_count(self.d, "d"))
-        if not 0 < self.L < math.inf:
-            raise ParameterError(f"Hölder constant L must be finite and > 0, got {self.L}")
+        object.__setattr__(self, "L", _check_positive(self.L, "Hölder constant L"))
         if not (0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"Hölder exponent alpha must lie in [0, 1], got {self.alpha}")
 
@@ -107,8 +106,7 @@ class RegularizedPotential:
     lam: float
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ParameterError(f"regularization weight must be finite and > 0, got {self.lam}")
+        object.__setattr__(self, "lam", _check_positive(self.lam, "regularization weight"))
 
     @property
     def d(self) -> int:
@@ -143,13 +141,12 @@ class RegularizedPotential:
 
 def regularize(base: Potential, lam: float) -> RegularizedPotential:
     """Attach the (lam/2)||x||^2 term; lam must be positive."""
-    return RegularizedPotential(base=base, lam=float(lam))
+    return RegularizedPotential(base=base, lam=lam)
 
 
-def _check_mu(mu) -> None:
-    """ParameterError unless the smoothing radius mu is finite and > 0."""
-    if not 0 < mu < math.inf:
-        raise ParameterError(f"smoothing radius must be finite and > 0, got {mu}")
+def _check_mu(mu) -> float:
+    """mu as a float; ParameterError unless the smoothing radius is finite and > 0."""
+    return _check_positive(mu, "smoothing radius")
 
 
 def smoothness_constant_M(pot: RegularizedPotential, mu: float, p: float) -> float:
@@ -222,9 +219,7 @@ def max_step_size(pot: RegularizedPotential, mu: float, p: float) -> float:
 
 
 def _quadratic(d: int, curvature: float = 1.0) -> Potential:
-    c = float(curvature)
-    if not c > 0:
-        raise ParameterError(f"curvature must be > 0, got {c}")
+    c = _check_positive(curvature, "curvature")
     return Potential(
         name="quadratic",
         d=d,
@@ -276,9 +271,7 @@ def _l1(d: int) -> Potential:
 
 def _huber(d: int, delta: float = 0.5) -> Potential:
     """Coordinate-wise Huber sum: quadratic within |x| <= delta, linear beyond."""
-    dl = float(delta)
-    if not dl > 0:
-        raise ParameterError(f"huber delta must be > 0, got {dl}")
+    dl = _check_positive(delta, "huber delta")
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -303,7 +296,7 @@ def _zero(d: int, L: float = 1.0, alpha: float = 1.0) -> Potential:
     return Potential(
         name="zero",
         d=d,
-        L=float(L),
+        L=L,
         alpha=float(alpha),
         value=lambda x: np.zeros(np.shape(x)[:-1]),
         subgrad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -332,7 +325,7 @@ def get_potential(name: str, d: int, **params) -> Potential:
     unknown = sorted(params.keys() - set(allowed))
     if unknown:
         raise ParameterError(f"unknown parameter(s) {unknown} for {name!r}; allowed: {allowed}")
-    return builder(d, **params)
+    return builder(_check_count(d, "d"), **params)  # checked before a builder reads it
 
 
 def certify_holder(pot: Potential, rng: np.random.Generator, pairs: int = 1000,
@@ -354,7 +347,7 @@ def certify_holder(pot: Potential, rng: np.random.Generator, pairs: int = 1000,
 
 def make_potential(name: str, d: int, L: float, alpha: float, value, subgrad=None) -> Potential:
     """Register a user potential (a black box: no known target law); warns on a bad certificate."""
-    pot = Potential(name=name, d=d, L=float(L), alpha=float(alpha), value=value,
+    pot = Potential(name=name, d=d, L=L, alpha=float(alpha), value=value,
                     subgrad=subgrad)
     if subgrad is not None:
         worst = certify_holder(pot, np.random.default_rng(0), pairs=256)

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .pgg import PggSpec, _check_count, _check_p, sample_pgg
+from .pgg import PggSpec, _as_point, _check_count, _check_p, sample_pgg
 from .potentials import RegularizedPotential, _check_mu, smoothness_constant_M
 
 __all__ = [
@@ -142,15 +141,6 @@ def _by_row_blocks(fn, rows: np.ndarray, out: np.ndarray | None = None, *,
     return out
 
 
-def _as_point(x, d: int, batched: bool = False) -> np.ndarray:
-    """x as floats; ParameterError unless its shape is (d,), or (..., d) when batched."""
-    x = np.asarray(x, dtype=float)
-    if (x.shape[-1:] if batched else x.shape) != (d,):
-        raise ParameterError(f"point has shape {x.shape}, expected "
-                             f"({'..., ' if batched else ''}{d},)")
-    return x
-
-
 def _law(pot: RegularizedPotential, mu: float, p: float) -> PggSpec:
     """N_p(0, I_d) at the potential's d; ParameterError unless mu > 0 and p lies in [1, 2]."""
     _check_mu(mu)
@@ -167,13 +157,13 @@ def _two_point(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
     fresh one when None), where x broadcasts into the draws' shape, and at
     p < 2 the weight then overwrites them; the coefficients are built in
     place.  Points that outgrow the draws' shape, many x against shared
-    draws, get a fresh C-order array, whatever x's layout.  The arithmetic is
-    that of (U(x + mu*xi) - U(x)) / mu.
+    draws, get a fresh array.  The arithmetic is that of
+    (U(x + mu*xi) - U(x)) / mu.
     """
     base = pot.value(x)
     y = np.multiply(mu, xi, out=work)
     fits = np.broadcast_shapes(y.shape, x[..., None, :].shape) == y.shape
-    y = np.add(y, x[..., None, :], out=y) if fits else np.add(y, x[..., None, :], order="C")
+    y = np.add(y, x[..., None, :], out=y if fits else None)
     coef = pot.value(y)
     coef -= base[..., None]
     coef /= mu
@@ -215,8 +205,7 @@ def smoothed_value_mc(pot: RegularizedPotential, mu: float, p: float, x: np.ndar
     so differences between points carry little Monte Carlo noise.  The mean
     and its standard error both have shape x.shape[:-1].
     """
-    if m < 2:
-        raise ParameterError(f"sample count must be >= 2, got {m}")
+    m = _check_count(m, "sample count", 2)
     spec = _law(pot, mu, p)
     x = _as_point(x, pot.d, batched=True)
     xi = sample_pgg(spec, rng, size=m)
@@ -236,8 +225,7 @@ def smoothed_gradient_reference(pot: RegularizedPotential, mu: float, p: float,
     row blocks, draw axis innermost, and written back over their draws in C
     order, then reduced over all m at once.
     """
-    if m < 2:
-        raise ParameterError(f"reference draw count must be >= 2, got {m}")
+    m = _check_count(m, "reference draw count", 2)
     spec = _law(pot, mu, p)
     x = _as_point(x, pot.d)
     if pot.has_exact_smoothing:
@@ -270,8 +258,7 @@ def measure_bias_variance(pot: RegularizedPotential, mu: float, p: float, x: np.
     report is bitwise the one that a single whole-block call gives.  Each
     block evaluates U_bar(x) once more.
     """
-    if trials < 2:
-        raise ParameterError(f"need at least 2 trials, got {trials}")
+    trials = _check_count(trials, "trial count", 2)
     cfgs = [SmoothingConfig(mu=mu, n=n, p=p) for n in ns]
     x = _as_point(x, pot.d)
     reference = smoothed_gradient_reference(pot, mu, p, x, 100 * trials, rng)

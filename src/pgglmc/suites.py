@@ -15,12 +15,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import ParameterError
 from .lmc import InitSpec, LmcConfig, bounds_table, run_chain
-from .pgg import PggSpec, pgg_norm_moment, pgg_sq_norm_moment_bound, sample_pgg
+from .pgg import PggSpec, _check_count, pgg_norm_moment, pgg_sq_norm_moment_bound, sample_pgg
 from .potentials import get_potential, lemma1_gap_envelope, regularize, smoothness_constant_M
-from .smoothing import (SmoothingConfig, _by_row_blocks, _two_point, hadamard_weight,
-                        measure_bias_variance, smoothed_value_mc)
+from .smoothing import (SmoothingConfig, _by_row_blocks, hadamard_weight, measure_bias_variance,
+                        smoothed_value_mc)
 from .transport import w2_exact_1d, w2_exact_assignment, w2_to_gaussian
 
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suites",
@@ -87,10 +86,9 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000) -> SuiteResult:
     the running sum of |xi_j|^p over j, so column d - 1 holds ||xi||_p^p for
     that d.  Checks in the same p therefore share draws; each still uses all
     ``draws`` rows and a 4-SE test.  Each p has its own child generator of
-    ``seed``.  ``draws`` >= 2, else ``ParameterError``.
+    ``seed``.  ``draws`` is an integer >= 2, else ``ParameterError``.
     """
-    if draws < 2:
-        raise ParameterError(f"moment draw count must be >= 2, got {draws}")
+    draws = _check_count(draws, "moment draw count", 2)
     result = SuiteResult(suite="moments")
     ps, orders, dims = (1.0, 1.5, 2.0), (1.0, 2.0, 4.0), (1, 3, 5)
 
@@ -199,14 +197,17 @@ def suite_lemma1(seed: int = 1002) -> SuiteResult:
                 tol = np.full(pairs, 1e-9)
             else:
                 # shared draws make differences of references nearly noise-free;
-                # the (pairs, m) coefficients are built a few pairs at a time,
-                # whose (pairs, m, d) points fit a cache-sized block
+                # the (pairs, m) coefficients (U_bar(x + mu*xi) - U_bar(x)) / mu
+                # are built a few pairs at a time, whose C-order (pairs, m, d)
+                # points fit a cache-sized block
                 xi = sample_pgg(spec, rng, size=lipschitz_draws)
-                coef_x, coef_y = (
-                    _by_row_blocks(lambda block, _: _two_point(pot, mu, p, block, xi)[0],
-                                   points, row_bytes=xi.nbytes)
-                    for points in (x, y))
+                shift = mu * xi
                 w = hadamard_weight(xi, p)                      # (m, d)
+                coef_x, coef_y = (
+                    _by_row_blocks(lambda block, _: (
+                        pot.value(np.add(block[:, None, :], shift, order="C"))
+                        - pot.value(block)[:, None]) / mu, points, row_bytes=xi.nbytes)
+                    for points in (x, y))
                 delta = np.linalg.norm(coef_x @ w / lipschitz_draws
                                        - coef_y @ w / lipschitz_draws, axis=1)
                 wsq = np.sum(w * w, axis=1)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .pgg import _check_count, _check_positive
 
 __all__ = [
     "w2_exact_1d",
@@ -145,10 +146,8 @@ def w2_to_gaussian(a, variance: float, resamples: int = 5, *,
     The reference draws are finite by construction and are not re-checked.
     """
     a = _points(a)
-    if not 0 < variance < np.inf:
-        raise ParameterError(f"variance must be finite and > 0, got {variance}")
-    if resamples < 1:
-        raise ParameterError(f"resamples must be >= 1, got {resamples}")
+    variance = _check_positive(variance, "variance")
+    resamples = _check_count(resamples, "resamples")
     if len(a) > ASSIGNMENT_CAP:
         a = a[rng.choice(len(a), ASSIGNMENT_CAP, replace=False)]
     n, d = a.shape

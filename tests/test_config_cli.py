@@ -616,6 +616,15 @@ class TestCliExitCodes:
         self.assert_config_error(code, capsys, "out of memory")
         assert not (out / "report.json").exists() and not (out / "samples.csv").exists()
 
+    def test_batch_size_past_numpy_largest_array_exits_2(self, tmp_path, capsys):
+        # smoothing.n = 2^62 used to end in numpy's ValueError traceback and exit 1
+        doc = base_doc()
+        doc["smoothing"]["n"] = 2 ** 62
+        out = tmp_path / "out"
+        code = main(["sample", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        self.assert_config_error(code, capsys, "out of memory")
+        assert not (out / "report.json").exists() and not (out / "samples.csv").exists()
+
     @pytest.mark.parametrize("csv, json_name", [
         ("report.json", "report.json"), ("./out.txt", "out.txt"), ("sub", "sub/report.json"),
         ("sub/samples.csv", "sub"),

@@ -487,6 +487,14 @@ class TestRunChain:
         # a seed past the float range is still a seed
         assert LmcConfig(eta=0.1, steps=1, chains=1, seed=10 ** 400).seed == 10 ** 400
 
+    @pytest.mark.parametrize("n", [10 ** 400, 2 ** 62])
+    def test_draws_past_numpy_largest_array_are_out_of_memory(self, n):
+        # these used to raise numpy's bare "ValueError: Maximum allowed
+        # dimension exceeded", which the CLI reported as a traceback
+        pot, _, lcfg = self._setup(d=2, chains=4, steps=3)
+        with pytest.raises(MemoryError, match="largest array"):
+            run_chain(pot, SmoothingConfig(mu=0.1, n=n, p=2.0), lcfg)
+
 
 class TestOuStationarity:
     def test_exact_gradient_matches_discrete_oracle(self):
