@@ -40,7 +40,7 @@ from .errors import ParameterError, StepSizeError
 from .potentials import (RegularizedPotential, _sq_norm, lemma1_gap_bound, max_step_size,
                          perturbation_scale_a, smoothness_constant_M)
 from .smoothing import SmoothingConfig, _rows_innermost, grad_estimate_from_draws
-from .pgg import PggSpec, _check_count, _check_positive, sample_pgg
+from .pgg import PggSpec, _check_count, _check_positive, _real, sample_pgg
 
 __all__ = [
     "InitSpec",
@@ -70,7 +70,7 @@ class InitSpec:
     scale: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.scale < math.inf:
+        if not (_real(self.scale) and 0 <= self.scale < math.inf):
             raise ParameterError(f"init scale must be finite and >= 0, got {self.scale}")
 
 
@@ -366,8 +366,9 @@ def bounds_table(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConf
     d, lam, n = pot.d, pot.lam, scfg.n
     eta, steps = lcfg.eta, lcfg.steps
     w2_init = initial_w2(pot, lcfg.init)
-    if not 0.0 <= w2_init < math.inf:
-        raise ParameterError(f"w2_init must be finite and >= 0, got {w2_init}")
+    if not w2_init < math.inf:  # finite inputs, so only a far init overflows it
+        raise ParameterError(f"init center {lcfg.init.center!r} (scale {lcfg.init.scale}) "
+                             f"is too far out: the initial W2 distance overflows")
     cap = check_step_size(pot, mu, p, eta)
     M = float(smoothness_constant_M(pot, mu, p))
 

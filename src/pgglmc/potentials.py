@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError
-from .pgg import PggSpec, _check_count, _check_positive, pgg_sq_norm_moment_bound
+from .pgg import PggSpec, _check_count, _check_positive, _real, pgg_sq_norm_moment_bound
 
 __all__ = [
     "Potential",
@@ -94,8 +94,9 @@ class Potential:
     def __post_init__(self):
         object.__setattr__(self, "d", _check_count(self.d, "d"))
         object.__setattr__(self, "L", _check_positive(self.L, "Hölder constant L"))
-        if not (0.0 <= self.alpha <= 1.0):
+        if not (_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"Hölder exponent alpha must lie in [0, 1], got {self.alpha}")
+        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -347,8 +348,7 @@ def certify_holder(pot: Potential, rng: np.random.Generator, pairs: int = 1000,
 
 def make_potential(name: str, d: int, L: float, alpha: float, value, subgrad=None) -> Potential:
     """Register a user potential (a black box: no known target law); warns on a bad certificate."""
-    pot = Potential(name=name, d=d, L=L, alpha=float(alpha), value=value,
-                    subgrad=subgrad)
+    pot = Potential(name=name, d=d, L=L, alpha=alpha, value=value, subgrad=subgrad)
     if subgrad is not None:
         worst = certify_holder(pot, np.random.default_rng(0), pairs=256)
         if worst > pot.L * (1.0 + 1e-9):

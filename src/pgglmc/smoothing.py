@@ -115,30 +115,35 @@ def _rows_innermost(shape: tuple) -> np.ndarray:
 _BLOCK_BYTES = 1 << 18
 
 
-def _by_row_blocks(fn, rows: np.ndarray, out: np.ndarray | None = None, *,
-                   row_bytes: int | None = None) -> np.ndarray:
-    """fn(block, work) on consecutive cache-sized blocks of rows, stacked along axis 0.
+def _by_row_blocks(rows: np.ndarray, *, row_bytes: int | None = None):
+    """(start, block, work) for consecutive cache-sized blocks of rows, in order.
 
-    Each block is copied into a reused buffer of ``_rows_innermost`` layout;
-    ``work`` is a reused buffer of the block's shape and layout.  fn may
-    overwrite both, and must act on each row independently; callers reduce
-    over rows themselves.  A block holds ``_BLOCK_BYTES`` at ``row_bytes`` a
-    row (a row's own bytes by default).  The result is written into ``out``
-    when given, which may be rows itself: a block is read before its result
-    is written.
+    Each block is a copy of rows[start:start + len(block)] in one reused
+    buffer of ``_rows_innermost`` layout; ``work`` is a reused buffer of the
+    block's shape and layout.  The caller may overwrite both, and those rows
+    of ``rows`` too, before it takes the next block.  A block holds
+    ``_BLOCK_BYTES`` at ``row_bytes`` a row (a row's own bytes by default).
     """
     step = min(len(rows), max(1, _BLOCK_BYTES // (row_bytes or rows[0].nbytes)))
     buf = _rows_innermost((step,) + rows.shape[1:])
     work = np.empty_like(buf)
     for start in range(0, len(rows), step):
-        src = rows[start:start + step]
-        block = buf[:len(src)]
-        np.copyto(block, src)
-        res = fn(block, work[:len(src)])
-        if out is None:
-            out = np.empty((len(rows),) + res.shape[1:], dtype=res.dtype)
-        out[start:start + step] = res
-    return out
+        block = buf[:len(rows[start:start + step])]
+        np.copyto(block, rows[start:start + step])
+        yield start, block, work[:len(block)]
+
+
+def _add_in_order(total: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """total + v[:, 0] + v[:, 1] + ..., one column at a time, for a (d, k) v it overwrites.
+
+    From a zero total, and carried from tile to tile, these are bitwise the
+    sums numpy gives over axis 0 of the (k, d) C-order rows at d >= 2, which
+    it adds row by row with an inner loop of d; here each coordinate's
+    accumulation runs along its own row of v.
+    """
+    v[:, 0] += total
+    np.add.accumulate(v, axis=1, out=v)
+    return v[:, -1].copy()
 
 
 def _law(pot: RegularizedPotential, mu: float, p: float) -> PggSpec:
@@ -222,22 +227,43 @@ def smoothed_gradient_reference(pot: RegularizedPotential, mu: float, p: float,
     variance and takes no draws.  Otherwise the reference is the mean of the
     gradient-identity summands over m >= 2 draws, with the variance of that
     mean; it has no batch size.  The summands are evaluated in cache-sized
-    row blocks, draw axis innermost, and written back over their draws in C
-    order, then reduced over all m at once.
+    row blocks, draw axis innermost, and each block's summands are stored
+    d-major over its own draws' memory.  Both statistics are bitwise numpy's
+    ``mean(axis=0)`` and ``var(axis=0, ddof=1) / m`` of the C-order (m, d)
+    summands.  At d >= 2 numpy adds those rows in order, so each block's
+    coordinates are summed as soon as it is evaluated, the sum carried from
+    block to block, and a second pass over the stored summands sums their
+    squared deviations the same way.  At d = 1 the summands form one
+    contiguous column, which numpy adds pairwise, so numpy reduces it whole;
+    its deviations overwrite it.
     """
     m = _check_count(m, "reference draw count", 2)
     spec = _law(pot, mu, p)
     x = _as_point(x, pot.d)
     if pot.has_exact_smoothing:
         return pot.smoothed_grad(x), np.zeros(pot.d)
+    d = pot.d
     xi = sample_pgg(spec, rng, size=m)
-
-    def summands_of(block, work):
+    tiles, total = [], np.zeros(d)
+    for start, block, work in _by_row_blocks(xi):
         coef, w = _two_point(pot, mu, spec.p, x, block, work)
-        return np.multiply(coef[:, None], w, out=w)
-
-    summands = _by_row_blocks(summands_of, xi, out=xi)
-    return summands.mean(axis=0), summands.var(axis=0, ddof=1) / m
+        summands = np.multiply(coef[:, None], w, out=w).T  # (d, rows)
+        # the block's draws are read, so its summands take their memory, d-major
+        tiles.append(xi.reshape(-1)[start * d:(start + len(block)) * d].reshape(d, -1))
+        np.copyto(tiles[-1], summands)
+        if d > 1:
+            total = _add_in_order(total, summands)
+    if d == 1:
+        mean = np.add.reduce(xi, axis=0) / m
+        dev = np.subtract(xi, mean, out=xi)
+        sq = np.add.reduce(np.multiply(dev, dev, out=dev), axis=0)
+    else:
+        mean, sq = total / m, np.zeros(d)
+        dev = np.empty_like(tiles[0])
+        for tile in tiles:
+            v = np.subtract(tile, mean[:, None], out=dev[:, :tile.shape[1]])
+            sq = _add_in_order(sq, np.multiply(v, v, out=v))
+    return mean, sq / (m - 1) / m
 
 
 def measure_bias_variance(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
@@ -256,22 +282,30 @@ def measure_bias_variance(pot: RegularizedPotential, mu: float, p: float, x: np.
     ``run_chain`` holds its chains, so the draw-axis sum adds the n draws in
     order at every d.  The statistics reduce over all trials at once, so the
     report is bitwise the one that a single whole-block call gives.  Each
-    block evaluates U_bar(x) once more.
+    block evaluates U_bar(x) once more.  Every n draws into the C-contiguous
+    front of one buffer, sized for the largest n and taken once the
+    reference's draws are freed.
     """
     trials = _check_count(trials, "trial count", 2)
     cfgs = [SmoothingConfig(mu=mu, n=n, p=p) for n in ns]
     x = _as_point(x, pot.d)
     reference = smoothed_gradient_reference(pot, mu, p, x, 100 * trials, rng)
-    return [_bias_variance(pot, cfg, x, trials, rng, reference) for cfg in cfgs]
+    draws = np.empty(trials * max((cfg.n for cfg in cfgs), default=0) * pot.d)
+    return [_bias_variance(pot, cfg, x, trials, rng, reference, draws) for cfg in cfgs]
 
 
-def _bias_variance(pot, cfg, x, trials, rng, reference) -> BiasVarianceReport:
-    """One batch size's report at x, against the shared ``(ref, ref_var)`` pair."""
+def _bias_variance(pot, cfg, x, trials, rng, reference, draws) -> BiasVarianceReport:
+    """One batch size's report at x, against the shared ``(ref, ref_var)`` pair.
+
+    The ``(trials, n, d)`` draw block fills the front of the flat ``draws``.
+    """
     d, p = pot.d, cfg.p
-    xi = sample_pgg(PggSpec(p, d), rng, size=(trials, cfg.n))
-    # (trials, d)
-    g = _by_row_blocks(lambda block, work: grad_estimate_from_draws(pot, cfg.mu, p, x, block,
-                                                                    work=work), xi)
+    xi = sample_pgg(PggSpec(p, d), rng, size=(trials, cfg.n),
+                    out=draws[:trials * cfg.n * d].reshape(trials, cfg.n, d))
+    g = np.empty((trials, d))
+    for start, block, work in _by_row_blocks(xi):
+        g[start:start + len(block)] = grad_estimate_from_draws(pot, cfg.mu, p, x, block,
+                                                               work=work)
     gbar = g.mean(axis=0)
     gvar = g.var(axis=0, ddof=1)  # per-coordinate
 

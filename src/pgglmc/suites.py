@@ -203,11 +203,12 @@ def suite_lemma1(seed: int = 1002) -> SuiteResult:
                 xi = sample_pgg(spec, rng, size=lipschitz_draws)
                 shift = mu * xi
                 w = hadamard_weight(xi, p)                      # (m, d)
-                coef_x, coef_y = (
-                    _by_row_blocks(lambda block, _: (
-                        pot.value(np.add(block[:, None, :], shift, order="C"))
-                        - pot.value(block)[:, None]) / mu, points, row_bytes=xi.nbytes)
-                    for points in (x, y))
+                coef_x, coef_y = (np.empty((pairs, lipschitz_draws)) for _ in "xy")
+                for ends, coef in ((x, coef_x), (y, coef_y)):
+                    for start, block, _ in _by_row_blocks(ends, row_bytes=xi.nbytes):
+                        coef[start:start + len(block)] = (
+                            pot.value(np.add(block[:, None, :], shift, order="C"))
+                            - pot.value(block)[:, None]) / mu
                 delta = np.linalg.norm(coef_x @ w / lipschitz_draws
                                        - coef_y @ w / lipschitz_draws, axis=1)
                 wsq = np.sum(w * w, axis=1)

@@ -444,8 +444,20 @@ class TestCliExitCodes:
         for command in ("sample", "bounds"):
             out = tmp_path / command
             code = main([command, "--config", cfg_path, "--out", str(out)])
-            self.assert_config_error(code, capsys, "w2_init")
+            self.assert_config_error(code, capsys, "init center")
             assert not out.exists()
+
+    @pytest.mark.parametrize("init", [{"kind": "point", "value": 1e308},
+                                      {"kind": "gaussian", "mean": 0.0, "scale": 1e308}])
+    def test_far_init_names_the_init_center(self, tmp_path, capsys, init):
+        # the README quickstart config at d = 4: sqrt(d) times a huge scalar
+        # center or scale overflows, and the error used to name w2_init
+        doc = base_doc(potential={"name": "quadratic", "d": 4, "lambda": 1.0, "params": {}},
+                       smoothing={"mu": 0.05, "n": 16, "p": 1.5})
+        doc["lmc"].update(eta="auto", steps=2000, chains=256, init=init, seed=7)
+        code = main(["bounds", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+        self.assert_config_error(code, capsys, "error: init center ")
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("section, key, text, needle", [
         ("potential", "lambda", "1e309", "potential.lambda"),

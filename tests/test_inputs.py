@@ -13,9 +13,9 @@ import pytest
 
 from pgglmc import (ConfigError, ExperimentConfig, InitSpec, LmcConfig, ParameterError, PggSpec,
                     Potential, SmoothingConfig, get_potential, lemma1_gap_bound,
-                    lemma1_gap_envelope, measure_bias_variance, pgg_norm_moment, regularize,
-                    run_chain, sample_pgg, smoothed_gradient_reference, smoothed_value_mc,
-                    smoothness_constant_M, w2_to_gaussian)
+                    lemma1_gap_envelope, make_potential, measure_bias_variance, pgg_norm_moment,
+                    regularize, run_chain, sample_pgg, smoothed_gradient_reference,
+                    smoothed_value_mc, smoothness_constant_M, w2_to_gaussian)
 from pgglmc.suites import suite_moments
 
 
@@ -73,6 +73,15 @@ POSITIVE_REALS = {
 }
 
 
+# reals in a closed range, neither counts nor positive reals, each with its own words
+RANGED_REALS = {
+    "InitSpec scale": lambda v: InitSpec(scale=v),
+    "make_potential alpha": lambda v: make_potential("flat", 2, 1.0, v,
+                                                     lambda x: np.zeros(np.shape(x)[:-1])),
+    "SmoothingConfig p": lambda v: SmoothingConfig(mu=0.1, n=2, p=v),
+}
+
+
 @pytest.mark.parametrize("value", [2.5, -1, math.nan, math.inf, True])
 @pytest.mark.parametrize("entry", sorted(COUNTS))
 def test_every_count_takes_only_integers(entry, value):
@@ -88,6 +97,15 @@ def test_every_positive_real_is_finite_and_positive(entry, value):
     # eta = inf used to be accepted, and delta = inf was reported as a bad L
     with pytest.raises(ParameterError, match="must be finite and > 0"):
         POSITIVE_REALS[entry](value)
+
+
+@pytest.mark.parametrize("value", [-1, math.nan, math.inf, True, "1"])
+@pytest.mark.parametrize("entry", sorted(RANGED_REALS))
+def test_every_ranged_real_takes_only_reals_in_range(entry, value):
+    # a bool used to pass as 1: InitSpec(scale=True) ran with scale 1, and
+    # make_potential stored alpha = True as 1.0
+    with pytest.raises(ParameterError, match=" got "):
+        RANGED_REALS[entry](value)
 
 
 def test_init_center_must_be_finite():

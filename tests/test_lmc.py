@@ -643,7 +643,7 @@ class TestTheorem1:
         # a finite center whose distance to the target overflows
         far = LmcConfig(eta=0.5, steps=10, chains=1, seed=0,
                         init=InitSpec(center=[1.7e308, 1.7e308]))
-        with pytest.raises(ParameterError, match="w2_init"):
+        with pytest.raises(ParameterError, match="init center"):
             bounds_table(pot, scfg, far)
 
     def test_mu_sweep_monotone_a(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -500,31 +501,113 @@ class TestRowBlocks:
     def rows_per_block(row_bytes):
         return smoothing._BLOCK_BYTES // row_bytes
 
+    def report(self, trials, seed):
+        (rep,) = measure_bias_variance(self.pot, self.cfg.mu, self.cfg.p, self.x,
+                                       [self.cfg.n], trials, np.random.default_rng(seed))
+        return rep
+
+    def reference(self, m, seed):
+        return smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, m,
+                                           np.random.default_rng(seed))
+
     def test_bias_variance_report_matches_one_call(self, monkeypatch):
         # several full trial blocks and a partial last one, likewise for the
         # 100 * trials reference rows
         trials = 3 * self.rows_per_block(self.cfg.n * 3 * 8) + 101
         assert (100 * trials) % self.rows_per_block(3 * 8) != 0
-        def report(rng):
-            (rep,) = measure_bias_variance(self.pot, self.cfg.mu, self.cfg.p, self.x,
-                                           [self.cfg.n], trials, rng)
-            return rep
-
-        blocked = report(np.random.default_rng(21))
+        blocked = self.report(trials, 21)
         monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1 << 40)
-        whole = report(np.random.default_rng(21))
+        whole = self.report(trials, 21)
         for field in whole.__dataclass_fields__:
             assert np.array_equal(getattr(blocked, field), getattr(whole, field)), field
 
     def test_mc_reference_matches_one_call(self, monkeypatch):
         m = 5 * self.rows_per_block(3 * 8) + 13
-        blocked = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, m,
-                                              np.random.default_rng(22))
+        blocked = self.reference(m, 22)
         monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1 << 40)
-        whole = smoothed_gradient_reference(self.pot, self.cfg.mu, self.cfg.p, self.x, m,
-                                            np.random.default_rng(22))
+        whole = self.reference(m, 22)
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)
+
+    def test_one_row_blocks_match_one_call(self, monkeypatch):
+        # a block holds at least one row, however small the budget; the
+        # reference then carries its sums across every row
+        trials = 7
+        whole = self.report(trials, 24), self.reference(301, 25)
+        monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1)
+        one_row = self.report(trials, 24), self.reference(301, 25)
+        for field in whole[0].__dataclass_fields__:
+            assert np.array_equal(getattr(one_row[0], field), getattr(whole[0], field)), field
+        for got, want in zip(one_row[1], whole[1]):
+            assert np.array_equal(got, want)
+
+    def test_blocks_are_consecutive_copies_of_the_rows(self, monkeypatch):
+        monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 3 * 2 * 8)
+        rows = np.arange(7 * 2 * 3, dtype=float).reshape(7, 2, 3)
+        seen = [(start, block.copy(), work.shape, block.strides)
+                for start, block, work in smoothing._by_row_blocks(rows, row_bytes=16)]
+        assert [start for start, *_ in seen] == [0, 3, 6]
+        for start, block, work_shape, strides in seen:
+            assert np.array_equal(block, rows[start:start + 3]) and work_shape == block.shape
+            assert strides[0] == 8  # the row axis is innermost in memory
+
+
+class TestReferenceReduction:
+    """The reference is bitwise numpy's mean and var over its C-order (m, d) summands."""
+
+    mu = 0.3
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    @pytest.mark.parametrize("blocks", [0.5, 2.3])
+    def test_matches_numpy_on_c_order_summands(self, d, p, blocks):
+        # m below one block, or two full blocks and a partial last one
+        pot = regularize(get_potential("power", d, alpha=0.5), 0.5)
+        x = np.linspace(-0.8, 0.6, d)
+        m = int(blocks * (smoothing._BLOCK_BYTES // (d * 8)))
+        ref, ref_var = smoothed_gradient_reference(pot, self.mu, p, x, m,
+                                                   np.random.default_rng(26))
+        xi = sample_pgg(PggSpec(p, d), np.random.default_rng(26), size=m)
+        summands = ((pot.value(x + self.mu * xi) - pot.value(x)) / self.mu)[:, None] \
+            * hadamard_weight(xi, p)
+        assert summands.flags.c_contiguous
+        assert np.array_equal(ref, summands.mean(axis=0))
+        assert np.array_equal(ref_var, summands.var(axis=0, ddof=1) / m)
+
+    def test_a_zero_column_sums_as_numpy_sums_it(self):
+        # numpy's sum starts from +0.0, so a column of -0.0 sums to +0.0
+        v = np.full((2, 5), -0.0)
+        total = smoothing._add_in_order(np.zeros(2), v)
+        assert np.array_equal(np.signbit(total), np.signbit(np.add.reduce(v.T, axis=0)))
+
+
+class TestHarnessMemory:
+    """The Lemma-2 harness holds one draw array at a time, and little beside it."""
+
+    pot = regularize(get_potential("power", 4, alpha=0.5), 0.5)
+    x = np.array([0.7, -0.4, 0.2, 0.1])
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_reference_peaks_near_its_draws(self):
+        m, rng = 200_000, np.random.default_rng(27)
+        peak = self.peak(lambda: smoothed_gradient_reference(self.pot, 0.2, 2.0, self.x, m, rng))
+        assert peak <= 1.25 * m * 4 * 8
+
+    def test_bias_variance_peaks_near_its_largest_draw_array(self):
+        # the reference's 100 * trials draws and the largest n's block are
+        # never held together, and every n reuses that block's buffer
+        trials, ns, rng = 2_000, (1, 100, 50), np.random.default_rng(28)
+        peak = self.peak(lambda: measure_bias_variance(self.pot, 0.2, 2.0, self.x, ns, trials,
+                                                       rng))
+        assert peak <= 1.25 * max(100 * trials, trials * max(ns)) * 4 * 8
 
 
 class TestChainInnermostHarness:
@@ -533,19 +616,24 @@ class TestChainInnermostHarness:
     mu = 0.2
 
     def estimates(self, monkeypatch, pot, p, x, n, trials):
-        # measure_bias_variance's (trials, n, d) draw block and its (trials, d)
-        # estimates, caught at the row-block driver
-        seen = []
-        real = smoothing._by_row_blocks
+        # measure_bias_variance's (trials, n, d) draw block, caught as it is
+        # drawn, and its (trials, d) estimates, caught block by block
+        draws, blocks = [], []
+        real_draw, real_estimate = smoothing.sample_pgg, smoothing.grad_estimate_from_draws
 
-        def spy(fn, rows, out=None, **kwargs):
-            res = real(fn, rows, out, **kwargs)
-            seen.append((rows, res))
-            return res
+        def draw(*args, **kwargs):
+            out = real_draw(*args, **kwargs)
+            draws.append(out.copy())
+            return out
 
-        monkeypatch.setattr(smoothing, "_by_row_blocks", spy)
+        def estimate(*args, **kwargs):
+            blocks.append(real_estimate(*args, **kwargs))
+            return blocks[-1]
+
+        monkeypatch.setattr(smoothing, "sample_pgg", draw)
+        monkeypatch.setattr(smoothing, "grad_estimate_from_draws", estimate)
         measure_bias_variance(pot, self.mu, p, x, [n], trials, np.random.default_rng(23))
-        return seen[-1]
+        return draws[-1], np.concatenate(blocks)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("name,params", [("power", {"alpha": 0.5}), ("l1", {}),
