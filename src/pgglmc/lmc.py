@@ -40,7 +40,7 @@ from .errors import ParameterError, StepSizeError
 from .potentials import (RegularizedPotential, _sq_norm, lemma1_gap_bound, max_step_size,
                          perturbation_scale_a, smoothness_constant_M)
 from .smoothing import SmoothingConfig, _rows_innermost, grad_estimate_from_draws
-from .pgg import PggSpec, _check_count, _check_positive, _real, sample_pgg
+from .pgg import PggSpec, _check_count, _check_positive, _empty, _real, sample_pgg
 
 __all__ = [
     "InitSpec",
@@ -259,10 +259,7 @@ def run_chain(pot: RegularizedPotential, scfg: SmoothingConfig, lcfg: LmcConfig,
         # draws every chain's smoothing block, each from the chain's generator,
         # into the C-contiguous front of one flat buffer
         gens = [rngs[c] for c in indices]
-        try:  # a size past numpy's largest array fails as one that does not fit
-            buf = None if exact_gradient else np.empty(rows * chunk * n * d)
-        except ValueError as exc:
-            raise MemoryError(f"one chunk's draws exceed numpy's largest array: {exc}") from None
+        buf = None if exact_gradient else _empty(rows * chunk * n * d, "one chunk's draws")
         noise = np.empty((rows, chunk, d))
         # Each step's draws are copied into a (chains, n, d) buffer held chain
         # axis innermost: numpy's inner loops then run over the chains, not

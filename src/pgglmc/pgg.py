@@ -88,6 +88,14 @@ def _as_point(x, d: int, batched: bool = False) -> np.ndarray:
     return x
 
 
+def _empty(shape, what: str) -> np.ndarray:
+    """np.empty(shape); MemoryError, not numpy's ValueError, for a size past its largest array."""
+    try:
+        return np.empty(shape)
+    except ValueError as exc:
+        raise MemoryError(f"{what} exceed numpy's largest array: {exc}") from None
+
+
 # Outputs per round of the 1 < p < 2 sampler: the round's words and scratch
 # (under 1 MB) stay in a per-core cache, and a call's extra memory does not
 # grow with its size.
@@ -431,7 +439,7 @@ def sample_pgg(spec: PggSpec, rng, size=None, *, out: np.ndarray | None = None) 
     shape = _size_shape(size) + (spec.d,)
     full = (len(rngs),) + shape if many else shape
     if out is None:
-        out = np.empty(full)
+        out = _empty(full, "the draws")
     elif not (isinstance(out, np.ndarray) and out.shape == full and out.dtype == np.float64
               and out.flags.c_contiguous):
         raise ParameterError(f"out must be a C-contiguous float64 array of shape {full}")

@@ -239,9 +239,9 @@ def _power(d: int, alpha: float = 0.5) -> Potential:
     (certified empirically by the spot-check suite; the ratio approaches the
     constant on nearly antipodal pairs).
     """
+    if not (_real(alpha) and 0.0 < alpha < 1.0):
+        raise ParameterError(f"power potential needs alpha in (0, 1), got {alpha}")
     a = float(alpha)
-    if not (0.0 < a < 1.0):
-        raise ParameterError(f"power potential needs alpha in (0, 1), got {a}")
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -298,7 +298,7 @@ def _zero(d: int, L: float = 1.0, alpha: float = 1.0) -> Potential:
         name="zero",
         d=d,
         L=L,
-        alpha=float(alpha),
+        alpha=alpha,
         value=lambda x: np.zeros(np.shape(x)[:-1]),
         subgrad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         quad_curvature=0.0,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pgg import PggSpec, _as_point, _check_count, _check_p, sample_pgg
+from .pgg import PggSpec, _as_point, _check_count, _check_p, _empty, sample_pgg
 from .potentials import RegularizedPotential, _check_mu, smoothness_constant_M
 
 __all__ = [
@@ -152,28 +152,33 @@ def _law(pot: RegularizedPotential, mu: float, p: float) -> PggSpec:
     return PggSpec(p, pot.d)
 
 
-def _two_point(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
-               xi: np.ndarray, work: np.ndarray | None = None,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The summand's factors (U_bar(x + mu*xi) - U_bar(x)) / mu, shape (..., m), and w(xi).
-
-    xi has shape (..., m, d) against x of shape (..., d); callers reduce.
-    The points x + mu*xi are built in ``work``, an array of xi's shape (a
-    fresh one when None), where x broadcasts into the draws' shape, and at
-    p < 2 the weight then overwrites them; the coefficients are built in
-    place.  Points that outgrow the draws' shape, many x against shared
-    draws, get a fresh array.  The arithmetic is that of
-    (U(x + mu*xi) - U(x)) / mu.
-    """
+def _coefficients(pot: RegularizedPotential, mu: float, x: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
+    """(U_bar(y) - U_bar(x)) / mu for y (..., m, d) about x (..., d), in U_bar(y)'s array."""
     base = pot.value(x)
-    y = np.multiply(mu, xi, out=work)
-    fits = np.broadcast_shapes(y.shape, x[..., None, :].shape) == y.shape
-    y = np.add(y, x[..., None, :], out=y if fits else None)
     coef = pot.value(y)
     coef -= base[..., None]
     coef /= mu
-    # once evaluated the points are dead, so at p < 2 their buffer takes w
-    return coef, hadamard_weight(xi, p, out=y if fits else None)
+    return coef
+
+
+def _summands(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
+              xi: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """The two-point summands (U_bar(x + mu*xi) - U_bar(x)) / mu * w(xi), shape (..., m, d).
+
+    xi has shape (..., m, d) against x of shape (..., d); callers reduce.
+    The points x + mu*xi are built in ``work``, an array of xi's shape (a
+    fresh one when None), where x broadcasts into the draws' shape; once
+    evaluated they are dead, so the summands overwrite them, at p < 2 after
+    the weight has.  Points that outgrow the draws' shape, many x against
+    shared draws, get a fresh array.
+    """
+    y = np.multiply(mu, xi, out=work)
+    fits = np.broadcast_shapes(y.shape, x[..., None, :].shape) == y.shape
+    y = np.add(y, x[..., None, :], out=y if fits else None)
+    coef = _coefficients(pot, mu, x, y)
+    w = hadamard_weight(xi, p, out=y if fits else None)
+    return np.multiply(coef[..., None], w, out=y)
 
 
 def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
@@ -183,23 +188,14 @@ def grad_estimate_from_draws(pot: RegularizedPotential, mu: float, p: float,
 
     Leading axes broadcast, so a (trials, n, d) block of draws against a
     single point yields (trials, d) independent estimates in one call.
-    The perturbed points x + mu*xi are built in ``work`` when it is given, a
-    float64 array of xi's shape that a caller reuses across calls; its
-    contents on return are unspecified.  The summands overwrite the Hadamard
-    weight when it is written in the points' buffer (p < 2); the draw-axis
-    sum over n is bitwise np.mean.  The black box must not keep the points
-    it is passed: their buffer is reused.
+    It is the draw-axis mean of ``_summands``, bitwise np.mean, which are
+    built in ``work`` when it is given: a float64 array of xi's shape that a
+    caller reuses across calls, its contents on return unspecified.  The
+    black box must not keep the points it is passed: their buffer is reused.
     """
     xi = np.asarray(xi, dtype=float)
-    coef, w = _two_point(pot, mu, p, np.asarray(x, dtype=float), xi, work)
-    if coef.shape != xi.shape[:-1]:
-        w = coef[..., None] * w
-    elif w is xi:
-        # p = 2: the points are dead, so their buffer takes the summands
-        w = np.multiply(coef[..., None], xi, out=work)
-    else:
-        w *= coef[..., None]
-    return np.add.reduce(w, axis=-2) / xi.shape[-2]
+    summands = _summands(pot, mu, p, np.asarray(x, dtype=float), xi, work)
+    return np.add.reduce(summands, axis=-2) / xi.shape[-2]
 
 
 def smoothed_value_mc(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
@@ -246,8 +242,7 @@ def smoothed_gradient_reference(pot: RegularizedPotential, mu: float, p: float,
     xi = sample_pgg(spec, rng, size=m)
     tiles, total = [], np.zeros(d)
     for start, block, work in _by_row_blocks(xi):
-        coef, w = _two_point(pot, mu, spec.p, x, block, work)
-        summands = np.multiply(coef[:, None], w, out=w).T  # (d, rows)
+        summands = _summands(pot, mu, spec.p, x, block, work).T  # (d, rows)
         # the block's draws are read, so its summands take their memory, d-major
         tiles.append(xi.reshape(-1)[start * d:(start + len(block)) * d].reshape(d, -1))
         np.copyto(tiles[-1], summands)
@@ -290,7 +285,7 @@ def measure_bias_variance(pot: RegularizedPotential, mu: float, p: float, x: np.
     cfgs = [SmoothingConfig(mu=mu, n=n, p=p) for n in ns]
     x = _as_point(x, pot.d)
     reference = smoothed_gradient_reference(pot, mu, p, x, 100 * trials, rng)
-    draws = np.empty(trials * max((cfg.n for cfg in cfgs), default=0) * pot.d)
+    draws = _empty(trials * max((cfg.n for cfg in cfgs), default=0) * pot.d, "the trials' draws")
     return [_bias_variance(pot, cfg, x, trials, rng, reference, draws) for cfg in cfgs]
 
 

@@ -16,10 +16,11 @@ from itertools import permutations
 import numpy as np
 
 from .lmc import InitSpec, LmcConfig, bounds_table, run_chain
-from .pgg import PggSpec, _check_count, pgg_norm_moment, pgg_sq_norm_moment_bound, sample_pgg
+from .pgg import (PggSpec, _check_count, _empty, pgg_norm_moment, pgg_sq_norm_moment_bound,
+                  sample_pgg)
 from .potentials import get_potential, lemma1_gap_envelope, regularize, smoothness_constant_M
-from .smoothing import (SmoothingConfig, _by_row_blocks, hadamard_weight, measure_bias_variance,
-                        smoothed_value_mc)
+from .smoothing import (SmoothingConfig, _by_row_blocks, _coefficients, hadamard_weight,
+                        measure_bias_variance, smoothed_value_mc)
 from .transport import w2_exact_1d, w2_exact_assignment, w2_to_gaussian
 
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suites",
@@ -92,7 +93,7 @@ def suite_moments(seed: int = 1001, draws: int = 1_000_000) -> SuiteResult:
     result = SuiteResult(suite="moments")
     ps, orders, dims = (1.0, 1.5, 2.0), (1.0, 2.0, 4.0), (1, 3, 5)
 
-    xi = np.empty((draws, dims[-1]))
+    xi = _empty((draws, dims[-1]), "the moment draws")
     for p, rng in zip(ps, np.random.default_rng(seed).spawn(len(ps))):
         sample_pgg(PggSpec(p=p, d=dims[-1]), rng, size=draws, out=xi)
         for start in range(0, draws, _MOMENT_ROWS):
@@ -197,18 +198,16 @@ def suite_lemma1(seed: int = 1002) -> SuiteResult:
                 tol = np.full(pairs, 1e-9)
             else:
                 # shared draws make differences of references nearly noise-free;
-                # the (pairs, m) coefficients (U_bar(x + mu*xi) - U_bar(x)) / mu
-                # are built a few pairs at a time, whose C-order (pairs, m, d)
-                # points fit a cache-sized block
+                # the (pairs, m) coefficients are built a few pairs at a time,
+                # whose C-order (pairs, m, d) points fit a cache-sized block
                 xi = sample_pgg(spec, rng, size=lipschitz_draws)
                 shift = mu * xi
                 w = hadamard_weight(xi, p)                      # (m, d)
                 coef_x, coef_y = (np.empty((pairs, lipschitz_draws)) for _ in "xy")
                 for ends, coef in ((x, coef_x), (y, coef_y)):
                     for start, block, _ in _by_row_blocks(ends, row_bytes=xi.nbytes):
-                        coef[start:start + len(block)] = (
-                            pot.value(np.add(block[:, None, :], shift, order="C"))
-                            - pot.value(block)[:, None]) / mu
+                        coef[start:start + len(block)] = _coefficients(
+                            pot, mu, block, np.add(block[:, None, :], shift, order="C"))
                 delta = np.linalg.norm(coef_x @ w / lipschitz_draws
                                        - coef_y @ w / lipschitz_draws, axis=1)
                 wsq = np.sum(w * w, axis=1)

@@ -79,6 +79,8 @@ RANGED_REALS = {
     "make_potential alpha": lambda v: make_potential("flat", 2, 1.0, v,
                                                      lambda x: np.zeros(np.shape(x)[:-1])),
     "SmoothingConfig p": lambda v: SmoothingConfig(mu=0.1, n=2, p=v),
+    "power alpha": lambda v: get_potential("power", 2, alpha=v),
+    "zero alpha": lambda v: get_potential("zero", 2, alpha=v),
 }
 
 
@@ -99,12 +101,13 @@ def test_every_positive_real_is_finite_and_positive(entry, value):
         POSITIVE_REALS[entry](value)
 
 
-@pytest.mark.parametrize("value", [-1, math.nan, math.inf, True, "1"])
+@pytest.mark.parametrize("value", [-1, math.nan, math.inf, True, "1", "0.5"])
 @pytest.mark.parametrize("entry", sorted(RANGED_REALS))
 def test_every_ranged_real_takes_only_reals_in_range(entry, value):
     # a bool used to pass as 1: InitSpec(scale=True) ran with scale 1, and
-    # make_potential stored alpha = True as 1.0
-    with pytest.raises(ParameterError, match=" got "):
+    # make_potential stored alpha = True as 1.0; the power potential named
+    # it 1.0, and the power and zero potentials took alpha = "0.5" as 0.5
+    with pytest.raises(ParameterError, match=f" got {value}$"):
         RANGED_REALS[entry](value)
 
 

@@ -153,17 +153,26 @@ def test_benchmark_tracer_installs(tmp_path):
         "lmc": {"eta": 0.05, "steps": 20, "chains": 8,
                 "init": {"kind": "point", "value": 0.0}, "seed": 1},
     }), encoding="utf-8")
-    argv = ["sample", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]
-    code = ("import json, sys; sys.path.insert(0, 'perfbench'); "
-            "from spans import Tracer; tracer = Tracer('t'); tracer.install(); "
-            "from pgglmc import cli; "
-            f"assert cli.main({argv!r}) == 0; "
-            "print(json.dumps(sorted({s['name'] for s in tracer.records()})))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    spans = set(json.loads(proc.stdout))
+
+    def traced_sample(*args):
+        """The span names, layer metrics and report of one traced ``sample`` run."""
+        out = tmp_path / "-".join(("run",) + args)
+        argv = ["sample", "--config", str(cfg), "--out", str(out), "--quiet", *args]
+        code = ("import json, sys; sys.path.insert(0, 'perfbench'); "
+                "from spans import Tracer, layer_metrics; tracer = Tracer('t'); "
+                "tracer.install(); from pgglmc import cli; "
+                f"assert cli.main({argv!r}) == 0; spans = tracer.records(); "
+                "print(json.dumps([sorted({s['name'] for s in spans}), "
+                "layer_metrics(spans)]))")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        names, metrics = json.loads(proc.stdout)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        return set(names), metrics, report
+
+    spans, _, _ = traced_sample()
     assert {"lmc.run_chain", "transport.w2_to_gaussian"} <= spans, spans
     # run_chain draws each group's smoothing blocks through the wrapped
     # lmc.sample_pgg, or the benchmark's pgg layer reads 0
@@ -171,3 +180,8 @@ def test_benchmark_tracer_installs(tmp_path):
     # at d = 2 the W2 check builds a cost matrix and solves it through the
     # wrapped transport names, or transport.cost_matrix_s and solve_s read 0
     assert {"transport.cdist", "transport.linear_sum_assignment"} <= spans, spans
+    # the benchmark checks its traced counts exactly: on two thread groups too,
+    # every chain step's estimate and evaluations must be recorded under run_chain
+    _, metrics, report = traced_sample("--threads", "2")
+    assert metrics["lmc.evals"] == report["metrics"]["evals_total"] == 8 * 20 * (4 + 1)
+    assert metrics["lmc.chain_steps"] == 8 * 20

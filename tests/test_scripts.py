@@ -127,15 +127,20 @@ def test_potential_parameter_the_config_does_not_take_fails(tmp_path, script):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("script, args", [
-    ("variance_vs_n.py", ["--ns", 0]),
-    ("variance_vs_n.py", ["--trials", 1]),
-    ("variance_vs_n.py", ["--trials", 0]),
-    ("mu_sweep.py", ["--run-chains", "--csv", "{file}/x.csv"]),
-    ("mu_sweep.py", ["--run-chains", "--csv", "{dir}"]),
-], ids=["ns=0", "trials=1", "trials=0", "csv-under-a-file", "csv-is-a-directory"])
-def test_bad_run_argument_exits_2_before_any_output(tmp_path, script, args):
-    cfg = write_doc(tmp_path / "cfg.json", config_doc("quadratic"))
+@pytest.mark.parametrize("script, potential, args", [
+    ("variance_vs_n.py", "quadratic", ["--ns", 0]),
+    ("variance_vs_n.py", "quadratic", ["--trials", 1]),
+    ("variance_vs_n.py", "quadratic", ["--trials", 0]),
+    # past numpy's largest array: the quadratic's trial draws, the power
+    # potential's reference draws first; both used to exit 1 with a traceback
+    ("variance_vs_n.py", "quadratic", ["--trials", 10 ** 17]),
+    ("variance_vs_n.py", "power", ["--trials", 10 ** 17]),
+    ("mu_sweep.py", "quadratic", ["--run-chains", "--csv", "{file}/x.csv"]),
+    ("mu_sweep.py", "quadratic", ["--run-chains", "--csv", "{dir}"]),
+], ids=["ns=0", "trials=1", "trials=0", "trials=1e17", "trials=1e17-power",
+        "csv-under-a-file", "csv-is-a-directory"])
+def test_bad_run_argument_exits_2_before_any_output(tmp_path, script, potential, args):
+    cfg = write_doc(tmp_path / "cfg.json", config_doc(potential))
     blocker = write_doc(tmp_path / "file", {})
     proc = run_script(script, "--config", cfg,
                       *(str(arg).format(file=blocker, dir=tmp_path) for arg in args))

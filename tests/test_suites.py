@@ -25,6 +25,14 @@ class TestMomentSuite:
         with pytest.raises(ParameterError):
             suite_moments(draws=draws)
 
+    def test_draws_past_numpy_largest_array_are_out_of_memory(self):
+        # numpy's bare "ValueError: Maximum allowed dimension exceeded" used
+        # to escape the suite, and the sampler's own output, as a traceback
+        with pytest.raises(MemoryError, match="moment draws exceed numpy's largest array"):
+            suite_moments(draws=10 ** 19)
+        with pytest.raises(MemoryError, match="the draws exceed numpy's largest array"):
+            sample_pgg(PggSpec(1.5, 2), np.random.default_rng(0), size=10 ** 19)
+
     def test_observed_moments_read_prefixes_of_one_block_per_p(self):
         # a draw count that ends in a partial in-place row block
         draws = 40_000
