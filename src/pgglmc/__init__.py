@@ -53,7 +53,6 @@ from .lmc import (
 )
 from .transport import (
     W2GaussianResult,
-    w2_exact_1d,
     w2_exact_assignment,
     w2_to_gaussian,
 )

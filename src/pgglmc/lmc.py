@@ -71,7 +71,7 @@ class InitSpec:
 
     def __post_init__(self):
         if not (_real(self.scale) and 0 <= self.scale < math.inf):
-            raise ParameterError(f"init scale must be finite and >= 0, got {self.scale}")
+            raise ParameterError(f"init scale must be finite and >= 0, got {self.scale!r}")
 
 
 @dataclass(frozen=True)

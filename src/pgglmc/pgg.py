@@ -35,7 +35,6 @@ __all__ = [
     "log_kappa",
     "pgg_norm_moment",
     "pgg_sq_norm_moment_bound",
-    "SqNormMoment",
 ]
 
 
@@ -59,7 +58,7 @@ def _real(value) -> bool:
 def _check_p(p) -> float:
     """p as a float; ParameterError unless it lies in [1, 2], the range every bound assumes."""
     if not (_real(p) and 1.0 <= p <= 2.0):
-        raise ParameterError(f"p must lie in [1, 2], got {p}")
+        raise ParameterError(f"p must lie in [1, 2], got {p!r}")
     return float(p)
 
 
@@ -68,14 +67,14 @@ def _check_count(value, what: str, low: int = 1) -> int:
     # an int past the float range is integral too; float() would overflow on it
     if not (_real(value) and value >= low
             and (isinstance(value, numbers.Integral) or float(value).is_integer())):
-        raise ParameterError(f"{what} must be an integer >= {low}, got {value}")
+        raise ParameterError(f"{what} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 
 def _check_positive(value, what: str) -> float:
     """value as a float; ParameterError unless it is finite and > 0."""
     if not (_real(value) and 0 < value <= sys.float_info.max):
-        raise ParameterError(f"{what} must be finite and > 0, got {value}")
+        raise ParameterError(f"{what} must be finite and > 0, got {value!r}")
     return float(value)
 
 
@@ -492,18 +491,10 @@ def pgg_norm_moment(spec: PggSpec, n: float) -> float:
     return p ** (n / p) * _gamma_ratio((d + n) / p, d / p)
 
 
-class SqNormMoment(NamedTuple):
-    bound: float
-    exact: float
+def pgg_sq_norm_moment_bound(spec: PggSpec) -> float:
+    """Upper bound (d+1)^(2/p) on E ||xi||_2^2.
 
-
-def pgg_sq_norm_moment_bound(spec: PggSpec) -> SqNormMoment:
-    """Upper bound (d+1)^(2/p) on E ||xi||_2^2, together with the exact value.
-
-    The exact second Euclidean moment is d * p^(2/p) * Gamma(3/p) / Gamma(1/p)
-    (d independent coordinates, each with E x^2 = p^(2/p) Gamma(3/p)/Gamma(1/p)).
+    The exact value is d * pgg_norm_moment(PggSpec(p, 1), 2): the d coordinates
+    are independent, each with E x^2 = p^(2/p) Gamma(3/p) / Gamma(1/p).
     """
-    p, d = spec.p, spec.d
-    bound = (d + 1.0) ** (2.0 / p)
-    exact = d * p ** (2.0 / p) * _gamma_ratio(3.0 / p, 1.0 / p)
-    return SqNormMoment(bound=bound, exact=exact)
+    return (spec.d + 1.0) ** (2.0 / spec.p)

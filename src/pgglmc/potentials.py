@@ -95,7 +95,7 @@ class Potential:
         object.__setattr__(self, "d", _check_count(self.d, "d"))
         object.__setattr__(self, "L", _check_positive(self.L, "Hölder constant L"))
         if not (_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
-            raise ParameterError(f"Hölder exponent alpha must lie in [0, 1], got {self.alpha}")
+            raise ParameterError(f"Hölder exponent alpha must lie in [0, 1], got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
@@ -202,7 +202,7 @@ def perturbation_scale_a(pot: RegularizedPotential, mu: float, p: float) -> floa
         gap = lemma1_gap_bound(pot, mu, p)
     except OverflowError:
         gap = math.inf
-    a = gap + 0.5 * pot.lam * mu * mu * pgg_sq_norm_moment_bound(PggSpec(p, pot.d)).bound
+    a = gap + 0.5 * pot.lam * mu * mu * pgg_sq_norm_moment_bound(PggSpec(p, pot.d))
     if not math.isfinite(a):
         raise ParameterError(f"perturbation scale a overflows a float at mu = {mu}, "
                              f"lam = {pot.lam}")
@@ -240,7 +240,7 @@ def _power(d: int, alpha: float = 0.5) -> Potential:
     constant on nearly antipodal pairs).
     """
     if not (_real(alpha) and 0.0 < alpha < 1.0):
-        raise ParameterError(f"power potential needs alpha in (0, 1), got {alpha}")
+        raise ParameterError(f"power potential needs alpha in (0, 1), got {alpha!r}")
     a = float(alpha)
 
     def value(x):
@@ -273,6 +273,8 @@ def _l1(d: int) -> Potential:
 def _huber(d: int, delta: float = 0.5) -> Potential:
     """Coordinate-wise Huber sum: quadratic within |x| <= delta, linear beyond."""
     dl = _check_positive(delta, "huber delta")
+    if 1.0 / dl == math.inf:  # a subnormal delta, whose L = 1/delta overflows
+        raise ParameterError(f"huber delta must give a finite L = 1/delta, got {delta!r}")
 
     def value(x):
         x = np.asarray(x, dtype=float)

@@ -21,7 +21,7 @@ from .pgg import (PggSpec, _check_count, _empty, pgg_norm_moment, pgg_sq_norm_mo
 from .potentials import get_potential, lemma1_gap_envelope, regularize, smoothness_constant_M
 from .smoothing import (SmoothingConfig, _by_row_blocks, _coefficients, hadamard_weight,
                         measure_bias_variance, smoothed_value_mc)
-from .transport import w2_exact_1d, w2_exact_assignment, w2_to_gaussian
+from .transport import _assignment_w2, _sorted_w2, w2_to_gaussian
 
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suites",
            "suite_moments", "suite_lemma1", "suite_lemma2", "suite_mixing",
@@ -171,7 +171,7 @@ def suite_lemma1(seed: int = 1002) -> SuiteResult:
                 # Regularizer contributes exactly (lam/2) mu^2 E||xi||^2,
                 # covered by the same (d+1)^(2/p) envelope used inside a.
                 bound = (lemma1_gap_envelope(base, mu, p) + 0.5 * lam * mu**2
-                         * pgg_sq_norm_moment_bound(PggSpec(p=p, d=d)).bound)
+                         * pgg_sq_norm_moment_bound(PggSpec(p=p, d=d)))
                 worst_low = float((gap + 4 * se).min())
                 worst_high = float((gap - 4 * se - bound).max())
                 result.checks.append(Check(
@@ -385,6 +385,7 @@ def suite_mixing(seed: int = 1004, threads: int = 1) -> SuiteResult:
 
 
 def suite_transport(seed: int = 1005) -> SuiteResult:
+    # the solver and the sorted matching themselves, on sets that are finite and (N, d)
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="transport")
 
@@ -396,7 +397,7 @@ def suite_transport(seed: int = 1005) -> SuiteResult:
         b = rng.normal(size=(n, d))
         cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
         brute = min(cost[np.arange(n), perm].sum() for perm in permutations(range(n)))
-        solver = w2_exact_assignment(a, b)
+        solver = _assignment_w2(a, b)
         gap = abs(solver - math.sqrt(brute / n))
         worst_gap = max(worst_gap, gap)
     result.checks.append(Check(
@@ -410,7 +411,7 @@ def suite_transport(seed: int = 1005) -> SuiteResult:
         n = int(rng.integers(2, 258))
         a = rng.normal(size=(n, 1))
         b = rng.normal(size=(n, 1)) + rng.normal()
-        v1, v2 = w2_exact_1d(a, b), w2_exact_assignment(a, b)
+        v1, v2 = _sorted_w2(a, b), _assignment_w2(a, b)
         worst_rel = max(worst_rel, abs(v1 - v2) / max(v1, 1e-300))
     result.checks.append(Check(
         name="sorted_matching_is_1d_optimum",
@@ -422,10 +423,10 @@ def suite_transport(seed: int = 1005) -> SuiteResult:
         n = int(rng.integers(4, 65))
         d = int(rng.integers(1, 4))
         sets = [rng.normal(size=(n, d)) for _ in range(3)]
-        ab = w2_exact_assignment(sets[0], sets[1])
-        ba = w2_exact_assignment(sets[1], sets[0])
-        bc = w2_exact_assignment(sets[1], sets[2])
-        ac = w2_exact_assignment(sets[0], sets[2])
+        ab = _assignment_w2(sets[0], sets[1])
+        ba = _assignment_w2(sets[1], sets[0])
+        bc = _assignment_w2(sets[1], sets[2])
+        ac = _assignment_w2(sets[0], sets[2])
         worst_sym = max(worst_sym, abs(ab - ba))
         worst_tri = max(worst_tri, ac - (ab + bc))
     result.checks.append(Check(

@@ -3,9 +3,9 @@
 A sample set is a non-empty, finite (N, d) float array (a 1-D array is N
 points at d = 1), checked once on entry.  Both sets of a comparison have the
 same size N; a caller with a larger set subsamples it first, and should
-report N so finite-sample bias stays interpretable.  Exact mode solves the
-optimal assignment on the squared-Euclidean cost matrix (cubic time, capped
-at N = 2048); at d = 1 the sorted matching is the same optimum.  The solver
+report N so finite-sample bias stays interpretable.  Exact W2 solves the optimal
+assignment on the squared-Euclidean cost matrix (cubic time, N <= 2048 at
+every d), or at d = 1 takes the sorted matching, the same optimum.  The solver
 is scipy's compiled one, loaded on first use; the module imports only numpy,
 so a run that never solves an assignment never loads scipy.
 ``w2_to_gaussian`` subsamples larger sets to the cap and reports the size
@@ -28,7 +28,6 @@ from .errors import ParameterError
 from .pgg import _check_count, _check_positive
 
 __all__ = [
-    "w2_exact_1d",
     "w2_exact_assignment",
     "w2_to_gaussian",
     "W2GaussianResult",
@@ -97,19 +96,13 @@ def _assignment_w2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
-def w2_exact_1d(a, b) -> float:
-    """Exact W2 for equal-size 1-D empirical measures: RMS gap of order statistics."""
-    a, b = _points(a), _points(b)
-    if a.shape[1] != 1 or b.shape[1] != 1:
-        raise ParameterError(f"w2_exact_1d needs d = 1 samples, got d = {a.shape[1]} "
-                             f"and {b.shape[1]}")
-    if len(a) != len(b):
-        raise ParameterError(f"sample sizes differ: {len(a)} vs {len(b)}")
-    return _sorted_w2(a, b)
+def _exact_w2(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact W2 for checked sets of one shape: the sorted matching at d = 1, else the solver."""
+    return (_sorted_w2 if a.shape[1] == 1 else _assignment_w2)(a, b)
 
 
 def w2_exact_assignment(a, b) -> float:
-    """Exact optimal-assignment W2 between equal-size sample sets, N <= 2048."""
+    """Exact optimal-assignment W2 between equal-size sample sets, N <= 2048 at every d."""
     a, b = _points(a), _points(b)
     if a.shape[1] != b.shape[1]:
         raise ParameterError(f"dimensions differ: {a.shape[1]} vs {b.shape[1]}")
@@ -120,7 +113,7 @@ def w2_exact_assignment(a, b) -> float:
             f"N = {len(a)} exceeds the exact-assignment cap {ASSIGNMENT_CAP}; "
             f"subsample the sets to at most {ASSIGNMENT_CAP} points"
         )
-    return _assignment_w2(a, b)
+    return _exact_w2(a, b)
 
 
 @dataclass(frozen=True)
@@ -141,8 +134,7 @@ def w2_to_gaussian(a, variance: float, resamples: int = 5, *,
     and reports the mean and spread of the exact distances; the spread tracks
     the finite-sample noise floor of the comparison.  A set of more than
     ``ASSIGNMENT_CAP`` points is first subsampled to the cap, without
-    replacement, from ``rng``.  At d = 1 the optimum is the sorted matching
-    (``w2_exact_1d``), so the assignment solver is used only for d >= 2.
+    replacement, from ``rng``.  The distances are ``w2_exact_assignment``'s.
     The reference draws are finite by construction and are not re-checked.
     """
     a = _points(a)
@@ -152,9 +144,8 @@ def w2_to_gaussian(a, variance: float, resamples: int = 5, *,
         a = a[rng.choice(len(a), ASSIGNMENT_CAP, replace=False)]
     n, d = a.shape
     scale = np.sqrt(variance)
-    exact = _sorted_w2 if d == 1 else _assignment_w2
     vals = np.empty(resamples)
     for r in range(resamples):
-        vals[r] = exact(a, scale * rng.standard_normal((n, d)))
+        vals[r] = _exact_w2(a, scale * rng.standard_normal((n, d)))
     return W2GaussianResult(mean=float(vals.mean()), std=float(vals.std(ddof=1)) if resamples > 1 else 0.0,
                             values=vals, n=n)

@@ -468,7 +468,7 @@ class TestCliExitCodes:
         ("lmc", "eta", "1e309", "lmc.eta"),
         ("lmc", "eta", "1" + "0" * 400, "lmc.eta"),
         ("lmc", "init", '{"kind": "point", "value": -1' + "0" * 400 + "}", "lmc.init.value"),
-        ("potential", "params", '{"delta": 1e-320}', "Hölder constant L"),
+        ("potential", "params", '{"delta": 1e-320}', "huber delta"),
     ])
     def test_non_finite_number_exits_2_naming_the_key(self, tmp_path, capsys,
                                                       section, key, text, needle):

@@ -7,6 +7,7 @@ wording under the key's JSON path.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,8 +107,9 @@ def test_every_positive_real_is_finite_and_positive(entry, value):
 def test_every_ranged_real_takes_only_reals_in_range(entry, value):
     # a bool used to pass as 1: InitSpec(scale=True) ran with scale 1, and
     # make_potential stored alpha = True as 1.0; the power potential named
-    # it 1.0, and the power and zero potentials took alpha = "0.5" as 0.5
-    with pytest.raises(ParameterError, match=f" got {value}$"):
+    # it 1.0, and the power and zero potentials took alpha = "0.5" as 0.5; the
+    # message shows the value as given, so the string "1" does not read as 1
+    with pytest.raises(ParameterError, match=f" got {re.escape(repr(value))}$"):
         RANGED_REALS[entry](value)
 
 
@@ -169,3 +171,17 @@ def test_config_number_wording():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(doc)
     assert str(err.value) == "lmc.init.scale: init scale must be finite and > 0, got 0"
+
+
+def test_huber_delta_whose_constant_overflows_is_named():
+    # a subnormal delta passed its own check, and L = 1/delta = inf was reported
+    # as "Hölder constant L must be finite and > 0, got inf", from a config too
+    with pytest.raises(ParameterError) as own:
+        get_potential("huber", 2, delta=1e-320)
+    assert str(own.value).startswith("huber delta ")
+    assert str(own.value).endswith(" got 1e-320")
+    doc = base_doc()
+    doc["potential"].update(name="huber", params={"delta": 1e-320})
+    with pytest.raises(ParameterError) as err:
+        ExperimentConfig.from_dict(doc).build_potential()
+    assert str(err.value) == str(own.value)

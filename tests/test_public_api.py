@@ -36,7 +36,7 @@ PUBLIC_NAMES = {
     "ChainResult", "InitSpec", "LmcConfig", "bounds_table", "check_step_size",
     "geometric_factor", "initial_w2", "outside_guard", "run_chain",
     # transport
-    "W2GaussianResult", "w2_exact_1d", "w2_exact_assignment", "w2_to_gaussian",
+    "W2GaussianResult", "w2_exact_assignment", "w2_to_gaussian",
     # config
     "ExperimentConfig", "ReportConfig",
 }

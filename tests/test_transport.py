@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from pgglmc import (
     ParameterError,
-    w2_exact_1d,
     w2_exact_assignment,
     w2_to_gaussian,
 )
@@ -34,59 +33,66 @@ class TestSampleSet:
     """Sample sets are plain arrays, checked on entry to every W2 function."""
 
     def test_1d_input_promoted(self):
-        # a 1-D array is N points at d = 1, for the sorted matching and the solver alike
+        # a 1-D array is N points at d = 1
         a, b = np.array([1.0, 2.0, 3.0]), np.array([[2.0], [3.0], [4.0]])
-        assert w2_exact_1d(a, b) == pytest.approx(1.0)
         assert w2_exact_assignment(a, b) == pytest.approx(1.0)
         with pytest.raises(ParameterError, match="dimensions differ"):
             w2_exact_assignment(a, np.zeros((3, 2)))
 
-    def test_nonfinite_rejected(self):
-        bad, good = np.array([[1.0], [np.nan]]), np.zeros((2, 1))
-        for w2 in (w2_exact_1d, w2_exact_assignment):
-            with pytest.raises(ParameterError, match="non-finite"):
-                w2(bad, good)
-            with pytest.raises(ParameterError, match="non-finite"):
-                w2(good, bad)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nonfinite_rejected(self, d):
+        bad, good = np.zeros((2, d)), np.zeros((2, d))
+        bad[1, 0] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            w2_exact_assignment(bad, good)
+        with pytest.raises(ParameterError, match="non-finite"):
+            w2_exact_assignment(good, bad)
 
-    def test_empty_rejected(self):
-        empty = np.zeros((0, 2))
-        for w2 in (w2_exact_1d, w2_exact_assignment):
-            with pytest.raises(ParameterError, match="non-empty"):
-                w2(empty, empty)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_empty_rejected(self, d):
+        empty = np.zeros((0, d))
+        with pytest.raises(ParameterError, match="non-empty"):
+            w2_exact_assignment(empty, empty)
 
 
 class TestExact1d:
+    """At d = 1 the exact distance is the sorted matching, behind the same entry checks."""
+
     def test_identical_sets(self):
         a = np.array([1.0, -2.0, 0.5])
-        assert w2_exact_1d(a, a) == 0.0
+        assert w2_exact_assignment(a, a) == 0.0
 
     def test_point_masses(self):
-        assert w2_exact_1d([0.0], [3.0]) == pytest.approx(3.0)
+        assert w2_exact_assignment([0.0], [3.0]) == pytest.approx(3.0)
 
     def test_interleaved_pair(self):
         # sorted pairing costs (1+1)/2 = 1; the crossed pairing costs 5
         a, b = [0.0, 2.0], [1.0, 3.0]
-        assert w2_exact_1d(a, b) == pytest.approx(brute_force_w2([[0.], [2.]], [[1.], [3.]]))
-        assert w2_exact_1d(a, b) == pytest.approx(1.0)
+        assert w2_exact_assignment(a, b) == pytest.approx(
+            brute_force_w2([[0.], [2.]], [[1.], [3.]]))
+        assert w2_exact_assignment(a, b) == pytest.approx(1.0)
 
     def test_size_mismatch(self):
-        with pytest.raises(ParameterError):
-            w2_exact_1d([0.0], [0.0, 1.0])
+        with pytest.raises(ParameterError, match="sizes differ"):
+            w2_exact_assignment([0.0], [0.0, 1.0])
 
-    def test_dimension_guard(self):
-        with pytest.raises(ParameterError):
-            w2_exact_1d(np.zeros((3, 2)), np.zeros((3, 2)))
+    def test_takes_the_sorted_matching_at_d1_only(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(64, 1)), rng.normal(size=(64, 1))
+        assert w2_exact_assignment(a, b) == transport._sorted_w2(a, b)
+        a, b = rng.normal(size=(64, 2)), rng.normal(size=(64, 2))
+        assert w2_exact_assignment(a, b) == transport._assignment_w2(a, b)
 
 
 class TestExactAssignment:
     def test_matches_1d_closed_form(self):
+        # the sorted matching is the solver's optimum at d = 1
         rng = np.random.default_rng(0)
         for _ in range(10):
             n = int(rng.integers(2, 200))
-            a = rng.normal(size=n)
-            b = rng.normal(size=n) + rng.normal()
-            v1, v2 = w2_exact_1d(a, b), w2_exact_assignment(a, b)
+            a = rng.normal(size=(n, 1))
+            b = rng.normal(size=(n, 1)) + rng.normal()
+            v1, v2 = transport._sorted_w2(a, b), transport._assignment_w2(a, b)
             assert v2 == pytest.approx(v1, rel=1e-12)
 
     def test_permutation_gives_zero(self):
