@@ -83,8 +83,11 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _sorted_w2(a: np.ndarray, b: np.ndarray) -> float:
     """W2 by sorted matching, for checked (N, 1) sets of one size."""
-    diff = np.sort(a[:, 0]) - np.sort(b[:, 0])
-    return float(np.sqrt(np.mean(diff * diff)))
+    with np.errstate(over="ignore"):  # an overflow is an inf, which is rejected below
+        sq = np.square(np.sort(a[:, 0]) - np.sort(b[:, 0]))
+    if not np.isfinite(sq).all():
+        raise ParameterError("squared distances between the sample sets overflow a float")
+    return float(np.sqrt(np.mean(sq)))
 
 
 def _assignment_w2(a: np.ndarray, b: np.ndarray) -> float:
@@ -144,8 +147,6 @@ def w2_to_gaussian(a, variance: float, resamples: int = 5, *,
         a = a[rng.choice(len(a), ASSIGNMENT_CAP, replace=False)]
     n, d = a.shape
     scale = np.sqrt(variance)
-    vals = np.empty(resamples)
-    for r in range(resamples):
-        vals[r] = _exact_w2(a, scale * rng.standard_normal((n, d)))
+    vals = np.array([_exact_w2(a, scale * rng.standard_normal((n, d))) for _ in range(resamples)])
     return W2GaussianResult(mean=float(vals.mean()), std=float(vals.std(ddof=1)) if resamples > 1 else 0.0,
                             values=vals, n=n)

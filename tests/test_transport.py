@@ -115,12 +115,17 @@ class TestExactAssignment:
             a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
             assert w2_exact_assignment(a, b) == pytest.approx(brute_force_w2(a, b), rel=1e-12)
 
-    def test_overflowing_costs_rejected_without_a_warning(self):
-        a, b = np.array([[1e300, 0.0], [0.0, 0.0]]), np.array([[-1e300, 0.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_overflowing_costs_rejected_without_a_warning(self, d):
+        # the sorted matching (d = 1) and the solver (d = 2) share the rule
+        a, b = np.zeros((2, d)), np.zeros((2, d))
+        a[0, 0], b[0, 0] = 1e300, -1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="overflow a float"):
                 w2_exact_assignment(a, b)
+            with pytest.raises(ParameterError, match="overflow a float"):
+                w2_to_gaussian(a, 1.0, resamples=1, rng=np.random.default_rng(0))
 
     def test_size_cap(self):
         big = np.zeros((ASSIGNMENT_CAP + 1, 1))
