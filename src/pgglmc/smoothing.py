@@ -174,7 +174,7 @@ def _summands(pot: RegularizedPotential, mu: float, p: float, x: np.ndarray,
     shared draws, get a fresh array.
     """
     y = np.multiply(mu, xi, out=work)
-    fits = np.broadcast_shapes(y.shape, x[..., None, :].shape) == y.shape
+    fits = np.broadcast(y, x[..., None, :]).shape == y.shape
     y = np.add(y, x[..., None, :], out=y if fits else None)
     coef = _coefficients(pot, mu, x, y)
     w = hadamard_weight(xi, p, out=y if fits else None)

@@ -26,7 +26,7 @@ from pgglmc import (
     run_chain,
     sample_pgg,
 )
-from pgglmc import lmc, pgg
+from pgglmc import lmc, pgg, smoothing
 
 HOST_CORES = lmc._cores
 
@@ -414,6 +414,35 @@ class TestRunChain:
         one = run_chain(pot, scfg, lcfg, threads=1)
         many = run_chain(pot, scfg, lcfg, threads=threads)
         assert np.array_equal(many.final_states, one.final_states)
+
+    @pytest.mark.parametrize("rows", [1, lmc._GATHER_ROWS - 1, lmc._GATHER_ROWS,
+                                      lmc._GATHER_ROWS + 1, 2 * lmc._GATHER_ROWS + 1])
+    # 512 B, 256 B and 128 B a row: tiled, tiled at the least size, one copy
+    @pytest.mark.parametrize("n,d", [(4, 16), (16, 2), (16, 1)])
+    def test_gather_is_one_copy(self, rows, n, d):
+        # a step's draws out of a (rows, chunk, n, d) block, as run_chain takes them
+        block = np.random.default_rng(rows).standard_normal((rows, 3, n, d))
+        whole = smoothing._rows_innermost((rows, n, d))
+        tiled = smoothing._rows_innermost((rows, n, d))
+        np.copyto(whole, block[:, 1])
+        lmc._gather(tiled, block[:, 1])
+        assert np.array_equal(tiled, whole)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chains", [lmc._GATHER_ROWS - 1, lmc._GATHER_ROWS + 1,
+                                        2 * lmc._GATHER_ROWS + 1])
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (16, 4)])
+    def test_gather_in_tiles_changes_no_bits(self, d, n, chains, threads, monkeypatch):
+        # every chain's step slice holds 256 B or more, so each block of
+        # chains, one or two per run, gathers its draws in tiles, its last
+        # tile partly filled but for 64 chains; the bits must be those of
+        # one copy per step
+        pot, scfg, lcfg = self._chain_setup(d, 1.5, n)
+        lcfg = dataclasses.replace(lcfg, chains=chains)
+        tiled = run_chain(pot, scfg, lcfg, threads=threads)
+        monkeypatch.setattr(lmc, "_GATHER_MIN_BYTES", math.inf)
+        whole = run_chain(pot, scfg, lcfg, threads=threads)
+        assert np.array_equal(tiled.final_states, whole.final_states)
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("d", [1, 2])

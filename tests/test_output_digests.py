@@ -6,9 +6,12 @@
   the chain groups depend on ``--threads`` alone;
 - ``bounds``' ``report.json`` on each ``sample`` workload config in
   ``perfbench/workloads.json``;
-- ``verify``'s ``report.json`` for the moments, lemma2 and transport suites.
+- ``verify``'s ``report.json`` for the moments, lemma2 and transport suites;
+- ``scripts/variance_vs_n.py``'s standard output on the ``quickstart``
+  workload config.
 Timing fields (``metrics.runtime_seconds``, each suite's ``seconds``) are
-dropped before hashing; every other byte counts.
+dropped before hashing; every other byte counts.  ``verify lemma1`` is left
+out: at about 3 s it would nearly double the table's time.
 
 The rule: a change that moves a digest updates the table in the same commit
 and says why in CHANGES.md.  ``python tests/test_output_digests.py``, with
@@ -22,6 +25,8 @@ difference; they never pass on outputs the table cannot speak for.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,6 +61,9 @@ SAMPLE_CONFIGS = {
     "l1_d16_p1": _config("l1", 16, 1.0, "auto", 20, 16, {"kind": "point", "value": 0.0}),
 }
 VERIFY_SUITES = ("moments", "lemma2", "transport")
+# script runs as (script, workload whose config it reads, its other arguments)
+SCRIPT_RUNS = {"variance_vs_n quickstart": ("variance_vs_n.py", "quickstart",
+                                            ["--ns", "1", "4", "16", "--trials", "1000"])}
 
 
 def environment() -> dict:
@@ -105,6 +113,14 @@ def compute_digests(tmp: Path) -> dict:
             for result in report["suites"]:
                 del result["seconds"]
             digests[f"verify {suite} report"] = _digest(report)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for label, (script, workload, args) in SCRIPT_RUNS.items():
+        cfg = tmp / f"script_{workload}.json"
+        cfg.write_text(json.dumps(workloads[workload]["config"]), encoding="utf-8")
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                               "--config", str(cfg), *args],
+                              capture_output=True, env=env, timeout=300, check=True)
+        digests[f"script {label} stdout"] = hashlib.sha256(proc.stdout).hexdigest()
     return digests
 
 
