@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .pgg import PggSpec, _as_point, _check_count, _check_p, _empty, sample_pgg
 from .potentials import RegularizedPotential, _check_mu, smoothness_constant_M
 
@@ -110,40 +111,17 @@ def _rows_innermost(shape: tuple) -> np.ndarray:
     return np.moveaxis(np.empty(tuple(shape[1:]) + tuple(shape[:1])), -1, 0)
 
 
-# Bytes per block in _by_row_blocks: small enough that a block and its few
-# same-sized temporaries stay in a per-core cache.
+# Bytes of draws per block that the harness evaluates at once: small enough
+# that a block and its few same-sized temporaries stay in a per-core cache.
 _BLOCK_BYTES = 1 << 18
 
 
-def _by_row_blocks(rows: np.ndarray, *, row_bytes: int | None = None):
-    """(start, block, work) for consecutive cache-sized blocks of rows, in order.
-
-    Each block is a copy of rows[start:start + len(block)] in one reused
-    buffer of ``_rows_innermost`` layout; ``work`` is a reused buffer of the
-    block's shape and layout.  The caller may overwrite both, and those rows
-    of ``rows`` too, before it takes the next block.  A block holds
-    ``_BLOCK_BYTES`` at ``row_bytes`` a row (a row's own bytes by default).
-    """
-    step = min(len(rows), max(1, _BLOCK_BYTES // (row_bytes or rows[0].nbytes)))
-    buf = _rows_innermost((step,) + rows.shape[1:])
-    work = np.empty_like(buf)
-    for start in range(0, len(rows), step):
-        block = buf[:len(rows[start:start + step])]
-        np.copyto(block, rows[start:start + step])
-        yield start, block, work[:len(block)]
-
-
-def _add_in_order(total: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """total + v[:, 0] + v[:, 1] + ..., one column at a time, for a (d, k) v it overwrites.
-
-    From a zero total, and carried from tile to tile, these are bitwise the
-    sums numpy gives over axis 0 of the (k, d) C-order rows at d >= 2, which
-    it adds row by row with an inner loop of d; here each coordinate's
-    accumulation runs along its own row of v.
-    """
-    v[:, 0] += total
-    np.add.accumulate(v, axis=1, out=v)
-    return v[:, -1].copy()
+def _harness_point(x, d: int, batched: bool = False) -> np.ndarray:
+    """``_as_point``'s x; ParameterError unless every coordinate is finite too."""
+    x = _as_point(x, d, batched)
+    if not np.isfinite(x).all():
+        raise ParameterError(f"point must be finite, got {np.array2string(x, threshold=8)}")
+    return x
 
 
 def _law(pot: RegularizedPotential, mu: float, p: float) -> PggSpec:
@@ -208,7 +186,7 @@ def smoothed_value_mc(pot: RegularizedPotential, mu: float, p: float, x: np.ndar
     """
     m = _check_count(m, "sample count", 2)
     spec = _law(pot, mu, p)
-    x = _as_point(x, pot.d, batched=True)
+    x = _harness_point(x, pot.d, batched=True)
     xi = sample_pgg(spec, rng, size=m)
     vals = pot.value(x[..., None, :] + mu * xi)
     return vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / np.sqrt(m)
@@ -222,42 +200,29 @@ def smoothed_gradient_reference(pot: RegularizedPotential, mu: float, p: float,
     The quadratic family returns its closed form (c + lam) x with zero
     variance and takes no draws.  Otherwise the reference is the mean of the
     gradient-identity summands over m >= 2 draws, with the variance of that
-    mean; it has no batch size.  The summands are evaluated in cache-sized
-    row blocks, draw axis innermost, and each block's summands are stored
-    d-major over its own draws' memory.  Both statistics are bitwise numpy's
-    ``mean(axis=0)`` and ``var(axis=0, ddof=1) / m`` of the C-order (m, d)
-    summands.  At d >= 2 numpy adds those rows in order, so each block's
-    coordinates are summed as soon as it is evaluated, the sum carried from
-    block to block, and a second pass over the stored summands sums their
-    squared deviations the same way.  At d = 1 the summands form one
-    contiguous column, which numpy adds pairwise, so numpy reduces it whole;
-    its deviations overwrite it.
+    mean; it has no batch size.  The draws are drawn in the layout they are
+    evaluated in: the numbers of an (m, d) draw, in the same order, fill a
+    (d, m) block coordinate-major, row j holding coordinate j of every draw.
+    Cache-sized column blocks are evaluated as (rows, d) views, draw axis
+    innermost, and each block's summands overwrite its own columns.  Both
+    statistics are then numpy's ``mean(axis=1)`` and ``var(axis=1, ddof=1)
+    / m`` of the (d, m) summands, bitwise; the deviations overwrite them.
     """
     m = _check_count(m, "reference draw count", 2)
     spec = _law(pot, mu, p)
-    x = _as_point(x, pot.d)
+    x = _harness_point(x, pot.d)
     if pot.has_exact_smoothing:
         return pot.smoothed_grad(x), np.zeros(pot.d)
     d = pot.d
-    xi = sample_pgg(spec, rng, size=m)
-    tiles, total = [], np.zeros(d)
-    for start, block, work in _by_row_blocks(xi):
-        summands = _summands(pot, mu, spec.p, x, block, work).T  # (d, rows)
-        # the block's draws are read, so its summands take their memory, d-major
-        tiles.append(xi.reshape(-1)[start * d:(start + len(block)) * d].reshape(d, -1))
-        np.copyto(tiles[-1], summands)
-        if d > 1:
-            total = _add_in_order(total, summands)
-    if d == 1:
-        mean = np.add.reduce(xi, axis=0) / m
-        dev = np.subtract(xi, mean, out=xi)
-        sq = np.add.reduce(np.multiply(dev, dev, out=dev), axis=0)
-    else:
-        mean, sq = total / m, np.zeros(d)
-        dev = np.empty_like(tiles[0])
-        for tile in tiles:
-            v = np.subtract(tile, mean[:, None], out=dev[:, :tile.shape[1]])
-            sq = _add_in_order(sq, np.multiply(v, v, out=v))
+    xi = sample_pgg(spec, rng, size=m).reshape(d, m)
+    step = min(m, max(1, _BLOCK_BYTES // (d * 8)))
+    work = _rows_innermost((step, d))
+    for start in range(0, m, step):
+        block = xi.T[start:start + step]  # (rows, d), draw axis innermost
+        np.copyto(block, _summands(pot, mu, spec.p, x, block, work[:len(block)]))
+    mean = np.add.reduce(xi, axis=1) / m
+    dev = np.subtract(xi, mean[:, None], out=xi)
+    sq = np.add.reduce(np.multiply(dev, dev, out=dev), axis=1)
     return mean, sq / (m - 1) / m
 
 
@@ -272,18 +237,19 @@ def measure_bias_variance(pot: RegularizedPotential, mu: float, p: float, x: np.
     draws its ``(trials, n, d)`` block.  Standard errors accompany both
     empirical statistics; stochastic assertions downstream use 4 of them.
 
-    The trials are estimated in cache-sized blocks of rows of the one
-    ``(trials, n, d)`` draw block, each held trial axis innermost as
-    ``run_chain`` holds its chains, so the draw-axis sum adds the n draws in
-    order at every d.  The statistics reduce over all trials at once, so the
-    report is bitwise the one that a single whole-block call gives.  Each
-    block evaluates U_bar(x) once more.  Every n draws into the C-contiguous
-    front of one buffer, sized for the largest n and taken once the
-    reference's draws are freed.
+    Each block is drawn in the layout it is evaluated in, trial axis
+    innermost, as ``run_chain`` holds its chains: the numbers of a
+    ``(trials, n, d)`` draw, in the same order, fill an ``(n, d, trials)``
+    block.  Its trials are estimated in cache-sized slices of that view, so
+    the draw-axis sum adds the n draws in order at every d.  The statistics
+    reduce over all trials at once, so the report is bitwise the one that a
+    single whole-block call gives.  Each slice evaluates U_bar(x) once more.
+    Every n draws into the front of one buffer, sized for the largest n and
+    taken once the reference's draws are freed.
     """
     trials = _check_count(trials, "trial count", 2)
     cfgs = [SmoothingConfig(mu=mu, n=n, p=p) for n in ns]
-    x = _as_point(x, pot.d)
+    x = _harness_point(x, pot.d)
     reference = smoothed_gradient_reference(pot, mu, p, x, 100 * trials, rng)
     draws = _empty(trials * max((cfg.n for cfg in cfgs), default=0) * pot.d, "the trials' draws")
     return [_bias_variance(pot, cfg, x, trials, rng, reference, draws) for cfg in cfgs]
@@ -292,15 +258,21 @@ def measure_bias_variance(pot: RegularizedPotential, mu: float, p: float, x: np.
 def _bias_variance(pot, cfg, x, trials, rng, reference, draws) -> BiasVarianceReport:
     """One batch size's report at x, against the shared ``(ref, ref_var)`` pair.
 
-    The ``(trials, n, d)`` draw block fills the front of the flat ``draws``.
+    The numbers of the ``(trials, n, d)`` draw fill the front of the flat
+    ``draws`` as an ``(n, d, trials)`` block, so the ``(trials, n, d)`` view
+    that is estimated has its trial axis innermost.
     """
-    d, p = pot.d, cfg.p
-    xi = sample_pgg(PggSpec(p, d), rng, size=(trials, cfg.n),
-                    out=draws[:trials * cfg.n * d].reshape(trials, cfg.n, d))
+    d, p, n = pot.d, cfg.p, cfg.n
+    xi = sample_pgg(PggSpec(p, d), rng, size=(trials, n),
+                    out=draws[:trials * n * d].reshape(trials, n, d))
+    xi = np.moveaxis(xi.reshape(n, d, trials), -1, 0)
+    step = min(trials, max(1, _BLOCK_BYTES // (n * d * 8)))
+    work = _rows_innermost((step, n, d))
     g = np.empty((trials, d))
-    for start, block, work in _by_row_blocks(xi):
-        g[start:start + len(block)] = grad_estimate_from_draws(pot, cfg.mu, p, x, block,
-                                                               work=work)
+    for start in range(0, trials, step):
+        rows = xi[start:start + step]
+        g[start:start + len(rows)] = grad_estimate_from_draws(pot, cfg.mu, p, x, rows,
+                                                              work=work[:len(rows)])
     gbar = g.mean(axis=0)
     gvar = g.var(axis=0, ddof=1)  # per-coordinate
 

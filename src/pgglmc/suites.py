@@ -19,7 +19,7 @@ from .lmc import InitSpec, LmcConfig, bounds_table, run_chain
 from .pgg import (PggSpec, _check_count, _empty, pgg_norm_moment, pgg_sq_norm_moment_bound,
                   sample_pgg)
 from .potentials import get_potential, lemma1_gap_envelope, regularize, smoothness_constant_M
-from .smoothing import (SmoothingConfig, _by_row_blocks, _coefficients, hadamard_weight,
+from .smoothing import (_BLOCK_BYTES, SmoothingConfig, _coefficients, hadamard_weight,
                         measure_bias_variance, smoothed_value_mc)
 from .transport import _assignment_w2, _sorted_w2, w2_to_gaussian
 
@@ -73,38 +73,34 @@ def _lemma1_corpus(d: int):
 # ---------------------------------------------------------------------------
 
 
-# Rows per in-place pass over a moments draw block: 16k rows of 5 coordinates
-# is 640 kB, which stays in a per-core cache across the three passes.
-_MOMENT_ROWS = 16_384
-
-
 def suite_moments(seed: int = 1001, draws: int = 1_000_000) -> SuiteResult:
     """Monte Carlo vs the Gamma-ratio moment formula on the (p, d, n) grid.
 
-    One ``(draws, 5)`` N_p block per p serves every d: the first d
-    coordinates of an N_p(0, I_5) row are an exact N_p(0, I_d) draw.  Every
-    p refills one buffer, which is overwritten in place, in row blocks, with
-    the running sum of |xi_j|^p over j, so column d - 1 holds ||xi||_p^p for
-    that d.  Checks in the same p therefore share draws; each still uses all
-    ``draws`` rows and a 4-SE test.  Each p has its own child generator of
+    One N_p(0, I_5) draw block per p serves every d: the first d
+    coordinates of an N_p(0, I_5) draw are an exact N_p(0, I_d) draw.  It
+    is drawn in the layout it is evaluated in: the numbers of a
+    ``(draws, 5)`` draw, in the same order, fill a ``(5, draws)`` block
+    coordinate-major, row j holding coordinate j of every draw.  Every p
+    refills one buffer, which is overwritten in place, row by row, with the
+    running sum of |xi_j|^p over j, so row d - 1 holds ||xi||_p^p for that
+    d.  Checks in the same p therefore share draws; each still uses all
+    ``draws`` draws and a 4-SE test.  Each p has its own child generator of
     ``seed``.  ``draws`` is an integer >= 2, else ``ParameterError``.
     """
     draws = _check_count(draws, "moment draw count", 2)
     result = SuiteResult(suite="moments")
     ps, orders, dims = (1.0, 1.5, 2.0), (1.0, 2.0, 4.0), (1, 3, 5)
 
-    xi = _empty((draws, dims[-1]), "the moment draws")
+    xi = _empty((dims[-1], draws), "the moment draws")
     for p, rng in zip(ps, np.random.default_rng(seed).spawn(len(ps))):
-        sample_pgg(PggSpec(p=p, d=dims[-1]), rng, size=draws, out=xi)
-        for start in range(0, draws, _MOMENT_ROWS):
-            block = xi[start:start + _MOMENT_ROWS]
-            np.abs(block, out=block)
-            block **= p
-            for j in range(1, dims[-1]):  # a cumsum over axis 1, 3x faster at 5 columns
-                block[:, j] += block[:, j - 1]
+        sample_pgg(PggSpec(p=p, d=dims[-1]), rng, size=draws, out=xi.reshape(draws, dims[-1]))
+        np.abs(xi, out=xi)
+        xi **= p
+        for j in range(1, dims[-1]):
+            xi[j] += xi[j - 1]
         for d in dims:
             spec = PggSpec(p=p, d=d)
-            norms = xi[:, d - 1] ** (1.0 / p)
+            norms = xi[d - 1] ** (1.0 / p)
             for order in orders:
                 vals = norms**order
                 mc = float(vals.mean())
@@ -203,10 +199,12 @@ def suite_lemma1(seed: int = 1002) -> SuiteResult:
                 xi = sample_pgg(spec, rng, size=lipschitz_draws)
                 shift = mu * xi
                 w = hadamard_weight(xi, p)                      # (m, d)
+                step = max(1, _BLOCK_BYTES // xi.nbytes)
                 coef_x, coef_y = (np.empty((pairs, lipschitz_draws)) for _ in "xy")
                 for ends, coef in ((x, coef_x), (y, coef_y)):
-                    for start, block, _ in _by_row_blocks(ends, row_bytes=xi.nbytes):
-                        coef[start:start + len(block)] = _coefficients(
+                    for start in range(0, pairs, step):
+                        block = ends[start:start + step]
+                        coef[start:start + step] = _coefficients(
                             pot, mu, block, np.add(block[:, None, :], shift, order="C"))
                 delta = np.linalg.norm(coef_x @ w / lipschitz_draws
                                        - coef_y @ w / lipschitz_draws, axis=1)

@@ -14,7 +14,7 @@ import pytest
 
 from pgglmc import (ConfigError, ExperimentConfig, InitSpec, LmcConfig, ParameterError, PggSpec,
                     Potential, SmoothingConfig, get_potential, lemma1_gap_bound,
-                    lemma1_gap_envelope, make_potential, measure_bias_variance, pgg_norm_moment,
+                    lemma1_gap_envelope, log_density, make_potential, measure_bias_variance, pgg_norm_moment,
                     regularize, run_chain, sample_pgg, smoothed_gradient_reference,
                     smoothed_value_mc, smoothness_constant_M, w2_to_gaussian)
 from pgglmc.suites import suite_moments
@@ -118,6 +118,35 @@ def test_init_center_must_be_finite():
     for center in (math.inf, [0.0, math.nan]):
         with pytest.raises(ParameterError, match="init center"):
             chain(init=InitSpec(center=center))
+
+
+# the harness's entry points, each at one point of dimension 2
+POINTS = {
+    "smoothed_value_mc x": lambda x: smoothed_value_mc(power(), 0.1, 2.0, x, 4, rng()),
+    "smoothed_value_mc batched x": lambda x: smoothed_value_mc(
+        power(), 0.1, 2.0, np.stack([np.zeros(2), x]), 4, rng()),
+    "smoothed_gradient_reference x": lambda x: smoothed_gradient_reference(
+        power(), 0.1, 1.5, x, 4, rng()),
+    "smoothed_gradient_reference quadratic x": lambda x: smoothed_gradient_reference(
+        quad(), 0.1, 2.0, x, 4, rng()),
+    "measure_bias_variance x": lambda x: measure_bias_variance(
+        power(), 0.1, 2.0, x, [2], 2, rng()),
+}
+
+
+@pytest.mark.parametrize("point", [[math.inf, 0.2], [0.2, -math.inf], [math.nan, 0.2]])
+@pytest.mark.parametrize("entry", sorted(POINTS))
+def test_every_harness_point_is_finite(entry, point):
+    # at (inf, 0.2) the Monte Carlo statistics came out NaN with a
+    # RuntimeWarning, a NaN point gave NaN silently, and the quadratic
+    # reference returned inf
+    with pytest.raises(ParameterError, match="point must be finite, got "):
+        POINTS[entry](np.array(point))
+
+
+def test_log_density_is_minus_inf_at_an_infinite_point():
+    # the law itself is defined there: it has no mass at infinity
+    assert log_density(PggSpec(1.5, 2), [math.inf, 0.2]) == -math.inf
 
 
 def base_doc():

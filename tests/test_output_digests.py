@@ -15,7 +15,8 @@ out: at about 3 s it would nearly double the table's time.
 
 The rule: a change that moves a digest updates the table in the same commit
 and says why in CHANGES.md.  ``python tests/test_output_digests.py``, with
-``src`` on the import path, rewrites the table from the current tree.
+``src`` on the import path, rewrites the table from the current tree and
+names on stderr each row whose digest changed, appeared or vanished.
 
 ``np.log``, ``np.exp`` and ``np.power`` may take CPU-specific SIMD paths, so
 the table records the numpy and scipy versions and the SIMD extensions numpy
@@ -155,5 +156,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {"environment": environment(), "digests": compute_digests(Path(tmp))}
+    old, new = _table()["digests"], table["digests"]
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            what = "appeared" if key not in old else "vanished" if key not in new else "changed"
+            print(f"{what}: {key}", file=sys.stderr)
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table['digests'])} digests to {TABLE}", file=sys.stderr)

@@ -521,11 +521,19 @@ class TestRowBlocks:
         for field in whole.__dataclass_fields__:
             assert np.array_equal(getattr(blocked, field), getattr(whole, field)), field
 
-    def test_mc_reference_matches_one_call(self, monkeypatch):
-        m = 5 * self.rows_per_block(3 * 8) + 13
-        blocked = self.reference(m, 22)
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_mc_reference_matches_one_call(self, d, monkeypatch):
+        pot = regularize(get_potential("power", d, alpha=0.5), 0.5)
+        x = np.linspace(-0.8, 0.6, d)
+        m = 5 * self.rows_per_block(d * 8) + 13
+
+        def reference():
+            return smoothed_gradient_reference(pot, self.cfg.mu, self.cfg.p, x, m,
+                                               np.random.default_rng(22))
+
+        blocked = reference()
         monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 1 << 40)
-        whole = self.reference(m, 22)
+        whole = reference()
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)
 
@@ -541,44 +549,29 @@ class TestRowBlocks:
         for got, want in zip(one_row[1], whole[1]):
             assert np.array_equal(got, want)
 
-    def test_blocks_are_consecutive_copies_of_the_rows(self, monkeypatch):
-        monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 3 * 2 * 8)
-        rows = np.arange(7 * 2 * 3, dtype=float).reshape(7, 2, 3)
-        seen = [(start, block.copy(), work.shape, block.strides)
-                for start, block, work in smoothing._by_row_blocks(rows, row_bytes=16)]
-        assert [start for start, *_ in seen] == [0, 3, 6]
-        for start, block, work_shape, strides in seen:
-            assert np.array_equal(block, rows[start:start + 3]) and work_shape == block.shape
-            assert strides[0] == 8  # the row axis is innermost in memory
-
 
 class TestReferenceReduction:
-    """The reference is bitwise numpy's mean and var over its C-order (m, d) summands."""
+    """The reference is bitwise numpy's mean and var over its coordinate-major (d, m) summands."""
 
     mu = 0.3
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("d", [1, 2, 4, 16])
     @pytest.mark.parametrize("blocks", [0.5, 2.3])
-    def test_matches_numpy_on_c_order_summands(self, d, p, blocks):
+    def test_matches_numpy_on_coordinate_major_summands(self, d, p, blocks):
         # m below one block, or two full blocks and a partial last one
         pot = regularize(get_potential("power", d, alpha=0.5), 0.5)
         x = np.linspace(-0.8, 0.6, d)
         m = int(blocks * (smoothing._BLOCK_BYTES // (d * 8)))
         ref, ref_var = smoothed_gradient_reference(pot, self.mu, p, x, m,
                                                    np.random.default_rng(26))
-        xi = sample_pgg(PggSpec(p, d), np.random.default_rng(26), size=m)
-        summands = ((pot.value(x + self.mu * xi) - pot.value(x)) / self.mu)[:, None] \
+        # the numbers of an (m, d) draw, in the same order, fill a (d, m) block
+        xi = sample_pgg(PggSpec(p, d), np.random.default_rng(26), size=m).reshape(d, m)
+        summands = ((pot.value(x + self.mu * xi.T) - pot.value(x)) / self.mu) \
             * hadamard_weight(xi, p)
-        assert summands.flags.c_contiguous
-        assert np.array_equal(ref, summands.mean(axis=0))
-        assert np.array_equal(ref_var, summands.var(axis=0, ddof=1) / m)
-
-    def test_a_zero_column_sums_as_numpy_sums_it(self):
-        # numpy's sum starts from +0.0, so a column of -0.0 sums to +0.0
-        v = np.full((2, 5), -0.0)
-        total = smoothing._add_in_order(np.zeros(2), v)
-        assert np.array_equal(np.signbit(total), np.signbit(np.add.reduce(v.T, axis=0)))
+        assert summands.shape == (d, m) and summands.flags.c_contiguous
+        assert np.array_equal(ref, summands.mean(axis=1))
+        assert np.array_equal(ref_var, summands.var(axis=1, ddof=1) / m)
 
 
 class TestHarnessMemory:
@@ -648,17 +641,19 @@ class TestChainInnermostHarness:
         trials = 2 * (smoothing._BLOCK_BYTES // (n * d * 8)) + 7
         xi, g = self.estimates(monkeypatch, pot, p, x, n, trials)
         assert xi.shape == (trials, n, d) and g.shape == (trials, d)
-        on_c_block = grad_estimate_from_draws(pot, self.mu, p, x, xi)
+        # the block's numbers, in the order drawn, fill an (n, d, trials) block
+        view = np.moveaxis(xi.reshape(n, d, trials), -1, 0)
+        assert np.array_equal(g, grad_estimate_from_draws(pot, self.mu, p, x, view))
         if d >= 2:
-            assert np.array_equal(g, on_c_block)
             return
         # at d = 1 the draws are added in order, as run_chain adds them
-        summands = ((pot.value(x + self.mu * xi) - pot.value(x))[..., None] / self.mu
-                    * hadamard_weight(xi, p))
+        summands = ((pot.value(x + self.mu * view) - pot.value(x))[..., None] / self.mu
+                    * hadamard_weight(view, p))
         in_order = summands[:, 0].copy()
         for j in range(1, n):
             in_order += summands[:, j]
         assert np.array_equal(g, in_order / n)
-        # where the contiguous C block sums them pairwise
+        # where a C-order copy of the view sums them pairwise
+        on_c_block = grad_estimate_from_draws(pot, self.mu, p, x, np.ascontiguousarray(view))
         assert not np.array_equal(g, on_c_block)
         assert np.abs(g - on_c_block).max() <= 2e-15

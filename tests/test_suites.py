@@ -33,19 +33,20 @@ class TestMomentSuite:
         with pytest.raises(MemoryError, match="the draws exceed numpy's largest array"):
             sample_pgg(PggSpec(1.5, 2), np.random.default_rng(0), size=10 ** 19)
 
-    def test_observed_moments_read_prefixes_of_one_block_per_p(self):
-        # a draw count that ends in a partial in-place row block
+    def test_observed_moments_read_rows_of_one_block_per_p(self):
         draws = 40_000
-        assert draws > suites._MOMENT_ROWS and draws % suites._MOMENT_ROWS
         res = suite_moments(seed=1001, draws=draws)
         assert res.passed
         observed = {c.name: c.observed for c in res.checks}
         ps = (1.0, 1.5, 2.0)
         for p, rng in zip(ps, np.random.default_rng(1001).spawn(len(ps))):
-            terms = np.abs(sample_pgg(PggSpec(p, 5), rng, size=draws)) ** p
+            # the numbers of a (draws, 5) draw, in the same order, fill a
+            # (5, draws) block: row j holds coordinate j of every draw
+            xi = sample_pgg(PggSpec(p, 5), rng, size=draws).reshape(5, draws)
+            terms = np.abs(xi) ** p
             partial = np.zeros(draws)
             for d in range(1, 6):
-                partial = partial + terms[:, d - 1]  # ||xi[:, :d]||_p^p, left to right
+                partial = partial + terms[d - 1]  # ||xi[:d]||_p^p, left to right
                 if d not in (1, 3, 5):
                     continue
                 norms = partial ** (1.0 / p)
@@ -90,6 +91,31 @@ class TestMomentSuite:
         one = checks(1)
         assert len(one) == 60
         assert checks(2) == one
+
+
+class TestLemma1Suite:
+    def test_lipschitz_coefficients_do_not_depend_on_the_block_size(self, monkeypatch):
+        # one cheap base whose references are Monte Carlo, and no gap draws,
+        # keep it fast; the endpoint pairs are evaluated a few at a time
+        monkeypatch.setattr(suites, "_lemma1_corpus", lambda d: [suites.get_potential("l1", d)])
+        monkeypatch.setattr(suites, "smoothed_value_mc",
+                            lambda pot, mu, p, x, m, rng: (pot.value(x), np.zeros(len(x))))
+        real = suites._coefficients
+
+        def run(block_bytes):
+            monkeypatch.setattr(suites, "_BLOCK_BYTES", block_bytes)
+            coefs = []
+            monkeypatch.setattr(suites, "_coefficients",
+                                lambda *args: coefs.append(real(*args)) or coefs[-1])
+            checks = [c.to_dict() for c in suites.suite_lemma1().checks]
+            return np.concatenate(coefs), checks, [len(c) for c in coefs]
+
+        default = run(suites._BLOCK_BYTES)
+        three_pairs = run(3 * 4000 * 3 * 8)
+        # two pairs a block by default; each p's two ends end on a one-pair block at three
+        assert set(default[2]) == {2} and three_pairs[2].count(1) == 4
+        assert set(three_pairs[2]) == {1, 3}
+        assert np.array_equal(three_pairs[0], default[0]) and three_pairs[1] == default[1]
 
 
 class TestDispatch:
