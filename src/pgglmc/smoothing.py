@@ -116,7 +116,7 @@ def _rows_innermost(shape: tuple) -> np.ndarray:
 _BLOCK_BYTES = 1 << 18
 
 
-def _harness_point(x, d: int, batched: bool = False) -> np.ndarray:
+def _finite_point(x, d: int, batched: bool = False) -> np.ndarray:
     """``_as_point``'s x; ParameterError unless every coordinate is finite too."""
     x = _as_point(x, d, batched)
     if not np.isfinite(x).all():
@@ -186,7 +186,7 @@ def smoothed_value_mc(pot: RegularizedPotential, mu: float, p: float, x: np.ndar
     """
     m = _check_count(m, "sample count", 2)
     spec = _law(pot, mu, p)
-    x = _harness_point(x, pot.d, batched=True)
+    x = _finite_point(x, pot.d, batched=True)
     xi = sample_pgg(spec, rng, size=m)
     vals = pot.value(x[..., None, :] + mu * xi)
     return vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / np.sqrt(m)
@@ -210,7 +210,7 @@ def smoothed_gradient_reference(pot: RegularizedPotential, mu: float, p: float,
     """
     m = _check_count(m, "reference draw count", 2)
     spec = _law(pot, mu, p)
-    x = _harness_point(x, pot.d)
+    x = _finite_point(x, pot.d)
     if pot.has_exact_smoothing:
         return pot.smoothed_grad(x), np.zeros(pot.d)
     d = pot.d
@@ -249,7 +249,7 @@ def measure_bias_variance(pot: RegularizedPotential, mu: float, p: float, x: np.
     """
     trials = _check_count(trials, "trial count", 2)
     cfgs = [SmoothingConfig(mu=mu, n=n, p=p) for n in ns]
-    x = _harness_point(x, pot.d)
+    x = _finite_point(x, pot.d)
     reference = smoothed_gradient_reference(pot, mu, p, x, 100 * trials, rng)
     draws = _empty(trials * max((cfg.n for cfg in cfgs), default=0) * pot.d, "the trials' draws")
     return [_bias_variance(pot, cfg, x, trials, rng, reference, draws) for cfg in cfgs]
